@@ -12,7 +12,9 @@
 // must beat their flat counterparts at the largest measured size (that is
 // the point of the topology model), and it exits nonzero otherwise —
 // making the bench-smoke ctest leg a structural regression check, not
-// just a perf one. Mid-size rows are reported ungated on purpose: a
+// just a perf one. The gate holds on a lossless fabric only; with fault
+// injection armed the outcome is printed but not enforced. Mid-size rows
+// are reported ungated on purpose: a
 // leader superblock can cross the eager->rendezvous threshold that the
 // per-rank flat messages stay under (3 x 16K > 32K), and the resulting
 // dip is a real property of the protocol switch, not a regression (the
@@ -193,6 +195,11 @@ int main() {
                 {"flat_us", "hier_us", "speedup", "hier_cp_p99_us",
                  "hier_uplink_us"});
 
+    // Like the tracing gate below, "hier beats flat" is a perf claim about
+    // a lossless fabric: with MPICD_FAULT_* armed, retransmit timeouts land
+    // on whichever algorithm draws the drops, so the check is reported but
+    // not gated.
+    const bool lossy_env = netsim::FaultConfig::from_env().any_random();
     bool gate_ok = true;
     SimTime allreduce_hier_top = 0.0;
     for (const Op op : ops) {
@@ -218,9 +225,11 @@ int main() {
 
     table.finish("ablation_collectives");
     if (!gate_ok) {
-        std::fprintf(stderr, "FAIL: hierarchical allreduce/allgatherv did not "
-                             "beat flat on the two-level fabric\n");
-        return 1;
+        std::fprintf(stderr, "%s: hierarchical allreduce/allgatherv did not "
+                             "beat flat on the two-level fabric%s\n",
+                     lossy_env ? "note" : "FAIL",
+                     lossy_env ? " (not gated: fault injection active)" : "");
+        if (!lossy_env) return 1;
     }
 
     // Pure-observer gate: re-measure the largest hierarchical allreduce
@@ -231,7 +240,6 @@ int main() {
     // fabric: with MPICD_FAULT_* armed the two universes draw different
     // fault sequences (packet order is thread-schedule dependent), so in
     // the lossy matrix legs the delta is reported but not gated.
-    const bool lossy_env = netsim::FaultConfig::from_env().any_random();
     trace::set_enabled(true);
     trace::reset();
     const Cell traced =

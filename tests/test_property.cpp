@@ -3,6 +3,8 @@
 // per test-case index, so failures reproduce deterministically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <random>
 
 #include "base/crc32.hpp"
@@ -361,6 +363,72 @@ TEST(CrcProperty, IncrementalMatchesOneShot) {
                                          crc32(msg.data(), cut));
         EXPECT_EQ(part, whole);
     }
+}
+
+// Reference model: the one-table (Sarwate) bytewise loop the slicing-by-8
+// kernel replaced. Every output of crc32() must equal it bit for bit.
+std::uint32_t crc32_bytewise(const void* data, std::size_t n, std::uint32_t seed) {
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i)
+        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CrcProperty, MatchesBytewiseReference) {
+    std::mt19937 rng(0x5115u);
+    // 8 spare bytes so every length can start at each of the 8 alignments.
+    ByteVec buf(64 * 1024 + 8);
+    for (auto& b : buf) b = static_cast<std::byte>(rng());
+
+    // Every length 0-300 (all tail lengths, several 8-byte blocks) at all 8
+    // start alignments, from the default seed and a random non-zero one.
+    for (std::size_t len = 0; len <= 300; ++len) {
+        for (std::size_t align = 0; align < 8; ++align) {
+            const std::byte* p = buf.data() + align;
+            EXPECT_EQ(crc32(p, len), crc32_bytewise(p, len, 0))
+                << "len " << len << " align " << align;
+            const std::uint32_t seed = rng() | 1u;
+            EXPECT_EQ(crc32(p, len, seed), crc32_bytewise(p, len, seed))
+                << "len " << len << " align " << align << " seed " << seed;
+        }
+    }
+
+    // A 64 KiB buffer at every alignment.
+    for (std::size_t align = 0; align < 8; ++align)
+        EXPECT_EQ(crc32(buf.data() + align, 64 * 1024),
+                  crc32_bytewise(buf.data() + align, 64 * 1024, 0))
+            << "64 KiB align " << align;
+
+    // Incremental splits at random cut points (most not multiples of 8),
+    // each piece chained through the seed, against the reference one-shot.
+    for (int trial = 0; trial < 64; ++trial) {
+        const std::size_t len = rng() % (64 * 1024);
+        const std::uint32_t seed = rng() | 1u;
+        std::size_t at = 0;
+        std::uint32_t c = seed;
+        while (at < len) {
+            const std::size_t piece = std::min<std::size_t>(len - at, 1 + rng() % 1500);
+            c = crc32(buf.data() + at, piece, c);
+            at += piece;
+        }
+        EXPECT_EQ(c, crc32_bytewise(buf.data(), len, seed)) << "trial " << trial;
+    }
+}
+
+// The standard CRC-32 check value pins the polynomial, reflection and the
+// pre/post inversion.
+TEST(CrcProperty, KnownAnswer) {
+    const char check[] = "123456789";
+    EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(check, 0), 0u);
 }
 
 } // namespace

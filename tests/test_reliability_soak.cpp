@@ -278,6 +278,16 @@ TEST(ReliabilitySoak, ConcurrentManyRankManyTagLossy) {
     }
     for (auto& t : threads) t.join();
     EXPECT_EQ(failures.load(), 0);
+    // Every request is complete, but protocol state can outlive it: a CTS
+    // whose ack was dropped still waits for its retransmission, and no rank
+    // thread is left to progress it. Drain (bounded; progress_all jumps to
+    // the next timer when the fabric is quiet) before asserting quiescence.
+    const auto all_idle = [&] {
+        for (int r = 0; r < kRanks; ++r)
+            if (!uni.worker(r).idle()) return false;
+        return true;
+    };
+    for (int spin = 0; spin < 10000 && !all_idle(); ++spin) uni.progress_all();
     for (int r = 0; r < kRanks; ++r)
         EXPECT_TRUE(uni.worker(r).idle()) << "rank " << r << " not quiescent";
 }

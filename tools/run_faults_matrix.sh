@@ -20,7 +20,9 @@
 # separate build tree (-DMPICD_SANITIZE=address) and replays the lossy
 # configuration through them: the pooled hot path recycles and shares
 # buffers across threads, and ASan turns any use-after-release or
-# double-release of a slab into a hard failure. MPICD_SKIP_ASAN=1 skips it.
+# double-release of a slab into a hard failure. test_property rides along so
+# the CRC-32 kernel's word loads and tail loop run under ASan over every
+# length and alignment. MPICD_SKIP_ASAN=1 skips it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
 # matcher-heavy tests — test_matcher's randomized differential sweeps, the
@@ -75,14 +77,14 @@ done
 
 if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
     ASAN_DIR=${BUILD_DIR}-asan
-    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak'
+    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property'
     echo "=== asan leg: configuring $ASAN_DIR ==="
     cmake -B "$ASAN_DIR" -S . \
           -DMPICD_SANITIZE=address \
           -DMPICD_BUILD_BENCH=OFF \
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build "$ASAN_DIR" -j "$JOBS" --target \
-          test_base test_ucx test_faults test_reliability_soak
+          test_base test_ucx test_faults test_reliability_soak test_property
     echo "=== asan leg: lossy datapath tests under AddressSanitizer ==="
     MPICD_FAULT_SEED=42 \
     MPICD_FAULT_DROP=0.01 \
