@@ -1,26 +1,23 @@
-// Datapath memory ablation: the slab buffer pool on vs. off (MPICD_POOL),
-// over a lossless and a lossy fabric (see docs/PERF.md §8).
+// Datapath memory ablation: the slab buffer pool over a lossless and a
+// lossy fabric (see docs/PERF.md §7).
 //
-// Reports, per {fabric, pool} phase, for a stream of pipelined rendezvous
-// messages (generic datatype both sides, inorder=true):
+// Reports, per fabric, for a stream of pipelined rendezvous messages
+// (generic datatype both sides, inorder=true):
 //   - payload_allocs/msg: heap allocations the datapath performs for wire
-//     buffers (pool misses + pool-off heap allocations, from PoolStats);
+//     buffers (pool misses, from PoolStats);
 //   - total_allocs/msg: every operator-new call in the process (global
 //     override below), bookkeeping included;
-//   - pool_hit_pct: freelist hit rate (0 with the pool off);
+//   - pool_hit_pct: freelist hit rate;
 //   - copy_amp: transport bytes memcpy'd per byte delivered.
 //
-// Hard assertions (exit 1), per the PR acceptance criteria:
-//   - pool-on performs >= 5x fewer payload heap allocations per message;
-//   - copy_amp improves pool-on vs. pool-off over the lossy fabric (the
-//     retransmit queue shares slabs instead of deep-copying);
-//   - the wire is byte-identical in both modes: every message's sender
-//     fragment schedule (offset, length, running CRC of produced bytes)
-//     and logical bytes_sent match pool-on vs. pool-off, on the lossless
-//     AND the lossy fabric (retransmits resend recorded packets, so the
-//     pack schedule is loss-independent);
-//   - on the lossless fabric the receiver unpack schedule is identical in
-//     both modes and strictly in-order (in-place unpack, no stash);
+// Hard assertions (exit 1):
+//   - lossless payload_allocs/msg == 0 (steady state runs off the
+//     freelists) and lossy payload_allocs/msg < 1;
+//   - lossy copy_amp <= 1.1x lossless copy_amp: the retransmit queue
+//     shares slabs instead of deep-copying, so loss adds only the
+//     occasional copy-on-write detach;
+//   - on the lossless fabric the receiver unpack schedule is strictly
+//     in-order (in-place unpack, no stash);
 //   - every delivered payload is byte-identical to its source;
 //   - the pool leak-checks to zero outstanding buffers after each phase.
 #include <atomic>
@@ -30,7 +27,6 @@
 #include <new>
 #include <vector>
 
-#include "base/crc32.hpp"
 #include "base/metrics.hpp"
 #include "base/pool.hpp"
 #include "common.hpp"
@@ -81,21 +77,19 @@ ByteVec pattern(int msg) {
     return v;
 }
 
-// One (offset, len) callback invocation on either side of the wire.
+// One (offset, len) unpack callback invocation.
 struct SchedEntry {
     Count offset = 0;
     Count len = 0;
-    bool operator==(const SchedEntry&) const = default;
 };
 
-// Recording generic datatype state: pack gathers from `src` and logs the
-// call; unpack scatters into `dst` and logs the call. inorder=true, so the
-// receive side exercises the in-place/stash machinery.
+// Recording generic datatype state: pack gathers from `src`; unpack
+// scatters into `dst` and logs the call. inorder=true, so the receive side
+// exercises the in-place/stash machinery.
 struct Rec {
     ConstBytes src;
     MutBytes dst;
     std::vector<SchedEntry> sched;
-    std::uint32_t crc = 0; // running CRC over bytes in callback order
 };
 
 Status rec_start(void* ctx, const void*, Count, void** state) {
@@ -116,8 +110,6 @@ Status rec_pack(void* state, Count offset, void* dst, Count dst_size, Count* use
     const Count total = static_cast<Count>(r->src.size());
     const Count n = std::min(dst_size, total - offset);
     std::memcpy(dst, r->src.data() + offset, static_cast<std::size_t>(n));
-    r->sched.push_back({offset, n});
-    r->crc = crc32(dst, static_cast<std::size_t>(n), r->crc);
     *used = n;
     return Status::success;
 }
@@ -125,7 +117,6 @@ Status rec_unpack(void* state, Count offset, const void* src, Count src_size) {
     auto* r = static_cast<Rec*>(state);
     std::memcpy(r->dst.data() + offset, src, static_cast<std::size_t>(src_size));
     r->sched.push_back({offset, src_size});
-    r->crc = crc32(src, static_cast<std::size_t>(src_size), r->crc);
     return Status::success;
 }
 
@@ -145,17 +136,12 @@ struct PhaseResult {
     double total_allocs_per_msg = 0.0;
     double hit_pct = 0.0;
     double copy_amp = 0.0;
-    std::uint64_t bytes_sent = 0;
-    std::vector<std::vector<SchedEntry>> send_sched; // per message
-    std::vector<std::uint32_t> send_crc;
-    std::vector<std::vector<SchedEntry>> recv_sched;
-    std::vector<std::uint32_t> recv_crc;
+    std::vector<std::vector<SchedEntry>> recv_sched; // per message
     bool payload_ok = true;
 };
 
-PhaseResult run_phase(bool lossy, bool pool_on, int msgs, int warmup) {
+PhaseResult run_phase(bool lossy, int msgs, int warmup) {
     BufferPool& pool = BufferPool::instance();
-    pool.set_enabled(pool_on);
 
     netsim::FaultConfig cfg;
     if (lossy) {
@@ -175,7 +161,7 @@ PhaseResult run_phase(bool lossy, bool pool_on, int msgs, int warmup) {
                 // Warmup filled the freelists: measure steady state only.
                 metrics().reset();
                 const PoolStats ps = pool.stats();
-                payload0 = ps.misses + ps.heap_allocs;
+                payload0 = ps.misses;
                 hits0 = ps.hits;
                 miss0 = ps.misses;
                 allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
@@ -213,13 +199,9 @@ PhaseResult run_phase(bool lossy, bool pool_on, int msgs, int warmup) {
             }
             if (i >= 0) {
                 if (dst != src) out.payload_ok = false;
-                out.send_sched.push_back(std::move(srec.sched));
-                out.send_crc.push_back(srec.crc);
                 out.recv_sched.push_back(std::move(rrec.sched));
-                out.recv_crc.push_back(rrec.crc);
             }
         }
-        out.bytes_sent = uni.worker(0).stats().bytes_sent;
     }
     // Every packet, request and stash entry is destroyed with the universe:
     // the pool must account for zero live buffers.
@@ -231,7 +213,7 @@ PhaseResult run_phase(bool lossy, bool pool_on, int msgs, int warmup) {
     const PoolStats ps = pool.stats();
     const double m = static_cast<double>(msgs);
     out.payload_allocs_per_msg =
-        static_cast<double>(ps.misses + ps.heap_allocs - payload0) / m;
+        static_cast<double>(ps.misses - payload0) / m;
     out.total_allocs_per_msg =
         static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
                             allocs0) / m;
@@ -261,65 +243,41 @@ int run() {
     const int warmup = 2;
 
     bench::Table table(
-        "Datapath memory ablation: slab pool on vs off "
+        "Datapath memory ablation: slab pool "
         "(pipelined rendezvous, 96 KiB msgs, 16 KiB frags)",
         "phase",
         {"payload_allocs/msg", "total_allocs/msg", "pool_hit_pct", "copy_amp"});
 
-    PhaseResult r[2][2]; // [lossy][pool_on]
+    PhaseResult r[2]; // [lossy]
     for (const bool lossy : {false, true}) {
-        for (const bool pool_on : {false, true}) {
-            auto& res = r[lossy ? 1 : 0][pool_on ? 1 : 0];
-            res = run_phase(lossy, pool_on, msgs, warmup);
-            char label[32];
-            std::snprintf(label, sizeof(label), "%s/%s",
-                          lossy ? "lossy" : "lossless",
-                          pool_on ? "pool-on" : "pool-off");
-            table.add_row(label,
-                          {res.payload_allocs_per_msg, res.total_allocs_per_msg,
-                           res.hit_pct, res.copy_amp});
-            if (!res.payload_ok) fail("delivered payload differs from source");
-        }
+        auto& res = r[lossy ? 1 : 0];
+        res = run_phase(lossy, msgs, warmup);
+        table.add_row(lossy ? "lossy" : "lossless",
+                      {res.payload_allocs_per_msg, res.total_allocs_per_msg,
+                       res.hit_pct, res.copy_amp});
+        if (!res.payload_ok) fail("delivered payload differs from source");
     }
 
-    for (const int lossy : {0, 1}) {
-        const PhaseResult& off = r[lossy][0];
-        const PhaseResult& on = r[lossy][1];
-        // Wire identity: the sender's fragment schedule and produced bytes
-        // are the same with and without the pool, loss or no loss.
-        if (off.send_sched != on.send_sched)
-            fail("sender fragment schedule differs pool-on vs pool-off");
-        if (off.send_crc != on.send_crc)
-            fail("sender packed bytes differ pool-on vs pool-off");
-        if (off.bytes_sent != on.bytes_sent)
-            fail("logical bytes_sent differ pool-on vs pool-off");
-    }
-    {
-        const PhaseResult& off = r[0][0];
-        const PhaseResult& on = r[0][1];
-        // Lossless: the receiver-side unpack schedule is deterministic and
-        // must be identical and strictly in-order (in-place path, no stash).
-        if (off.recv_sched != on.recv_sched || off.recv_crc != on.recv_crc)
-            fail("lossless receiver unpack schedule differs pool-on vs off");
-        for (const auto& sched : on.recv_sched) {
-            Count expect = 0;
-            for (const auto& e : sched) {
-                if (e.offset != expect) fail("lossless unpack not in-order");
-                expect += e.len;
-            }
-            if (expect != kMsgBytes) fail("lossless unpack incomplete");
+    // Lossless: the receiver-side unpack schedule is strictly in-order
+    // (in-place path, no stash).
+    for (const auto& sched : r[0].recv_sched) {
+        Count expect = 0;
+        for (const auto& e : sched) {
+            if (e.offset != expect) fail("lossless unpack not in-order");
+            expect += e.len;
         }
+        if (expect != kMsgBytes) fail("lossless unpack incomplete");
     }
-    // >= 5x fewer datapath heap allocations per message with the pool on.
-    for (const int lossy : {0, 1}) {
-        const double off = r[lossy][0].payload_allocs_per_msg;
-        const double on = r[lossy][1].payload_allocs_per_msg;
-        if (on * 5.0 > off) fail("pool-on does not cut payload allocations 5x");
-    }
-    // The retransmit queue shares slabs instead of deep-copying: the lossy
-    // fabric's copy amplification must drop with the pool on.
-    if (r[1][1].copy_amp >= r[1][0].copy_amp)
-        fail("copy_amp did not improve pool-on vs pool-off over lossy fabric");
+    // Steady state allocates no payload buffer on the lossless fabric;
+    // loss adds at most an occasional one (a retransmit-driven miss).
+    if (r[0].payload_allocs_per_msg != 0.0)
+        fail("lossless payload allocations per message are not zero");
+    if (r[1].payload_allocs_per_msg >= 1.0)
+        fail("lossy payload allocations per message are not below one");
+    // The retransmit queue shares slabs instead of deep-copying: loss
+    // barely moves the copy amplification.
+    if (r[1].copy_amp > 1.1 * r[0].copy_amp)
+        fail("lossy copy_amp exceeds 1.1x the lossless copy_amp");
 
     table.finish("ablation_datapath");
     std::printf("ablation_datapath: all datapath assertions passed\n");

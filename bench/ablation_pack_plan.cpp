@@ -1,4 +1,4 @@
-// Ablation: the pack-plan compiler and parallel pack engine.
+// Ablation: the pack-plan compiler.
 //
 // Host-measured pack throughput (MB/s, pack + unpack round trip verified
 // byte-identical) for two shapes the paper leans on:
@@ -8,11 +8,8 @@
 //   NAS_LU_y       the DDTBench strided vector — 40-byte runs with a
 //                  constant stride, where one fused plan instruction
 //                  covers the whole message.
-// Three paths per shape: the generic per-segment loop, the compiled plan,
-// and the plan with the parallel engine (PackMode::parallel). On a
-// single-core host the parallel column degenerates to serial; set
-// MPICD_PAR_PACK_THREADS on multicore hardware to see the partitioned
-// speedup.
+// Two paths per shape: the generic per-segment loop and the compiled
+// plan.
 //
 // A second table reports scatter-gather entry counts for the MILC region
 // kernel at both granularities, before and after the coalescing pass, with
@@ -26,7 +23,6 @@
 #include "ddtbench/kernel.hpp"
 #include "dt/convertor.hpp"
 #include "dt/pack_plan.hpp"
-#include "dt/par_pack.hpp"
 
 using namespace mpicd;
 using namespace mpicd::bench;
@@ -53,18 +49,15 @@ double pack_MBps(const dt::TypeRef& type, const void* buf, Count count, MutBytes
 
 void verify_identical(const dt::TypeRef& type, const void* buf, Count count) {
     const Count total = type->size() * count;
-    ByteVec a(static_cast<std::size_t>(total)), b(a.size()), c(a.size());
+    ByteVec a(static_cast<std::size_t>(total)), b(a.size());
     Count used = 0;
     if (dt::Convertor::pack_all(type, buf, count, a, &used, dt::PackMode::generic) !=
             Status::success ||
         dt::Convertor::pack_all(type, buf, count, b, &used, dt::PackMode::plan) !=
             Status::success ||
-        dt::Convertor::pack_all(type, buf, count, c, &used,
-                                dt::PackMode::parallel) != Status::success ||
-        std::memcmp(a.data(), b.data(), a.size()) != 0 ||
-        std::memcmp(a.data(), c.data(), a.size()) != 0) {
-        std::fprintf(stderr, "ablation_pack_plan: plan/parallel output differs "
-                             "from generic\n");
+        std::memcmp(a.data(), b.data(), a.size()) != 0) {
+        std::fprintf(stderr, "ablation_pack_plan: plan output differs from "
+                             "generic\n");
         std::exit(1);
     }
 }
@@ -107,14 +100,11 @@ Shape make_nas_lu_y(Count target_packed) {
 } // namespace
 
 int main() {
-    std::printf("pack-plan ablation: %d pool worker(s), parallel threshold %lld "
-                "bytes, MPICD_PACK_PLAN=%d\n",
-                dt::par_pack_workers(), dt::par_pack_threshold(),
+    std::printf("pack-plan ablation: MPICD_PACK_PLAN=%d\n",
                 dt::pack_plan_enabled() ? 1 : 0);
 
-    Table table("Ablation: pack throughput (MB/s), generic vs compiled plan vs "
-                "plan+parallel",
-                "shape-size", {"generic", "plan", "plan+par", "plan/gen"});
+    Table table("Ablation: pack throughput (MB/s), generic vs compiled plan",
+                "shape-size", {"generic", "plan", "plan/gen"});
     const std::vector<Count> sizes = {Count(64) << 10, Count(1) << 20, Count(4) << 20,
                                       Count(16) << 20};
     const std::size_t nsizes = bench_limit(1, sizes.size());
@@ -130,10 +120,8 @@ int main() {
                                          dt::PackMode::generic, reps);
             const double plan = pack_MBps(s.type, s.buf.data(), s.count, dst,
                                           dt::PackMode::plan, reps);
-            const double par = pack_MBps(s.type, s.buf.data(), s.count, dst,
-                                         dt::PackMode::parallel, reps);
             table.add_row(std::string(s.name) + "-" + size_label(target),
-                          {gen, plan, par, gen > 0 ? plan / gen : 0.0});
+                          {gen, plan, gen > 0 ? plan / gen : 0.0});
         }
     }
     table.finish("ablation_pack_plan");

@@ -1,5 +1,5 @@
 // Trait-dispatch ablation: the same application payload (a vector of
-// struct_simple, Listing 7) moved three ways (see docs/PERF.md §9):
+// struct_simple, Listing 7) moved three ways (see docs/PERF.md §8):
 //
 //   trait    mpicd::send/recv (p2p/api.hpp): compile-time wire
 //            classification routes the vector to the two-entry
@@ -21,9 +21,7 @@
 //     traffic, moves every byte through it);
 //   - lossless copy amplification of the trait path is strictly below the
 //     derived-datatype path (RDMA rendezvous moves payload by DMA instead
-//     of pack/unpack bounce copies);
-//   - MPICD_FAST_PATH=0 is wire-identical: same delivered payload hash
-//     and same fragment schedule as the enabled fast path.
+//     of pack/unpack bounce copies).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,8 +40,8 @@ namespace {
 using core::StructSimple;
 
 // Pinned thresholds: the trait path's CONTIG/IOV descriptors and the
-// fallback's custom lowering must face the same eager/rendezvous
-// crossover, or the modes would be measuring different protocols.
+// custom lowering must face the same eager/rendezvous crossover, or the
+// columns would be measuring different protocols.
 netsim::WireParams bench_params() {
     netsim::WireParams p;
     p.eager_threshold = 4096;
@@ -54,9 +52,9 @@ netsim::WireParams bench_params() {
 
 // Deterministic elements with deterministic *padding*: the trait path
 // ships raw object bytes (gap included), so the gap must not hold
-// indeterminate garbage or the on/off wire-identity hash would be
-// comparing noise. Zero the storage, then assign fields individually (a
-// whole-struct assignment would copy a temporary's indeterminate padding).
+// indeterminate garbage. Zero the storage, then assign fields individually
+// (a whole-struct assignment would copy a temporary's indeterminate
+// padding).
 std::vector<StructSimple> make_elems(Count n) {
     std::vector<StructSimple> v(static_cast<std::size_t>(n));
     std::memset(v.data(), 0, v.size() * sizeof(StructSimple));
@@ -142,27 +140,10 @@ std::uint64_t plan_work() {
            counter_value("pack", "generic_bytes");
 }
 
-std::uint64_t fnv1a(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 1099511628211ull;
-    return h;
-}
-
-struct GateRun {
-    std::uint64_t payload_hash = 0;
-    std::uint64_t frag_count = 0;
-    std::uint64_t frag_sum = 0;
-    double copy_amp = 0.0;
-};
-
-// One one-directional rendezvous-sized trait transfer with the knob forced
-// to `fast`; fragment schedule and delivered-payload hash identify the
-// wire behavior.
-GateRun gate_exchange(bool fast, Count n) {
+// One one-directional rendezvous-sized trait transfer; returns its
+// lossless copy amplification.
+double gate_exchange(Count n) {
     metrics().reset();
-    core::set_fast_path(fast);
-    GateRun out;
     {
         p2p::Universe uni(2, bench_params());
         const auto src = make_elems(n);
@@ -179,22 +160,13 @@ GateRun gate_exchange(bool fast, Count n) {
                 dst[i].c != src[i].c || dst[i].d != src[i].d)
                 fail("gate exchange delivered wrong payload");
         }
-        out.payload_hash = fnv1a(dst.data(), dst.size() * sizeof(StructSimple));
-    }
-    for (const auto& h : metrics().hist_snapshot()) {
-        if (h.group == "wire" && h.name == "frag_bytes") {
-            out.frag_count = h.snap.count;
-            out.frag_sum = h.snap.sum;
-        }
     }
     const auto copied = datapath::bytes_copied().load(std::memory_order_relaxed);
     const auto delivered =
         datapath::bytes_delivered().load(std::memory_order_relaxed);
-    out.copy_amp = delivered != 0 ? static_cast<double>(copied) /
-                                        static_cast<double>(delivered)
-                                  : 0.0;
-    core::set_fast_path(core::fast_path_from_env());
-    return out;
+    return delivered != 0 ? static_cast<double>(copied) /
+                                static_cast<double>(delivered)
+                          : 0.0;
 }
 
 int run() {
@@ -210,7 +182,6 @@ int run() {
         {"trait_lat_us", "trait_MBps", "derived_lat_us", "derived_MBps",
          "custom_lat_us", "custom_MBps"});
 
-    core::set_fast_path(true);
     for (std::size_t ci = 0; ci < ncounts; ++ci) {
         const Count n = counts[ci];
         const Count app_bytes = n * static_cast<Count>(sizeof(StructSimple));
@@ -230,7 +201,7 @@ int run() {
 
     // 1. The trait path bypasses the entire lowering pipeline: zero pack
     //    plans compiled, zero bytes through the datatype engine.
-    const GateRun trait_on = gate_exchange(true, gate_n);
+    const double trait_amp = gate_exchange(gate_n);
     if (plan_work() != 0) fail("trait path did datatype-engine work");
     if (counter_value("fastpath", "hits_resizable") == 0)
         fail("trait path did not take the fast path");
@@ -259,21 +230,11 @@ int run() {
             delivered != 0 ? static_cast<double>(copied) /
                                  static_cast<double>(delivered)
                            : 0.0;
-        if (trait_on.copy_amp >= derived_amp)
+        if (trait_amp >= derived_amp)
             fail("trait copy_amp is not strictly below the derived path");
         std::printf("ablation_trait_dispatch: copy_amp trait=%.3f derived=%.3f\n",
-                    trait_on.copy_amp, derived_amp);
+                    trait_amp, derived_amp);
     }
-
-    // 3. MPICD_FAST_PATH=0 reproduces the wire byte-identically.
-    const GateRun trait_off = gate_exchange(false, gate_n);
-    if (counter_value("fastpath", "fallback_ops") == 0)
-        fail("knob-off run did not take the fallback");
-    if (trait_off.payload_hash != trait_on.payload_hash)
-        fail("fast path on/off delivered different payload bytes");
-    if (trait_off.frag_count != trait_on.frag_count ||
-        trait_off.frag_sum != trait_on.frag_sum)
-        fail("fast path on/off produced different fragment schedules");
 
     table.finish("ablation_trait_dispatch");
     std::printf("ablation_trait_dispatch: all dispatch assertions passed\n");

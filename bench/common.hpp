@@ -151,7 +151,7 @@ public:
         // observability context of the run that produced it.
         metrics().write_json(f, 2);
         // Copy amplification of the whole run: transport memcpy'd bytes per
-        // byte delivered to a receiver (see docs/PERF.md §8). 0 when the
+        // byte delivered to a receiver (see docs/PERF.md §7). 0 when the
         // bench delivered nothing (send-only or pure-pack benches).
         std::uint64_t copied = 0, delivered = 0;
         for (const auto& s : metrics().snapshot()) {

@@ -1,17 +1,16 @@
 // Tag-matching stress bench: cost of posting/matching against deep posted
-// and unexpected queues, hashed TagMatcher vs the linear seed matcher.
+// and unexpected queues in the hashed TagMatcher.
 //
 // The JSON columns are SCANNED ENTRIES PER MATCH — a deterministic proxy
 // for matching cost (exactly reproducible run to run, so the bench-smoke
 // regression gate can hold it to a tight threshold). Wall-clock ns/match is
 // printed to stdout for eyeballing but deliberately kept out of the JSON.
 //
-// Matches are issued in reverse posting order, the linear matcher's worst
-// case: the wanted entry is always at the back of the scan, so the linear
-// column grows linearly with depth while the hashed column stays flat (one
-// mask group -> one bucket probe per match). The built-in acceptance
-// checks at the bottom enforce exactly that: hashed within 1.2x from depth
-// 16 to 1024, linear degraded by at least 5x.
+// Matches are issued in reverse posting order, the worst case for a FIFO
+// scan: the wanted entry is always at the back, while the hashed matcher
+// stays flat (one mask group -> one bucket probe per match). The built-in
+// acceptance check at the bottom enforces exactly that: hashed within 1.2x
+// from depth 16 to 1024.
 //
 // A final end-to-end section pushes many-tag traffic through a 4-rank
 // universe so the worker-level "match/*" counters and the probe-length /
@@ -30,7 +29,7 @@ namespace {
 using namespace mpicd;
 using ucx::TagMatcher;
 
-// Scanned entries per match and wall ns per match for one (mode, depth)
+// Scanned entries per match and wall ns per match for one depth's
 // posted-queue run: post `depth` exact-tag receives, then match all of
 // them in reverse posting order.
 struct Cost {
@@ -38,11 +37,11 @@ struct Cost {
     double ns_per_match = 0.0;
 };
 
-Cost posted_cost(TagMatcher::Mode mode, int depth, int repeats) {
+Cost posted_cost(int depth, int repeats) {
     Cost c;
     std::uint64_t matches = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    TagMatcher m(mode);
+    TagMatcher m;
     for (int rep = 0; rep < repeats; ++rep) {
         for (int i = 0; i < depth; ++i)
             m.post_recv(static_cast<ucx::RequestId>(i + 1),
@@ -70,11 +69,11 @@ Cost posted_cost(TagMatcher::Mode mode, int depth, int repeats) {
 
 // Same shape for the unexpected queue: park `depth` messages with distinct
 // tags, then take them in reverse arrival order with a full mask.
-Cost unexpected_cost(TagMatcher::Mode mode, int depth, int repeats) {
+Cost unexpected_cost(int depth, int repeats) {
     Cost c;
     std::uint64_t takes = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    TagMatcher m(mode);
+    TagMatcher m;
     for (int rep = 0; rep < repeats; ++rep) {
         for (int i = 0; i < depth; ++i) {
             ucx::UnexpectedMsg u;
@@ -114,30 +113,20 @@ int main() {
     const std::size_t n_depths = bench_limit(2, 4);
     const int kRepeats = smoke_mode() ? 4 : 64;
 
-    Table table("Tag matching stress: scanned entries per match, "
-                "hashed vs linear",
-                "depth",
-                {"posted-hashed", "posted-linear", "unexp-hashed",
-                 "unexp-linear"});
+    Table table("Tag matching stress: scanned entries per match", "depth",
+                {"posted-hashed", "unexp-hashed"});
 
-    std::vector<Cost> ph, pl;
-    std::printf("%-12s %14s %14s %14s %14s\n", "depth",
-                "posted-hash-ns", "posted-lin-ns", "unexp-hash-ns",
-                "unexp-lin-ns");
+    std::vector<Cost> ph;
+    std::printf("%-12s %14s %14s\n", "depth", "posted-hash-ns", "unexp-hash-ns");
     for (std::size_t d = 0; d < n_depths; ++d) {
         const int depth = kDepths[d];
-        const Cost a = posted_cost(TagMatcher::Mode::hashed, depth, kRepeats);
-        const Cost b = posted_cost(TagMatcher::Mode::linear, depth, kRepeats);
-        const Cost e = unexpected_cost(TagMatcher::Mode::hashed, depth, kRepeats);
-        const Cost f = unexpected_cost(TagMatcher::Mode::linear, depth, kRepeats);
+        const Cost a = posted_cost(depth, kRepeats);
+        const Cost e = unexpected_cost(depth, kRepeats);
         ph.push_back(a);
-        pl.push_back(b);
         table.add_row(std::to_string(depth),
-                      {a.scanned_per_match, b.scanned_per_match,
-                       e.scanned_per_match, f.scanned_per_match});
-        std::printf("%-12d %14.1f %14.1f %14.1f %14.1f\n", depth,
-                    a.ns_per_match, b.ns_per_match, e.ns_per_match,
-                    f.ns_per_match);
+                      {a.scanned_per_match, e.scanned_per_match});
+        std::printf("%-12d %14.1f %14.1f\n", depth, a.ns_per_match,
+                    e.ns_per_match);
     }
 
     // End-to-end many-rank section: 4 ranks, every ordered pair exchanges
@@ -198,25 +187,15 @@ int main() {
 
     table.finish("stress_matching");
 
-    // Acceptance checks (full mode only; smoke runs too few depths).
+    // Acceptance check (full mode only; smoke runs too few depths).
     if (n_depths == 4) {
         const double hashed_growth =
             ph.back().scanned_per_match / ph.front().scanned_per_match;
-        const double linear_growth =
-            pl.back().scanned_per_match / pl.front().scanned_per_match;
-        std::printf("hashed growth 16->1024: %.3fx; linear: %.1fx\n",
-                    hashed_growth, linear_growth);
+        std::printf("hashed growth 16->1024: %.3fx\n", hashed_growth);
         if (hashed_growth > 1.2) {
             std::fprintf(stderr,
                          "FAIL: hashed matching not flat (%.2fx > 1.2x)\n",
                          hashed_growth);
-            return 1;
-        }
-        if (linear_growth < 5.0) {
-            std::fprintf(stderr,
-                         "FAIL: linear matching did not degrade (%.2fx < "
-                         "5x) - is the depth sweep broken?\n",
-                         linear_growth);
             return 1;
         }
     }

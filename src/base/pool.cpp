@@ -4,7 +4,6 @@
 #include <cstring>
 #include <new>
 
-#include "base/config.hpp"
 #include "base/metrics.hpp"
 
 namespace mpicd {
@@ -34,17 +33,9 @@ std::atomic<std::uint64_t>& bytes_dma() noexcept {
 // ---------------------------------------------------------------------------
 // PooledBuf
 
-PooledBuf::PooledBuf(const PooledBuf& other) {
-    if (other.slab_ == nullptr) return;
-    if (other.shareable()) {
-        other.slab_->refs.fetch_add(1, std::memory_order_relaxed);
-        slab_ = other.slab_;
-        size_ = other.size_;
-    } else {
-        // Pool-off semantics: a copy is a real copy, exactly like the
-        // ByteVec it replaces (this is what the ablation measures).
-        *this = copy_of(other.cspan());
-    }
+PooledBuf::PooledBuf(const PooledBuf& other) noexcept
+    : slab_(other.slab_), size_(other.size_) {
+    if (slab_ != nullptr) slab_->refs.fetch_add(1, std::memory_order_relaxed);
 }
 
 PooledBuf& PooledBuf::operator=(const PooledBuf& other) {
@@ -125,17 +116,6 @@ BufferPool& BufferPool::instance() noexcept {
     return *pool;
 }
 
-BufferPool::BufferPool() {
-    enabled_.store(env_int_or("MPICD_POOL", 1) != 0,
-                   std::memory_order_relaxed);
-    const std::int64_t per_class =
-        env_int_or("MPICD_POOL_MAX_PER_CLASS", 32);
-    max_per_class_ = per_class > 0 ? static_cast<std::size_t>(per_class) : 0;
-    const std::int64_t max_bytes =
-        env_int_or("MPICD_POOL_MAX_BYTES", std::int64_t{32} << 20);
-    max_bytes_ = max_bytes > 0 ? static_cast<std::size_t>(max_bytes) : 0;
-}
-
 std::uint16_t BufferPool::class_for(std::size_t n) noexcept {
     if (n > kMaxClass) return kSlabNoClass;
     const std::size_t need = n < kMinClass ? kMinClass : n;
@@ -144,12 +124,10 @@ std::uint16_t BufferPool::class_for(std::size_t n) noexcept {
                                       std::bit_width(kMinClass - 1));
 }
 
-PoolSlab* BufferPool::new_slab(std::size_t cap, std::uint16_t cls,
-                               bool shareable) {
+PoolSlab* BufferPool::new_slab(std::size_t cap, std::uint16_t cls) {
     void* mem = ::operator new(sizeof(PoolSlab) + cap);
     auto* s = new (mem) PoolSlab();
     s->cls = cls;
-    s->flags = shareable ? kSlabShareable : 0;
     s->cap = cap;
     return s;
 }
@@ -163,12 +141,11 @@ PooledBuf BufferPool::acquire(std::size_t n) {
 }
 
 PoolSlab* BufferPool::take(std::size_t n) {
-    const bool on = enabled();
     const std::uint16_t cls = class_for(n);
-    if (!on || cls == kSlabNoClass) {
-        // Pool off (seed behaviour) or oversize: exact heap allocation.
-        (on ? misses_ : heap_allocs_).fetch_add(1, std::memory_order_relaxed);
-        return new_slab(n, on ? cls : kSlabNoClass, on);
+    if (cls == kSlabNoClass) {
+        // Oversize: exact heap allocation, never cached.
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        return new_slab(n, kSlabNoClass);
     }
     {
         std::lock_guard<std::mutex> lk(mutex_);
@@ -184,17 +161,17 @@ PoolSlab* BufferPool::take(std::size_t n) {
         }
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return new_slab(kMinClass << cls, cls, true);
+    return new_slab(kMinClass << cls, cls);
 }
 
 void BufferPool::release(PoolSlab* s) noexcept {
     outstanding_.fetch_sub(1, std::memory_order_relaxed);
     const std::uint16_t cls = s->cls;
-    if (cls != kSlabNoClass && (s->flags & kSlabShareable) != 0 && enabled()) {
+    if (cls != kSlabNoClass) {
         std::lock_guard<std::mutex> lk(mutex_);
         auto& fl = freelists_[cls];
-        if (fl.size() < max_per_class_ &&
-            bytes_cached_ + s->cap <= max_bytes_) {
+        if (fl.size() < kMaxPerClass &&
+            bytes_cached_ + s->cap <= kMaxCachedBytes) {
             fl.push_back(s);
             bytes_cached_ += s->cap;
             bytes_cached_pub_.store(bytes_cached_, std::memory_order_relaxed);
@@ -205,11 +182,6 @@ void BufferPool::release(PoolSlab* s) noexcept {
     frees_.fetch_add(1, std::memory_order_relaxed);
     s->~PoolSlab();
     ::operator delete(s);
-}
-
-void BufferPool::set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-    if (!on) trim();
 }
 
 void BufferPool::trim() {
@@ -230,7 +202,6 @@ PoolStats BufferPool::stats() const noexcept {
     PoolStats st;
     st.hits = hits_.load(std::memory_order_relaxed);
     st.misses = misses_.load(std::memory_order_relaxed);
-    st.heap_allocs = heap_allocs_.load(std::memory_order_relaxed);
     st.returns = returns_.load(std::memory_order_relaxed);
     st.frees = frees_.load(std::memory_order_relaxed);
     st.bytes_cached = bytes_cached_pub_.load(std::memory_order_relaxed);
@@ -245,7 +216,6 @@ void append_pool_metrics(std::vector<MetricSample>& out) {
     const PoolStats st = BufferPool::instance().stats();
     out.push_back({"pool", "hits", st.hits});
     out.push_back({"pool", "misses", st.misses});
-    out.push_back({"pool", "heap_allocs", st.heap_allocs});
     out.push_back({"pool", "returns", st.returns});
     out.push_back({"pool", "frees", st.frees});
     out.push_back({"pool", "bytes_cached", st.bytes_cached});
@@ -262,7 +232,6 @@ void reset_pool_metrics() noexcept {
     BufferPool& p = BufferPool::instance();
     p.hits_.store(0, std::memory_order_relaxed);
     p.misses_.store(0, std::memory_order_relaxed);
-    p.heap_allocs_.store(0, std::memory_order_relaxed);
     p.returns_.store(0, std::memory_order_relaxed);
     p.frees_.store(0, std::memory_order_relaxed);
     datapath::bytes_copied().store(0, std::memory_order_relaxed);

@@ -1,29 +1,22 @@
-// Slab buffer pool for the transport hot datapath (see docs/PERF.md §8).
+// Slab buffer pool for the transport hot datapath (see docs/PERF.md §7).
 //
 // Every payload-sized allocation on the pack/transport path — eager send
 // buffers, rendezvous pipeline fragments, the RDMA bounce buffer,
 // netsim::Packet payloads, retransmit-queue copies and the receive-side
 // fragment stash — goes through BufferPool::acquire() and comes back as a
-// refcounted RAII PooledBuf handle backed by a size-classed slab:
-//
-//  - pool ON (MPICD_POOL=1, the default): slabs are recycled through
-//    per-class freelists, so a steady-state rendezvous stream performs no
-//    heap allocation at all; *copies* of a PooledBuf share the slab
-//    (refcount), so the reliable-delivery retransmit queue re-references
-//    the payload instead of duplicating it. In-place mutation of a shared
-//    buffer must call ensure_unique() first (copy-on-write) — the fault
-//    injector's corruption stage is the only such site.
-//  - pool OFF (MPICD_POOL=0): acquire() degenerates to plain heap
-//    allocation and copies are deep copies — byte-for-byte the seed
-//    behaviour, used as the ablation baseline
-//    (bench/ablation_datapath.cpp asserts the wire schedule is identical
-//    in both modes, including over a lossy fabric).
+// refcounted RAII PooledBuf handle backed by a size-classed slab. Slabs
+// are recycled through per-class freelists, so a steady-state rendezvous
+// stream performs no heap allocation at all; *copies* of a PooledBuf share
+// the slab (refcount), so the reliable-delivery retransmit queue
+// re-references the payload instead of duplicating it. In-place mutation
+// of a shared buffer must call ensure_unique() first (copy-on-write) — the
+// fault injector's corruption stage is the only such site.
 //
 // Copy-amplification accounting: every transport memcpy site adds to the
 // process-wide datapath::bytes_copied() counter and every completed
 // receive adds to datapath::bytes_delivered(); their ratio (copy_amp) is
-// embedded in every BENCH_<name>.json (see bench/common.hpp). Deep
-// copies, copy-on-write detaches and shrink re-slabs count themselves.
+// embedded in every BENCH_<name>.json (see bench/common.hpp).
+// Copy-on-write detaches and shrink re-slabs count themselves.
 //
 // Thread-safety: acquire/release take one pool mutex (slabs move between
 // threads, e.g. sender-allocated payloads released by the receiver rank);
@@ -82,7 +75,6 @@ inline void add_dma(Count n) noexcept {
 struct PoolSlab {
     std::atomic<std::uint32_t> refs{1};
     std::uint16_t cls = 0xFFFF;  // size-class index; 0xFFFF = unclassed
-    std::uint16_t flags = 0;     // kSlabShareable
     std::size_t cap = 0;         // usable payload bytes
     [[nodiscard]] std::byte* data() noexcept {
         return reinterpret_cast<std::byte*>(this + 1);
@@ -92,7 +84,8 @@ struct PoolSlab {
     }
 };
 
-inline constexpr std::uint16_t kSlabShareable = 1; // copies share (refcount)
+static_assert(sizeof(PoolSlab) == 16, "payload alignment depends on it");
+
 inline constexpr std::uint16_t kSlabNoClass = 0xFFFF;
 
 // ---------------------------------------------------------------------------
@@ -103,10 +96,8 @@ inline constexpr std::uint16_t kSlabNoClass = 0xFFFF;
 class PooledBuf {
 public:
     PooledBuf() noexcept = default;
-    // Copy: shares the slab when it is shareable (pool was on at acquire
-    // time), deep-copies otherwise — deep copies count into
-    // datapath::bytes_copied().
-    PooledBuf(const PooledBuf& other);
+    // Copy: shares the slab (refcount); no bytes move.
+    PooledBuf(const PooledBuf& other) noexcept;
     PooledBuf& operator=(const PooledBuf& other);
     PooledBuf(PooledBuf&& other) noexcept
         : slab_(other.slab_), size_(other.size_) {
@@ -160,10 +151,6 @@ public:
         return slab_ == nullptr ||
                slab_->refs.load(std::memory_order_acquire) == 1;
     }
-    // True when copies of this handle share the slab (pool-backed).
-    [[nodiscard]] bool shareable() const noexcept {
-        return slab_ != nullptr && (slab_->flags & kSlabShareable) != 0;
-    }
 
 private:
     friend class BufferPool;
@@ -176,8 +163,7 @@ private:
 
 struct PoolStats {
     std::uint64_t hits = 0;        // acquires served from a freelist
-    std::uint64_t misses = 0;      // acquires that hit the heap (pool on)
-    std::uint64_t heap_allocs = 0; // acquires with the pool disabled
+    std::uint64_t misses = 0;      // acquires that hit the heap
     std::uint64_t returns = 0;     // slabs returned to a freelist
     std::uint64_t frees = 0;       // slabs released to the heap
     std::uint64_t bytes_cached = 0; // currently cached (gauge)
@@ -191,24 +177,15 @@ public:
     static constexpr std::size_t kMinClass = 256;
     static constexpr std::size_t kMaxClass = std::size_t{4} << 20; // 4 MiB
     static constexpr std::size_t kNumClasses = 15; // 256 B .. 4 MiB
+    // Freelist caps: a release beyond either is freed to the heap.
+    static constexpr std::size_t kMaxPerClass = 32;
+    static constexpr std::size_t kMaxCachedBytes = std::size_t{32} << 20;
 
     // The process-wide instance (leaked on purpose, like the metrics
     // registry: buffers may be released from static destructors).
     [[nodiscard]] static BufferPool& instance() noexcept;
 
-    // Env knobs, read once at first use:
-    //   MPICD_POOL            enable pooling (default 1)
-    //   MPICD_POOL_MAX_PER_CLASS  cached slabs per size class (default 32)
-    //   MPICD_POOL_MAX_BYTES  total cached byte cap (default 32 MiB)
     [[nodiscard]] PooledBuf acquire(std::size_t n);
-
-    [[nodiscard]] bool enabled() const noexcept {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-    // Runtime switch used by the ablation bench and the pooled soak test;
-    // affects buffers acquired from now on (outstanding buffers keep the
-    // semantics they were born with). Disabling trims the freelists.
-    void set_enabled(bool on);
 
     // Free every cached slab.
     void trim();
@@ -223,16 +200,11 @@ public:
 private:
     friend class PooledBuf;
     friend void reset_pool_metrics() noexcept;
-    BufferPool();
+    BufferPool() = default;
     [[nodiscard]] static std::uint16_t class_for(std::size_t n) noexcept;
-    [[nodiscard]] static PoolSlab* new_slab(std::size_t cap, std::uint16_t cls,
-                                            bool shareable);
+    [[nodiscard]] static PoolSlab* new_slab(std::size_t cap, std::uint16_t cls);
     [[nodiscard]] PoolSlab* take(std::size_t n); // slab with refs == 1
     void release(PoolSlab* s) noexcept;          // refcount already zero
-
-    std::atomic<bool> enabled_{true};
-    std::size_t max_per_class_ = 32;
-    std::size_t max_bytes_ = std::size_t{32} << 20;
 
     mutable std::mutex mutex_;
     std::vector<PoolSlab*> freelists_[kNumClasses];
@@ -240,7 +212,6 @@ private:
 
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> heap_allocs_{0};
     std::atomic<std::uint64_t> returns_{0};
     std::atomic<std::uint64_t> frees_{0};
     std::atomic<std::uint64_t> bytes_cached_pub_{0};

@@ -35,7 +35,6 @@ PackStatsSnapshot PackStats::snapshot() const noexcept {
     s.generic_bytes = generic_bytes.load(std::memory_order_relaxed);
     s.iov_entries_before = iov_entries_before.load(std::memory_order_relaxed);
     s.iov_entries_after = iov_entries_after.load(std::memory_order_relaxed);
-    s.parallel_packs = parallel_packs.load(std::memory_order_relaxed);
     s.skeleton_hits = skeleton_hits.load(std::memory_order_relaxed);
     return s;
 }
@@ -46,7 +45,6 @@ void PackStats::reset() noexcept {
     generic_bytes.store(0, std::memory_order_relaxed);
     iov_entries_before.store(0, std::memory_order_relaxed);
     iov_entries_after.store(0, std::memory_order_relaxed);
-    parallel_packs.store(0, std::memory_order_relaxed);
     skeleton_hits.store(0, std::memory_order_relaxed);
 }
 
@@ -63,8 +61,6 @@ void PackStats::print(std::FILE* out) const {
                  static_cast<unsigned long long>(s.iov_entries_before));
     std::fprintf(out, "iov_entries_after    %llu\n",
                  static_cast<unsigned long long>(s.iov_entries_after));
-    std::fprintf(out, "parallel_packs       %llu\n",
-                 static_cast<unsigned long long>(s.parallel_packs));
     std::fprintf(out, "skeleton_hits        %llu\n",
                  static_cast<unsigned long long>(s.skeleton_hits));
     std::fflush(out);
@@ -82,7 +78,6 @@ void append_pack_metrics(std::vector<MetricSample>& out) {
     out.push_back({"pack", "generic_bytes", s.generic_bytes});
     out.push_back({"pack", "iov_entries_before", s.iov_entries_before});
     out.push_back({"pack", "iov_entries_after", s.iov_entries_after});
-    out.push_back({"pack", "parallel_packs", s.parallel_packs});
     out.push_back({"pack", "skeleton_hits", s.skeleton_hits});
 }
 

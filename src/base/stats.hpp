@@ -1,8 +1,8 @@
 // Streaming statistics accumulator used by the benchmark harness to report
 // mean / min / max / stddev over repeated ping-pong iterations (the paper
 // reports the average of four runs with error bars), plus the global
-// pack-path counters (plan compiles, copy kernels, iovec coalescing,
-// parallel pack engine) that the benches print under MPICD_PACK_STATS=1.
+// pack-path counters (plan compiles, copy kernels, iovec coalescing) that
+// the benches print under MPICD_PACK_STATS=1.
 #pragma once
 
 #include <atomic>
@@ -46,7 +46,6 @@ struct PackStatsSnapshot {
     std::uint64_t generic_bytes = 0;   // packed/unpacked via the generic segment loop
     std::uint64_t iov_entries_before = 0; // scatter-gather entries pre-coalescing
     std::uint64_t iov_entries_after = 0;  // entries actually handed to the wire
-    std::uint64_t parallel_packs = 0;     // parallel pack-engine invocations
     std::uint64_t skeleton_hits = 0;      // custom-type descriptor skeleton reuses
 };
 
@@ -57,7 +56,6 @@ public:
     std::atomic<std::uint64_t> generic_bytes{0};
     std::atomic<std::uint64_t> iov_entries_before{0};
     std::atomic<std::uint64_t> iov_entries_after{0};
-    std::atomic<std::uint64_t> parallel_packs{0};
     std::atomic<std::uint64_t> skeleton_hits{0};
 
     [[nodiscard]] PackStatsSnapshot snapshot() const noexcept;

@@ -132,11 +132,8 @@ void instant(const char* cat, const char* name, double vtime_us = -1.0,
 // timestamp may be filled in while the span is open.
 class Span {
 public:
-    // `suppressed` skips the span entirely (both clock reads and the ring
-    // store) — for call sites that are already covered by an enclosing
-    // span and would double-count the same work in analysis.
-    Span(const char* cat, const char* name, bool suppressed = false) {
-        if (!suppressed && enabled()) {
+    Span(const char* cat, const char* name) {
+        if (enabled()) {
             active_ = true;
             ev_.cat = cat;
             ev_.name = name;

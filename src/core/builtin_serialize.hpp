@@ -158,8 +158,7 @@ struct TrivialRegionSerialize {
 
 // --- std::basic_string<C>: byte length in-band, characters as one region.
 // The wire layout for count == 1 (one u64 length + one payload region) is
-// byte-identical to the fast path's two-entry size+payload IOV, which is
-// what makes MPICD_FAST_PATH=0 wire-compatible for strings.
+// byte-identical to the fast path's two-entry size+payload IOV.
 template <typename C>
 struct StringPolicy {
     using Elem = std::basic_string<C>;
@@ -208,47 +207,5 @@ struct CustomSerialize<std::basic_string<C>>
         return Status::success;
     }
 };
-
-// --- Fallback serializer for the fast path's MPICD_FAST_PATH=0 mode:
-// trivially *wireable* types (which includes std::pair / std::array shapes
-// that fail is_trivially_copyable on a technicality) sent as one zero-copy
-// region of raw object bytes. Wire bytes are identical to the enabled fast
-// path's CONTIG transfer — only the descriptor kind differs.
-template <typename T>
-struct WireFallbackSerialize {
-    static_assert(is_trivially_wireable_v<T>);
-    struct State {};
-    static constexpr bool inorder = false;
-
-    static Status init(const T*, Count, State&) { return Status::success; }
-    static Status packed_size(State&, const T*, Count, Count* size) {
-        *size = 0;
-        return Status::success;
-    }
-    static Status pack(State&, const T*, Count, Count, void*, Count, Count*) {
-        return Status::err_internal; // nothing to pack
-    }
-    static Status unpack(State&, T*, Count, Count, const void*, Count) {
-        return Status::err_internal;
-    }
-    static Status region_count(State&, T*, Count, Count* n) {
-        *n = 1;
-        return Status::success;
-    }
-    static Status regions(State&, T* buf, Count count, Count n, void** bases,
-                          Count* lens) {
-        if (n != 1) return Status::err_region;
-        bases[0] = buf;
-        lens[0] = count * static_cast<Count>(sizeof(T));
-        return Status::success;
-    }
-};
-
-// Committed datatype for a wireable T that has no CustomSerialize of its
-// own (cached per T, same lifetime rules as custom_datatype_of).
-template <typename T>
-[[nodiscard]] const CustomDatatype& wire_fallback_datatype_of() {
-    return detail::Adapter<T, WireFallbackSerialize<T>>::datatype();
-}
 
 } // namespace mpicd::core

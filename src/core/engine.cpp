@@ -29,45 +29,12 @@ Count custom_pack_frag_size() {
     return v;
 }
 
-bool fast_path_from_env() {
-    const std::int64_t v = env_int_or("MPICD_FAST_PATH", 1);
-    if (v != 0 && v != 1) {
-        // Same warn-once contract as the other knobs: out-of-range values
-        // clamp to the default instead of silently meaning something.
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            MPICD_LOG_WARN("config: MPICD_FAST_PATH=" << v
-                           << " is not 0 or 1; using the default 1 (enabled)");
-        }
-        return true;
-    }
-    return v != 0;
-}
-
-namespace {
-// -1 = read the environment on first use; 0/1 = explicit.
-std::atomic<int> g_fast_path{-1};
-} // namespace
-
-bool fast_path_enabled() noexcept {
-    const int v = g_fast_path.load(std::memory_order_relaxed);
-    if (v >= 0) return v != 0;
-    const bool on = fast_path_from_env();
-    g_fast_path.store(on ? 1 : 0, std::memory_order_relaxed);
-    return on;
-}
-
-void set_fast_path(bool on) noexcept {
-    g_fast_path.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
 FastPathCounters& fastpath_counters() noexcept {
     static FastPathCounters c{
         metrics().counter("fastpath", "hits_trivial"),
         metrics().counter("fastpath", "hits_resizable"),
         metrics().counter("fastpath", "bytes_bypassed"),
         metrics().counter("fastpath", "plan_compiles_avoided"),
-        metrics().counter("fastpath", "fallback_ops"),
         metrics().counter("fastpath", "serializer_ops"),
     };
     return c;

@@ -42,20 +42,8 @@ enum class CustomLowering {
 
 // --- Zero-serialization fast path (docs/API.md §7) -------------------------
 //
-// MPICD_FAST_PATH gates whether mpicd::send/recv route trivially-wireable
-// and contiguous-resizable types straight to CONTIG / two-entry IOV
-// transfers. Default ON; 0 restores the CustomSerialize lowering (wire
-// behavior byte-identical to the pre-fast-path library).
-
-// Cached process-wide switch (first use reads the environment). Benches
-// and tests flip it at runtime with set_fast_path().
-[[nodiscard]] bool fast_path_enabled() noexcept;
-void set_fast_path(bool on) noexcept;
-
-// Uncached env read behind fast_path_enabled(): values other than 0/1 are
-// clamped to the default (on) with a warn-once message, matching the other
-// MPICD_* knobs. Tests call this directly to cover the clamp.
-[[nodiscard]] bool fast_path_from_env();
+// mpicd::send/recv route trivially-wireable and contiguous-resizable types
+// straight to CONTIG / two-entry IOV transfers.
 
 // fastpath/* counters in the MetricsRegistry: operations served per wire
 // class, payload bytes that bypassed the pack machinery, and the pack-plan
@@ -66,7 +54,6 @@ struct FastPathCounters {
     std::atomic<std::uint64_t>& hits_resizable;    // two-entry IOV ops
     std::atomic<std::uint64_t>& bytes_bypassed;    // payload bytes, no pack copy
     std::atomic<std::uint64_t>& plan_compiles_avoided; // lowerings skipped
-    std::atomic<std::uint64_t>& fallback_ops;      // eligible ops run with knob off
     std::atomic<std::uint64_t>& serializer_ops;    // NeedsSerializer dispatches
 };
 [[nodiscard]] FastPathCounters& fastpath_counters() noexcept;

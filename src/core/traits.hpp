@@ -76,7 +76,7 @@ template <typename T>
 inline constexpr bool is_trivially_wireable_v = is_trivially_wireable<T>::value;
 
 // wire_traits<T>::value — the WireClass of T. Only default-allocator
-// vectors/strings classify as contiguous_resizable (the fallback serializer
+// vectors/strings classify as contiguous_resizable (the built-in serializer
 // and the wire header are defined for exactly those); vector<bool> is a
 // bitset in disguise and has no contiguous element storage.
 template <typename T>
@@ -128,22 +128,20 @@ concept WireSendable =
 
 namespace detail {
 
-template <typename T, typename CS>
-concept HasRegionsCS = requires(typename CS::State& st, T* buf, Count count,
-                                Count* n, void** bases, Count* lens) {
-    { CS::region_count(st, buf, count, n) } -> std::same_as<Status>;
-    { CS::regions(st, buf, count, Count{}, bases, lens) } -> std::same_as<Status>;
+template <typename T>
+concept HasRegions = requires(typename CustomSerialize<T>::State& st, T* buf,
+                              Count count, Count* n, void** bases, Count* lens) {
+    { CustomSerialize<T>::region_count(st, buf, count, n) } -> std::same_as<Status>;
+    {
+        CustomSerialize<T>::regions(st, buf, count, Count{}, bases, lens)
+    } -> std::same_as<Status>;
 };
 
+// Erases the type's CustomSerialize<T> specialization into CustomDatatype
+// callbacks.
 template <typename T>
-concept HasRegions = HasRegionsCS<T, CustomSerialize<T>>;
-
-// Erases a CustomSerialize-shaped trait class CS into CustomDatatype
-// callbacks. CS defaults to the type's own specialization; the fast path's
-// MPICD_FAST_PATH=0 fallback substitutes WireFallbackSerialize<T> for
-// types that have no specialization of their own.
-template <typename T, typename CS = CustomSerialize<T>>
 class Adapter {
+    using CS = CustomSerialize<T>;
     using State = typename CS::State;
 
     static Status state_fn(void* /*context*/, const void* src, Count count,
@@ -172,7 +170,7 @@ class Adapter {
                           offset, src, src_size);
     }
     static Status region_count_fn(void* state, void* buf, Count count, Count* n) {
-        if constexpr (HasRegionsCS<T, CS>) {
+        if constexpr (HasRegions<T>) {
             return CS::region_count(*static_cast<State*>(state), static_cast<T*>(buf),
                                     count, n);
         } else {
@@ -182,7 +180,7 @@ class Adapter {
     }
     static Status region_fn(void* state, void* buf, Count count, Count n, void** bases,
                             Count* lens) {
-        if constexpr (HasRegionsCS<T, CS>) {
+        if constexpr (HasRegions<T>) {
             return CS::regions(*static_cast<State*>(state), static_cast<T*>(buf), count,
                                n, bases, lens);
         } else {
@@ -200,7 +198,7 @@ public:
             cb.query = query_fn;
             cb.pack = pack_fn;
             cb.unpack = unpack_fn;
-            if constexpr (HasRegionsCS<T, CS>) {
+            if constexpr (HasRegions<T>) {
                 cb.region_count = region_count_fn;
                 cb.region = region_fn;
             }

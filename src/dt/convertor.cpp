@@ -7,7 +7,6 @@
 #include "base/stats.hpp"
 #include "base/trace.hpp"
 #include "dt/pack_plan.hpp"
-#include "dt/par_pack.hpp"
 
 namespace mpicd::dt {
 
@@ -49,7 +48,7 @@ void Convertor::seek(Count packed_offset) {
 }
 
 Status Convertor::pack(MutBytes dst, Count* used) {
-    trace::Span span("dt", "pack", trace_suppressed_);
+    trace::Span span("dt", "pack");
     const auto& segs = type_->segments();
     const Count extent = type_->extent();
     Count produced = 0;
@@ -100,7 +99,7 @@ Status Convertor::pack(MutBytes dst, Count* used) {
 }
 
 Status Convertor::unpack(ConstBytes src) {
-    trace::Span span("dt", "unpack", trace_suppressed_);
+    trace::Span span("dt", "unpack");
     const auto& segs = type_->segments();
     const Count extent = type_->extent();
     Count consumed = 0;
@@ -149,26 +148,12 @@ Status Convertor::unpack(ConstBytes src) {
 }
 
 Status Convertor::pack_all(const TypeRef& type, const void* buf, Count count,
-                           MutBytes dst, Count* used) {
-    return pack_all(type, buf, count, dst, used, PackMode::auto_);
-}
-
-Status Convertor::pack_all(const TypeRef& type, const void* buf, Count count,
                            MutBytes dst, Count* used, PackMode mode) {
     if (type == nullptr || !type->committed()) return Status::err_not_committed;
     const Count total = type->size() * count;
     if (static_cast<Count>(dst.size()) < total) return Status::err_truncate;
-    if (mode == PackMode::parallel ||
-        (mode == PackMode::auto_ && par_pack_eligible(total))) {
-        return parallel_pack(type, buf, count, dst, used);
-    }
     Convertor cv(type, const_cast<void*>(buf), count, mode);
     return cv.pack(dst, used);
-}
-
-Status Convertor::unpack_all(const TypeRef& type, void* buf, Count count,
-                             ConstBytes src) {
-    return unpack_all(type, buf, count, src, PackMode::auto_);
 }
 
 Status Convertor::unpack_all(const TypeRef& type, void* buf, Count count,
@@ -176,10 +161,6 @@ Status Convertor::unpack_all(const TypeRef& type, void* buf, Count count,
     if (type == nullptr || !type->committed()) return Status::err_not_committed;
     const Count total = type->size() * count;
     if (static_cast<Count>(src.size()) != total) return Status::err_count;
-    if (mode == PackMode::parallel ||
-        (mode == PackMode::auto_ && par_pack_eligible(total))) {
-        return parallel_unpack(type, buf, count, src);
-    }
     Convertor cv(type, buf, count, mode);
     return cv.unpack(src);
 }

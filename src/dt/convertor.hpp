@@ -23,13 +23,9 @@ namespace mpicd::dt {
 //  - generic: the original per-segment memcpy loop, always available.
 //  - plan: execute the compiled pack program over every byte, resuming
 //    mid-element at fragment boundaries.
-//  - parallel: plan + the worker pool for large buffers (pack_all only;
-//    inside a Convertor it behaves like `plan` — the pool partitions work
-//    by constructing plain sub-convertors, never recursively).
 //  - auto_: `plan` when MPICD_PACK_PLAN is enabled (default), otherwise
-//    generic; pack_all/unpack_all additionally upgrade to parallel above
-//    MPICD_PAR_PACK_THRESHOLD.
-enum class PackMode : std::uint8_t { generic, plan, parallel, auto_ };
+//    generic.
+enum class PackMode : std::uint8_t { generic, plan, auto_ };
 
 class Convertor {
 public:
@@ -46,13 +42,6 @@ public:
     // loop re-locates it in O(log segments) via the committed prefix sums).
     void seek(Count packed_offset);
 
-    // Suppress this convertor's own dt.pack/dt.unpack trace spans. For
-    // internal callers (the parallel pack engine) whose enclosing
-    // par_pack/par_pack_part spans already delimit the same bytes — the
-    // inner span would double-count the work in analysis and its cost is
-    // material on µs-scale packs.
-    void suppress_trace() noexcept { trace_suppressed_ = true; }
-
     // Copy up to dst.size() packed bytes starting at the cursor into dst;
     // advances the cursor. *used receives the bytes produced.
     [[nodiscard]] Status pack(MutBytes dst, Count* used);
@@ -61,18 +50,14 @@ public:
     // advances the cursor.
     [[nodiscard]] Status unpack(ConstBytes src);
 
-    // One-shot helpers (MPI_Pack / MPI_Unpack equivalents). The PackMode
-    // overloads let callers pin a path (benches, tests); the two-argument
-    // forms use auto_, i.e. plan/parallel as gated by the env knobs.
-    [[nodiscard]] static Status pack_all(const TypeRef& type, const void* buf,
-                                         Count count, MutBytes dst, Count* used);
+    // One-shot helpers (MPI_Pack / MPI_Unpack equivalents). `mode` lets
+    // callers pin a path (benches, tests).
     [[nodiscard]] static Status pack_all(const TypeRef& type, const void* buf,
                                          Count count, MutBytes dst, Count* used,
-                                         PackMode mode);
+                                         PackMode mode = PackMode::auto_);
     [[nodiscard]] static Status unpack_all(const TypeRef& type, void* buf, Count count,
-                                           ConstBytes src);
-    [[nodiscard]] static Status unpack_all(const TypeRef& type, void* buf, Count count,
-                                           ConstBytes src, PackMode mode);
+                                           ConstBytes src,
+                                           PackMode mode = PackMode::auto_);
 
 private:
     // Decompose the cursor into (element index, segment index, bytes into
@@ -92,7 +77,6 @@ private:
     Count elem_ = 0;
     std::size_t seg_ = 0;
     Count seg_into_ = 0;
-    bool trace_suppressed_ = false;
 };
 
 } // namespace mpicd::dt

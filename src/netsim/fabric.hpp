@@ -53,10 +53,9 @@ struct Packet {
     std::uint16_t kind = 0;
     ByteVec header;      // small protocol header (always by copy)
     // Bulk payload carried by the wire (may be empty). Pool-backed: copying
-    // a Packet (retransmit queue, duplicate injection) shares the slab when
-    // the pool is enabled and deep-copies when it is not; anyone mutating
-    // payload bytes in place must ensure_unique() first (the fault
-    // injector's corruption stage is the only such site).
+    // a Packet (retransmit queue, duplicate injection) shares the slab;
+    // anyone mutating payload bytes in place must ensure_unique() first
+    // (the fault injector's corruption stage is the only such site).
     PooledBuf payload;
     SimTime arrival = 0; // virtual arrival time at the destination
     std::uint64_t seq = 0;

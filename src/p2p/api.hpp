@@ -3,16 +3,11 @@
 // Statically dispatches every WireSendable T to the fastest legal transfer
 // (docs/API.md §7):
 //
-//   WireClass               fast path (MPICD_FAST_PATH=1, default)
-//   ---------               -------------------------------------
+//   WireClass               transfer
+//   ---------               --------
 //   trivially_wireable      CONTIG transfer of the raw object bytes
 //   contiguous_resizable    two-entry IOV: u64 payload length + payload
 //   needs_serializer        CustomSerialize<T> custom-datatype lowering
-//
-// With MPICD_FAST_PATH=0 the first two classes fall back to the
-// CustomSerialize machinery (the type's own specialization when it has
-// one, WireFallbackSerialize<T> otherwise) — byte-identical wire behavior
-// to the pre-fast-path library.
 //
 // Receive-side shape discovery: contiguous-resizable receives probe the
 // matching message first and resize the container from the *actual* wire
@@ -34,22 +29,6 @@
 namespace mpicd {
 
 namespace detail_api {
-
-// The CustomSerialize-backed datatype used when the fast path is off (or
-// for NeedsSerializer types): the type's own specialization wins, wireable
-// types without one use the raw-bytes fallback adapter.
-template <typename T>
-[[nodiscard]] const core::CustomDatatype& slow_datatype() {
-    if constexpr (core::HasCustomSerialize<T>) {
-        return core::custom_datatype_of<T>();
-    } else {
-        return core::wire_fallback_datatype_of<T>();
-    }
-}
-
-inline void note_fallback() {
-    core::fastpath_counters().fallback_ops.fetch_add(1, std::memory_order_relaxed);
-}
 
 inline void note_serializer() {
     core::fastpath_counters().serializer_ops.fetch_add(1,
@@ -75,18 +54,12 @@ template <typename T>
     requires core::WireSendable<T>
 p2p::MsgStatus send(p2p::Communicator& comm, const T& obj, int dst, int tag) {
     if constexpr (core::TriviallyWireable<T>) {
-        if (core::fast_path_enabled())
-            return comm.isend_wire(&obj, static_cast<Count>(sizeof(T)), dst, tag)
-                .wait();
-        detail_api::note_fallback();
-        return comm.send_custom(&obj, 1, detail_api::slow_datatype<T>(), dst, tag);
+        return comm.isend_wire(&obj, static_cast<Count>(sizeof(T)), dst, tag)
+            .wait();
     } else if constexpr (core::ContiguousResizable<T>) {
         using U = typename T::value_type;
         const Count bytes = static_cast<Count>(obj.size() * sizeof(U));
-        if (core::fast_path_enabled())
-            return comm.isend_sized(obj.data(), bytes, dst, tag).wait();
-        detail_api::note_fallback();
-        return comm.send_custom(&obj, 1, core::custom_datatype_of<T>(), dst, tag);
+        return comm.isend_sized(obj.data(), bytes, dst, tag).wait();
     } else {
         detail_api::note_serializer();
         return comm.send_custom(&obj, 1, core::custom_datatype_of<T>(), dst, tag);
@@ -99,16 +72,11 @@ template <typename T>
     requires core::WireSendable<T>
 p2p::MsgStatus recv(p2p::Communicator& comm, T& obj, int src, int tag) {
     if constexpr (core::TriviallyWireable<T>) {
-        if (core::fast_path_enabled()) {
-            p2p::MsgStatus st =
-                comm.irecv_wire(&obj, static_cast<Count>(sizeof(T)), src, tag)
-                    .wait();
-            if (ok(st.status) && st.bytes != static_cast<Count>(sizeof(T)))
-                st.status = Status::err_truncate;
-            return st;
-        }
-        detail_api::note_fallback();
-        return comm.recv_custom(&obj, 1, detail_api::slow_datatype<T>(), src, tag);
+        p2p::MsgStatus st =
+            comm.irecv_wire(&obj, static_cast<Count>(sizeof(T)), src, tag).wait();
+        if (ok(st.status) && st.bytes != static_cast<Count>(sizeof(T)))
+            st.status = Status::err_truncate;
+        return st;
     } else if constexpr (core::ContiguousResizable<T>) {
         using U = typename T::value_type;
         // Discover the wire size first; the per-(source, tag) FIFO
@@ -120,24 +88,19 @@ p2p::MsgStatus recv(p2p::Communicator& comm, T& obj, int src, int tag) {
         if (pr.bytes < kHdr || payload % static_cast<Count>(sizeof(U)) != 0)
             return detail_api::drain_message(comm, pr);
         obj.resize(static_cast<std::size_t>(payload) / sizeof(U));
-        if (core::fast_path_enabled()) {
-            auto hdr = std::make_shared<ByteVec>();
-            p2p::MsgStatus st =
-                comm.irecv_sized(hdr, payload > 0 ? obj.data() : nullptr, payload,
-                                 pr.source, pr.tag)
-                    .wait();
-            if (ok(st.status)) {
-                std::uint64_t announced = 0;
-                std::memcpy(&announced, hdr->data(), sizeof announced);
-                if (st.bytes != pr.bytes ||
-                    announced != static_cast<std::uint64_t>(payload))
-                    st.status = Status::err_truncate;
-            }
-            return st;
+        auto hdr = std::make_shared<ByteVec>();
+        p2p::MsgStatus st =
+            comm.irecv_sized(hdr, payload > 0 ? obj.data() : nullptr, payload,
+                             pr.source, pr.tag)
+                .wait();
+        if (ok(st.status)) {
+            std::uint64_t announced = 0;
+            std::memcpy(&announced, hdr->data(), sizeof announced);
+            if (st.bytes != pr.bytes ||
+                announced != static_cast<std::uint64_t>(payload))
+                st.status = Status::err_truncate;
         }
-        detail_api::note_fallback();
-        return comm.recv_custom(&obj, 1, core::custom_datatype_of<T>(), pr.source,
-                                pr.tag);
+        return st;
     } else {
         detail_api::note_serializer();
         return comm.recv_custom(&obj, 1, core::custom_datatype_of<T>(), src, tag);

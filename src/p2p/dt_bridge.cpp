@@ -1,58 +1,37 @@
 #include "p2p/dt_bridge.hpp"
 
-#include <utility>
 
 #include "dt/convertor.hpp"
-#include "dt/par_pack.hpp"
 
 namespace mpicd::p2p {
 
 namespace {
 
-// Per-operation state. The descriptor's ctx is the datatype itself, pinned
-// by the keepalive anchor for exactly as long as the operation holds its
-// descriptor; building one costs O(1) whatever the type's segment count.
-struct DtState {
-    dt::Convertor cv;
-    dt::TypeRef type;
-    void* buf;
-    Count count;
-};
-
+// Per-operation state is one convertor. The descriptor's ctx is the
+// datatype itself, pinned by the keepalive anchor for exactly as long as
+// the operation holds its descriptor; building one costs O(1) whatever the
+// type's segment count.
 dt::TypeRef type_of_ctx(void* ctx) {
     return static_cast<dt::Datatype*>(ctx)->shared_from_this();
 }
 
 Status dt_start_pack(void* ctx, const void* buf, Count count, void** state) {
-    auto type = type_of_ctx(ctx);
-    *state = new DtState{dt::Convertor(type, const_cast<void*>(buf), count),
-                         std::move(type), const_cast<void*>(buf), count};
+    *state = new dt::Convertor(type_of_ctx(ctx), const_cast<void*>(buf), count);
     return Status::success;
 }
 
 Status dt_start_unpack(void* ctx, void* buf, Count count, void** state) {
-    auto type = type_of_ctx(ctx);
-    *state = new DtState{dt::Convertor(type, buf, count), std::move(type), buf, count};
+    *state = new dt::Convertor(type_of_ctx(ctx), buf, count);
     return Status::success;
 }
 
 Status dt_packed_size(void* state, Count* size) {
-    *size = static_cast<DtState*>(state)->cv.total_packed();
+    *size = static_cast<dt::Convertor*>(state)->total_packed();
     return Status::success;
 }
 
 Status dt_pack(void* state, Count offset, void* dst, Count dst_size, Count* used) {
-    auto* s = static_cast<DtState*>(state);
-    // Large fragments go through the parallel engine (partitioned by packed
-    // offset, byte-identical to the serial path). The serial convertor's
-    // cursor is left untouched; its next use re-seeks as needed.
-    if (dt::par_pack_eligible(dst_size)) {
-        return dt::parallel_pack_range(
-            s->type, s->buf, s->count, offset,
-            MutBytes(static_cast<std::byte*>(dst), static_cast<std::size_t>(dst_size)),
-            used);
-    }
-    auto& cv = s->cv;
+    auto& cv = *static_cast<dt::Convertor*>(state);
     if (cv.position() != offset) cv.seek(offset);
     return cv.pack(MutBytes(static_cast<std::byte*>(dst),
                             static_cast<std::size_t>(dst_size)),
@@ -60,20 +39,13 @@ Status dt_pack(void* state, Count offset, void* dst, Count dst_size, Count* used
 }
 
 Status dt_unpack(void* state, Count offset, const void* src, Count src_size) {
-    auto* s = static_cast<DtState*>(state);
-    if (dt::par_pack_eligible(src_size)) {
-        return dt::parallel_unpack_range(
-            s->type, s->buf, s->count, offset,
-            ConstBytes(static_cast<const std::byte*>(src),
-                       static_cast<std::size_t>(src_size)));
-    }
-    auto& cv = s->cv;
+    auto& cv = *static_cast<dt::Convertor*>(state);
     if (cv.position() != offset) cv.seek(offset);
     return cv.unpack(ConstBytes(static_cast<const std::byte*>(src),
                                 static_cast<std::size_t>(src_size)));
 }
 
-void dt_finish(void* state) { delete static_cast<DtState*>(state); }
+void dt_finish(void* state) { delete static_cast<dt::Convertor*>(state); }
 
 ucx::GenericDesc make_desc(const dt::TypeRef& type, Count count) {
     ucx::GenericDesc g;

@@ -1,8 +1,6 @@
 #include "ucx/matcher.hpp"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 #include "base/metrics.hpp"
 
@@ -10,25 +8,15 @@ namespace mpicd::ucx {
 
 namespace {
 
-// Distribution of entries examined per match attempt. For the hashed
-// matcher this is the number of mask groups (posted side) or the scan
-// position in the arrival list (wildcard unexpected side); for the linear
-// matcher it is the scan position in the FIFO. Looked up once — the
-// registry lookup takes a lock.
+// Distribution of entries examined per match attempt: the number of mask
+// groups (posted side) or the scan position in the arrival list (wildcard
+// unexpected side). Looked up once — the registry lookup takes a lock.
 Histogram& probe_len_hist() {
     static Histogram& h = metrics().histogram("match", "probe_len");
     return h;
 }
 
 } // namespace
-
-TagMatcher::Mode TagMatcher::mode_from_env() {
-    const char* v = std::getenv("MPICD_TAG_MATCH");
-    if (v != nullptr && std::strcmp(v, "linear") == 0) return Mode::linear;
-    return Mode::hashed;
-}
-
-TagMatcher::TagMatcher(Mode mode) : mode_(mode) {}
 
 TagMatcher::~TagMatcher() {
     // Fold the counters into the process-wide registry so BENCH_*.json
@@ -56,34 +44,13 @@ TagMatcher::MaskGroup& TagMatcher::group_for(Tag mask) {
 }
 
 void TagMatcher::post_recv(RequestId id, Tag tag, Tag mask) {
-    PostedEntry e{id, tag, mask, next_seq_++};
-    if (mode_ == Mode::linear) {
-        posted_fifo_.push_back(e);
-    } else {
-        group_for(mask).buckets[tag & mask].push_back(e);
-    }
+    group_for(mask).buckets[tag & mask].push_back(
+        PostedEntry{id, tag, mask, next_seq_++});
     ++posted_count_;
 }
 
 std::optional<RequestId> TagMatcher::match_posted(Tag incoming) {
-    if (mode_ == Mode::linear) {
-        std::uint64_t scanned = 0;
-        for (auto it = posted_fifo_.begin(); it != posted_fifo_.end(); ++it) {
-            ++scanned;
-            if (!tag_matches(it->tag, it->mask, incoming)) continue;
-            const RequestId id = it->id;
-            if (it->mask != ~Tag{0}) ++stats_.wildcard_hits;
-            posted_fifo_.erase(it);
-            --posted_count_;
-            ++stats_.posted_matches;
-            note_probe(scanned);
-            return id;
-        }
-        note_probe(scanned);
-        return std::nullopt;
-    }
-
-    // Hashed: each group contributes at most one candidate (its bucket
+    // Each group contributes at most one candidate (its bucket
     // front, the earliest-posted entry for this mask); the smallest posting
     // sequence across groups wins — exactly posting order.
     std::uint64_t scanned = 0;
@@ -122,15 +89,6 @@ std::optional<RequestId> TagMatcher::match_posted(Tag incoming) {
 }
 
 bool TagMatcher::cancel_posted(RequestId id, Tag tag, Tag mask) {
-    if (mode_ == Mode::linear) {
-        for (auto it = posted_fifo_.begin(); it != posted_fifo_.end(); ++it) {
-            if (it->id != id) continue;
-            posted_fifo_.erase(it);
-            --posted_count_;
-            return true;
-        }
-        return false;
-    }
     for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
         MaskGroup& g = groups_[gi];
         if (g.mask != mask) continue;
@@ -155,14 +113,12 @@ bool TagMatcher::cancel_posted(RequestId id, Tag tag, Tag mask) {
 
 void TagMatcher::add_unexpected(UnexpectedMsg&& msg) {
     unex_.push_back(std::move(msg));
-    if (mode_ == Mode::hashed) {
-        const auto it = std::prev(unex_.end());
-        unex_by_tag_[it->tag].push_back(it);
-    }
+    const auto it = std::prev(unex_.end());
+    unex_by_tag_[it->tag].push_back(it);
 }
 
 TagMatcher::UnexList::iterator TagMatcher::find_unexpected(Tag tag, Tag mask) {
-    if (mode_ == Mode::hashed && mask == ~Tag{0}) {
+    if (mask == ~Tag{0}) {
         // Exact tag: O(1) — the bucket front is the earliest arrival of
         // this tag, and equal-tag messages are interchangeable under any
         // predicate.
@@ -172,8 +128,8 @@ TagMatcher::UnexList::iterator TagMatcher::find_unexpected(Tag tag, Tag mask) {
         assert(!b->second.empty());
         return b->second.front();
     }
-    // Wildcard (or linear mode): earliest arrival wins, so scan the master
-    // list in arrival order.
+    // Wildcard: earliest arrival wins, so scan the master list in arrival
+    // order.
     std::uint64_t scanned = 0;
     for (auto it = unex_.begin(); it != unex_.end(); ++it) {
         ++scanned;
@@ -187,15 +143,13 @@ TagMatcher::UnexList::iterator TagMatcher::find_unexpected(Tag tag, Tag mask) {
 }
 
 void TagMatcher::erase_unexpected(UnexList::iterator it) {
-    if (mode_ == Mode::hashed) {
-        // Bucket-front invariant: whichever predicate selected `it`, it is
-        // the earliest arrival of its tag, hence the front of its bucket.
-        const auto b = unex_by_tag_.find(it->tag);
-        assert(b != unex_by_tag_.end() && !b->second.empty() &&
-               b->second.front() == it);
-        b->second.pop_front();
-        if (b->second.empty()) unex_by_tag_.erase(b);
-    }
+    // Bucket-front invariant: whichever predicate selected `it`, it is the
+    // earliest arrival of its tag, hence the front of its bucket.
+    const auto b = unex_by_tag_.find(it->tag);
+    assert(b != unex_by_tag_.end() && !b->second.empty() &&
+           b->second.front() == it);
+    b->second.pop_front();
+    if (b->second.empty()) unex_by_tag_.erase(b);
     unex_.erase(it);
 }
 

@@ -9,23 +9,19 @@
 //    pairs with the earliest-arrived message its predicate accepts, which
 //    preserves per-(src,tag) FIFO non-overtaking.
 //
-// Two interchangeable engines (MPICD_TAG_MATCH selects at Worker
-// construction; see docs/MATCHING.md):
-//  - linear: the seed behaviour — O(n) scans of FIFO deques. Kept as the
-//    reference model for ablation benches and differential tests.
-//  - hashed (default): mask-group buckets. Posted receives are grouped by
-//    their mask value; within a group they hash by (tag & mask), so bucket
-//    membership is equivalent to predicate acceptance for that mask and
-//    each bucket is a FIFO chain. Wildcard masks simply form additional
-//    (small) groups — the dedicated wildcard chains. A monotonic posting
-//    sequence number arbitrates across groups: the candidate with the
-//    smallest sequence wins, which is exactly posting order. Unexpected
-//    messages live on one master arrival list plus a per-tag index of list
-//    iterators; a full-mask take is O(1), a wildcard take scans the master
-//    list in arrival order (and, by the bucket-front invariant, always
-//    removes a bucket front: all messages with equal tag are
-//    interchangeable under any predicate, so the earliest acceptable one
-//    is the earliest of its tag).
+// The engine uses mask-group buckets (see docs/MATCHING.md). Posted
+// receives are grouped by their mask value; within a group they hash by
+// (tag & mask), so bucket membership is equivalent to predicate acceptance
+// for that mask and each bucket is a FIFO chain. Wildcard masks simply form
+// additional (small) groups — the dedicated wildcard chains. A monotonic
+// posting sequence number arbitrates across groups: the candidate with the
+// smallest sequence wins, which is exactly posting order. Unexpected
+// messages live on one master arrival list plus a per-tag index of list
+// iterators; a full-mask take is O(1), a wildcard take scans the master
+// list in arrival order (and, by the bucket-front invariant, always
+// removes a bucket front: all messages with equal tag are interchangeable
+// under any predicate, so the earliest acceptable one is the earliest of
+// its tag). The naive O(n) reference model lives in tests/test_matcher.cpp.
 //
 // Not thread-safe: the owning Worker serializes access under its mutex.
 #pragma once
@@ -82,18 +78,10 @@ struct MatcherStats {
 
 class TagMatcher {
 public:
-    enum class Mode { hashed, linear };
-
-    // MPICD_TAG_MATCH=linear selects the seed matcher (ablation escape
-    // hatch); anything else — including unset — selects hashed.
-    [[nodiscard]] static Mode mode_from_env();
-
-    explicit TagMatcher(Mode mode = mode_from_env());
+    TagMatcher() = default;
     ~TagMatcher();
     TagMatcher(const TagMatcher&) = delete;
     TagMatcher& operator=(const TagMatcher&) = delete;
-
-    [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
     // --- Posted-receive side. ---
     void post_recv(RequestId id, Tag tag, Tag mask);
@@ -140,18 +128,14 @@ private:
     [[nodiscard]] UnexList::iterator find_unexpected(Tag tag, Tag mask);
     void note_probe(std::uint64_t scanned);
 
-    Mode mode_;
     std::uint64_t next_seq_ = 1;
     std::size_t posted_count_ = 0;
 
-    // Hashed posted index (mode_ == hashed).
     std::vector<MaskGroup> groups_;
-    // Linear posted queue (mode_ == linear), in posting order.
-    std::deque<PostedEntry> posted_fifo_;
 
-    // Master unexpected list in arrival order (both modes) ...
+    // Master unexpected list in arrival order ...
     UnexList unex_;
-    // ... plus, in hashed mode, a per-tag FIFO index into it.
+    // ... plus a per-tag FIFO index into it.
     std::unordered_map<Tag, std::deque<UnexList::iterator>> unex_by_tag_;
 
     MatcherStats stats_;

@@ -1318,10 +1318,8 @@ void Worker::dump_state_locked(std::FILE* out) const {
                      static_cast<unsigned long long>(ptx.owner));
     }
     std::fprintf(out,
-                 "matcher=%s posted_recvs=%zu unexpected=%zu mprobed=%zu "
+                 "posted_recvs=%zu unexpected=%zu mprobed=%zu "
                  "rndv_sends=%zu rndv_recvs=%zu\n",
-                 matcher_.mode() == TagMatcher::Mode::hashed ? "hashed"
-                                                             : "linear",
                  matcher_.posted_size(), matcher_.unexpected_size(),
                  mprobed_.size(), rndv_sends_.size(), rndv_recvs_.size());
     for (std::size_t src = 0; src < shards_.size(); ++src) {

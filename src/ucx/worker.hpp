@@ -15,8 +15,7 @@
 // pay a per-entry NIC cost (UCP_DATATYPE_IOV equivalent).
 //
 // Tag matching is delegated to TagMatcher (ucx/matcher.hpp): hashed
-// mask-group buckets by default, the seed's linear scans under
-// MPICD_TAG_MATCH=linear. See docs/MATCHING.md.
+// mask-group buckets. See docs/MATCHING.md.
 //
 // Thread-safety: the protocol state machines run under one mutex, but the
 // hot cross-thread paths are finely locked so rank threads driving their
@@ -183,11 +182,6 @@ public:
     // Snapshot of the protocol counters.
     [[nodiscard]] WorkerStats stats();
 
-    // Which matching engine this worker runs (fixed at construction).
-    [[nodiscard]] TagMatcher::Mode match_mode() const noexcept {
-        return matcher_.mode();
-    }
-
 private:
     struct Request;
     struct PendingSend;
@@ -273,8 +267,8 @@ private:
     std::uint64_t next_link_seq_ = 1;
     // Unacknowledged outgoing packets by link_seq: the retransmit record
     // and its backoff schedule in virtual time. The payload inside `pkt`
-    // is a PooledBuf, so with the pool enabled this record *shares* the
-    // transmitted packet's slab instead of duplicating the bytes.
+    // is a PooledBuf, so this record *shares* the transmitted packet's
+    // slab instead of duplicating the bytes.
     struct PendingTx {
         netsim::Packet pkt;
         bool control = false;

@@ -18,7 +18,6 @@
 #include "base/time.hpp"
 #include "base/trace.hpp"
 #include "core/engine.hpp"
-#include "dt/par_pack.hpp"
 
 namespace mpicd {
 namespace {
@@ -141,34 +140,6 @@ TEST(Config, EmptyValueIsNullopt) {
     unsetenv("MPICD_TEST_VAR");
 }
 
-TEST(Config, ParPackThreadsClampsToOneWorker) {
-    // Zero or negative pool widths must degrade to one (serial) worker,
-    // never to an empty or negatively-sized pool.
-    setenv("MPICD_PAR_PACK_THREADS", "0", 1);
-    EXPECT_EQ(dt::par_pack_workers_from_env(), 1);
-    setenv("MPICD_PAR_PACK_THREADS", "-4", 1);
-    EXPECT_EQ(dt::par_pack_workers_from_env(), 1);
-    setenv("MPICD_PAR_PACK_THREADS", "9999", 1);
-    EXPECT_EQ(dt::par_pack_workers_from_env(), 64);
-    setenv("MPICD_PAR_PACK_THREADS", "3", 1);
-    EXPECT_EQ(dt::par_pack_workers_from_env(), 3);
-    // Malformed counts fall back to the default (>= 1 either way).
-    setenv("MPICD_PAR_PACK_THREADS", "4k", 1);
-    EXPECT_GE(dt::par_pack_workers_from_env(), 1);
-    unsetenv("MPICD_PAR_PACK_THREADS");
-}
-
-TEST(Config, ParPackThresholdClampsToDisabled) {
-    setenv("MPICD_PAR_PACK_THRESHOLD", "-1", 1);
-    EXPECT_EQ(dt::par_pack_threshold_from_env(), 0);
-    setenv("MPICD_PAR_PACK_THRESHOLD", "0", 1);
-    EXPECT_EQ(dt::par_pack_threshold_from_env(), 0);
-    setenv("MPICD_PAR_PACK_THRESHOLD", "65536", 1);
-    EXPECT_EQ(dt::par_pack_threshold_from_env(), 65536);
-    unsetenv("MPICD_PAR_PACK_THRESHOLD");
-    EXPECT_EQ(dt::par_pack_threshold_from_env(), Count{2} << 20);
-}
-
 TEST(Config, CustomPackFragClampsToDefault) {
     // A non-positive fragment size would make every pack callback request
     // zero bytes and fail the send with err_pack; it must fall back.
@@ -181,23 +152,6 @@ TEST(Config, CustomPackFragClampsToDefault) {
     EXPECT_EQ(core::custom_pack_frag_from_env(), 4096);
     unsetenv("MPICD_CUSTOM_PACK_FRAG");
     EXPECT_EQ(core::custom_pack_frag_from_env(), kDefault);
-}
-
-TEST(Config, FastPathEnvClampsToDefault) {
-    // MPICD_FAST_PATH accepts exactly 0 or 1; anything else means the
-    // default (enabled) rather than silently meaning something.
-    setenv("MPICD_FAST_PATH", "0", 1);
-    EXPECT_FALSE(core::fast_path_from_env());
-    setenv("MPICD_FAST_PATH", "1", 1);
-    EXPECT_TRUE(core::fast_path_from_env());
-    setenv("MPICD_FAST_PATH", "7", 1);
-    EXPECT_TRUE(core::fast_path_from_env());
-    setenv("MPICD_FAST_PATH", "-1", 1);
-    EXPECT_TRUE(core::fast_path_from_env());
-    setenv("MPICD_FAST_PATH", "notanumber", 1);
-    EXPECT_TRUE(core::fast_path_from_env()); // unparsable -> default
-    unsetenv("MPICD_FAST_PATH");
-    EXPECT_TRUE(core::fast_path_from_env());
 }
 
 TEST(Stats, EmptyIsZero) {
@@ -463,18 +417,10 @@ TEST(Flight, DisarmedTriggerIsANoOp) {
 
 // --- Slab buffer pool (base/pool.hpp) --------------------------------------
 
-// Restores the pool's enabled state (tests run in one process; the pool is
-// a process-wide singleton).
-class PoolGuard {
-public:
-    PoolGuard() : prev_(BufferPool::instance().enabled()) {}
-    ~PoolGuard() {
-        BufferPool::instance().set_enabled(prev_);
-        BufferPool::instance().trim();
-    }
-
-private:
-    bool prev_;
+// Empties the freelists on exit (tests run in one process; the pool is a
+// process-wide singleton).
+struct PoolGuard {
+    ~PoolGuard() { BufferPool::instance().trim(); }
 };
 
 void fill_pattern(PooledBuf& b, unsigned salt) {
@@ -484,7 +430,6 @@ void fill_pattern(PooledBuf& b, unsigned salt) {
 
 TEST(Pool, SizeClassesRoundUpToPowersOfTwo) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     EXPECT_EQ(PooledBuf::make(1).capacity(), BufferPool::kMinClass);
     EXPECT_EQ(PooledBuf::make(256).capacity(), 256u);
     EXPECT_EQ(PooledBuf::make(257).capacity(), 512u);
@@ -496,9 +441,8 @@ TEST(Pool, SizeClassesRoundUpToPowersOfTwo) {
               BufferPool::kMaxClass + 1);
 }
 
-TEST(Pool, CopySharesSlabWhenPoolOn) {
+TEST(Pool, CopySharesSlab) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     PooledBuf a = PooledBuf::make(1000);
     fill_pattern(a, 1);
     const std::uint64_t copied_before =
@@ -511,22 +455,8 @@ TEST(Pool, CopySharesSlabWhenPoolOn) {
               copied_before);
 }
 
-TEST(Pool, CopyIsDeepWhenPoolOff) {
-    const PoolGuard guard;
-    BufferPool::instance().set_enabled(false);
-    PooledBuf a = PooledBuf::make(1000);
-    fill_pattern(a, 2);
-    const PooledBuf b = a;
-    ASSERT_EQ(b.size(), a.size());
-    EXPECT_NE(b.data(), a.data()); // seed behaviour: a real copy
-    EXPECT_TRUE(a.unique());
-    EXPECT_TRUE(b.unique());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0);
-}
-
 TEST(Pool, EnsureUniqueDetachesSharedSlab) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     PooledBuf a = PooledBuf::make(4096);
     fill_pattern(a, 3);
     PooledBuf b = a;
@@ -544,7 +474,6 @@ TEST(Pool, EnsureUniqueDetachesSharedSlab) {
 
 TEST(Pool, ShrinkToReslabsLargeUnusedTail) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     PooledBuf a = PooledBuf::make(64 * 1024);
     fill_pattern(a, 4);
     ByteVec expect(a.data(), a.data() + 100);
@@ -557,7 +486,6 @@ TEST(Pool, ShrinkToReslabsLargeUnusedTail) {
 
 TEST(Pool, ShrinkToKeepsSlabWhenSharedOrClose) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     PooledBuf a = PooledBuf::make(8192);
     const PooledBuf share = a; // not unique: shrink must not re-slab
     a.shrink_to(10);
@@ -571,7 +499,6 @@ TEST(Pool, ShrinkToKeepsSlabWhenSharedOrClose) {
 TEST(Pool, FreelistReusesReturnedSlabs) {
     const PoolGuard guard;
     BufferPool& pool = BufferPool::instance();
-    pool.set_enabled(true);
     pool.trim();
     const PoolStats before = pool.stats();
     const std::byte* first = nullptr;
@@ -586,26 +513,45 @@ TEST(Pool, FreelistReusesReturnedSlabs) {
     EXPECT_EQ(after.returns, before.returns + 1);
 }
 
-TEST(Pool, DisabledPoolCountsHeapAllocsAndTrims) {
+TEST(Pool, FreelistCapsBoundTheCache) {
     const PoolGuard guard;
     BufferPool& pool = BufferPool::instance();
-    pool.set_enabled(true);
-    { const PooledBuf warm = PooledBuf::make(4096); } // seeds the freelist
-    EXPECT_GT(pool.stats().bytes_cached, 0u);
-    pool.set_enabled(false); // disabling trims the cache
-    EXPECT_EQ(pool.stats().bytes_cached, 0u);
-    const PoolStats before = pool.stats();
-    { const PooledBuf a = PooledBuf::make(4096); }
-    const PoolStats after = pool.stats();
-    EXPECT_EQ(after.heap_allocs, before.heap_allocs + 1);
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.bytes_cached, 0u); // pool-off slabs are never cached
+    pool.trim();
+    // At most 32 slabs per size class: the 33rd release goes to the heap.
+    PoolStats before = pool.stats();
+    {
+        std::vector<PooledBuf> live;
+        for (int i = 0; i < 33; ++i) live.push_back(PooledBuf::make(1024));
+    }
+    PoolStats after = pool.stats();
+    EXPECT_EQ(after.returns, before.returns + 32);
+    EXPECT_EQ(after.frees, before.frees + 1);
+    EXPECT_EQ(after.bytes_cached, 32u * 1024);
+
+    // At most 32 MiB cached in total: eight 4 MiB slabs fill it.
+    pool.trim();
+    before = pool.stats();
+    {
+        std::vector<PooledBuf> live;
+        for (int i = 0; i < 9; ++i)
+            live.push_back(PooledBuf::make(BufferPool::kMaxClass));
+    }
+    after = pool.stats();
+    EXPECT_EQ(after.returns, before.returns + 8);
+    EXPECT_EQ(after.frees, before.frees + 1);
+    EXPECT_EQ(after.bytes_cached, std::uint64_t{32} << 20);
+
+    // trim() frees every cached slab.
+    before = after;
+    pool.trim();
+    after = pool.stats();
+    EXPECT_EQ(after.bytes_cached, 0u);
+    EXPECT_EQ(after.frees, before.frees + 8);
 }
 
 TEST(Pool, OutstandingTracksLiveBuffers) {
     const PoolGuard guard;
     BufferPool& pool = BufferPool::instance();
-    pool.set_enabled(true);
     const std::uint64_t base = pool.outstanding();
     {
         const PooledBuf a = PooledBuf::make(1024);
@@ -619,7 +565,6 @@ TEST(Pool, OutstandingTracksLiveBuffers) {
 
 TEST(Pool, CopyOfCountsCopiedBytes) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     const ByteVec src(777, static_cast<std::byte>(0x5A));
     const std::uint64_t copied_before =
         datapath::bytes_copied().load(std::memory_order_relaxed);

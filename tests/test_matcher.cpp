@@ -1,9 +1,9 @@
 // Differential property tests for the hashed tag matcher.
 //
 // A naive reference model — linear scans over FIFO queues, transcribed
-// straight from the MPI matching rules — runs in lockstep with BOTH
-// TagMatcher engines (hashed and linear) over thousands of seeded-random
-// post / arrive / take / probe / cancel sequences with wildcard masks.
+// straight from the MPI matching rules — runs in lockstep with TagMatcher
+// over thousands of seeded-random post / arrive / take / probe / cancel
+// sequences with wildcard masks.
 // Any divergence in match pairing (which receive pairs with which
 // message) or in ordering is a failure; on mismatch the harness
 // binary-searches the shortest failing operation prefix and reports the
@@ -133,11 +133,11 @@ Op gen_op(std::mt19937_64& rng) {
     return op;
 }
 
-// Replays ops[0..n) through the reference model and one TagMatcher engine;
-// returns the index of the first diverging operation, or n if none.
+// Replays ops[0..n) through the reference model and TagMatcher; returns
+// the index of the first diverging operation, or n if none.
 std::size_t first_divergence(const std::vector<Op>& ops, std::size_t n,
-                             TagMatcher::Mode mode, std::string* why) {
-    TagMatcher m(mode);
+                             std::string* why) {
+    TagMatcher m;
     RefMatcher ref;
     RequestId next_id = 1;
     std::uint64_t next_uid = 1;
@@ -239,14 +239,14 @@ std::size_t first_divergence(const std::vector<Op>& ops, std::size_t n,
 
 // Runs one seed; on divergence, shrinks to the minimal failing prefix and
 // fails with a replayable report.
-void run_seed(std::uint64_t seed, std::size_t nops, TagMatcher::Mode mode) {
+void run_seed(std::uint64_t seed, std::size_t nops) {
     std::mt19937_64 rng(seed);
     std::vector<Op> ops;
     ops.reserve(nops);
     for (std::size_t i = 0; i < nops; ++i) ops.push_back(gen_op(rng));
 
     std::string why;
-    const std::size_t div = first_divergence(ops, ops.size(), mode, &why);
+    const std::size_t div = first_divergence(ops, ops.size(), &why);
     if (div == ops.size()) return;
 
     // Shrink: binary-search the shortest prefix that still diverges (the
@@ -255,12 +255,11 @@ void run_seed(std::uint64_t seed, std::size_t nops, TagMatcher::Mode mode) {
     std::size_t lo = 1, hi = div + 1;
     while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
-        if (first_divergence(ops, mid, mode, nullptr) < mid) hi = mid;
+        if (first_divergence(ops, mid, nullptr) < mid) hi = mid;
         else lo = mid + 1;
     }
     std::ostringstream msg;
-    msg << "differential divergence: seed=" << seed << " mode="
-        << (mode == TagMatcher::Mode::hashed ? "hashed" : "linear")
+    msg << "differential divergence: seed=" << seed
         << " first divergence at " << why
         << "; minimal failing prefix = " << lo << " ops (replay with"
         << " run_seed(" << seed << ", " << lo << "))";
@@ -272,16 +271,7 @@ void run_seed(std::uint64_t seed, std::size_t nops, TagMatcher::Mode mode) {
 
 TEST(MatcherDifferential, HashedMatchesReferenceAcrossSeeds) {
     for (std::uint64_t seed = 1; seed <= 24; ++seed)
-        run_seed(seed * 0x9E3779B97F4A7C15ull + seed, 6000,
-                 TagMatcher::Mode::hashed);
-}
-
-TEST(MatcherDifferential, LinearModeMatchesReferenceAcrossSeeds) {
-    // The env escape hatch must stay seed-identical too: it is the
-    // ablation baseline.
-    for (std::uint64_t seed = 1; seed <= 20; ++seed)
-        run_seed(seed * 0xD1B54A32D192ED03ull + seed, 5000,
-                 TagMatcher::Mode::linear);
+        run_seed(seed * 0x9E3779B97F4A7C15ull + seed, 6000);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +279,7 @@ TEST(MatcherDifferential, LinearModeMatchesReferenceAcrossSeeds) {
 // on statistically.
 
 TEST(Matcher, ExactFifoPerTag) {
-    TagMatcher m(TagMatcher::Mode::hashed);
+    TagMatcher m;
     m.post_recv(1, 7, kFullMask);
     m.post_recv(2, 7, kFullMask);
     m.post_recv(3, 9, kFullMask);
@@ -303,7 +293,7 @@ TEST(Matcher, ExactFifoPerTag) {
 TEST(Matcher, WildcardVsExactArbitratedByPostingOrder) {
     {
         // Wildcard posted first wins.
-        TagMatcher m(TagMatcher::Mode::hashed);
+        TagMatcher m;
         m.post_recv(1, 0, 0); // matches anything
         m.post_recv(2, 7, kFullMask);
         EXPECT_EQ(m.match_posted(7), std::optional<RequestId>(1));
@@ -311,7 +301,7 @@ TEST(Matcher, WildcardVsExactArbitratedByPostingOrder) {
     }
     {
         // Exact posted first wins; the wildcard then takes the next one.
-        TagMatcher m(TagMatcher::Mode::hashed);
+        TagMatcher m;
         m.post_recv(1, 7, kFullMask);
         m.post_recv(2, 0, 0);
         EXPECT_EQ(m.match_posted(7), std::optional<RequestId>(1));
@@ -320,7 +310,7 @@ TEST(Matcher, WildcardVsExactArbitratedByPostingOrder) {
 }
 
 TEST(Matcher, UnexpectedArrivalOrderAcrossTags) {
-    TagMatcher m(TagMatcher::Mode::hashed);
+    TagMatcher m;
     for (std::uint64_t uid = 1; uid <= 3; ++uid) {
         UnexpectedMsg u;
         u.tag = (uid == 2) ? 5 : 9; // arrivals: 9, 5, 9
@@ -343,7 +333,7 @@ TEST(Matcher, UnexpectedArrivalOrderAcrossTags) {
 }
 
 TEST(Matcher, CancelRemovesOnlyTheTarget) {
-    TagMatcher m(TagMatcher::Mode::hashed);
+    TagMatcher m;
     m.post_recv(1, 7, kFullMask);
     m.post_recv(2, 7, kFullMask);
     EXPECT_TRUE(m.cancel_posted(1, 7, kFullMask));
@@ -352,21 +342,12 @@ TEST(Matcher, CancelRemovesOnlyTheTarget) {
     EXPECT_TRUE(m.empty());
 }
 
-TEST(Matcher, ModeFromEnvSelectsLinear) {
-    ::setenv("MPICD_TAG_MATCH", "linear", 1);
-    EXPECT_EQ(TagMatcher::mode_from_env(), TagMatcher::Mode::linear);
-    ::setenv("MPICD_TAG_MATCH", "hashed", 1);
-    EXPECT_EQ(TagMatcher::mode_from_env(), TagMatcher::Mode::hashed);
-    ::unsetenv("MPICD_TAG_MATCH");
-    EXPECT_EQ(TagMatcher::mode_from_env(), TagMatcher::Mode::hashed);
-}
-
 TEST(Matcher, HashedProbeCostFlatForExactTags) {
     // The structural claim behind bench/stress_matching: with only exact
     // (full-mask) receives posted, the hashed matcher examines exactly one
     // mask group per incoming message, regardless of posted depth.
     for (const std::size_t depth : {16u, 1024u}) {
-        TagMatcher m(TagMatcher::Mode::hashed);
+        TagMatcher m;
         for (std::size_t i = 0; i < depth; ++i)
             m.post_recv(static_cast<RequestId>(i + 1),
                         compose_tag(0, 0, static_cast<std::uint64_t>(i)),

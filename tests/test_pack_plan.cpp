@@ -1,10 +1,8 @@
-// Pack-plan compiler, parallel pack engine, iovec coalescing, and the
-// derived-datatype bridge: the compiled fast paths must be byte-identical
+// Pack-plan compiler, iovec coalescing, and the derived-datatype bridge: the compiled fast paths must be byte-identical
 // to the generic per-segment convertor on every datatype shape, cursor
 // position, and fragment boundary — and must move every byte themselves.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 
 #include "base/stats.hpp"
@@ -12,21 +10,11 @@
 #include "ddtbench/kernel.hpp"
 #include "dt/convertor.hpp"
 #include "dt/pack_plan.hpp"
-#include "dt/par_pack.hpp"
 #include "p2p/universe.hpp"
 #include "test_util.hpp"
 
 namespace mpicd {
 namespace {
-
-// Force a multi-thread pool even on single-core CI hosts so the parallel
-// determinism tests actually partition work. Runs before main(), i.e.
-// before par_pack_workers() caches the env; overwrite=0 keeps an external
-// override in charge.
-struct EnvInit {
-    EnvInit() { ::setenv("MPICD_PAR_PACK_THREADS", "3", 0); }
-};
-const EnvInit env_init;
 
 // Same random tree shape as test_property, plus negative-stride hvectors
 // (address order != pack order) to stress the plan compiler's stride runs.
@@ -190,30 +178,6 @@ TEST_P(PlanVsGeneric, RandomFragmentBoundariesMatchMonolithic) {
     EXPECT_EQ(ref, out);
 }
 
-TEST_P(PlanVsGeneric, ParallelMatchesSerial) {
-    auto h = make_harness(static_cast<unsigned>(GetParam()) + 3000u, 3);
-    ByteVec serial(static_cast<std::size_t>(h.total()));
-    ByteVec par(serial.size());
-    Count used = 0;
-    ASSERT_EQ(dt::Convertor::pack_all(h.type, h.base(), h.count, serial, &used,
-                                      dt::PackMode::generic),
-              Status::success);
-    ASSERT_EQ(dt::Convertor::pack_all(h.type, h.base(), h.count, par, &used,
-                                      dt::PackMode::parallel),
-              Status::success);
-    EXPECT_EQ(serial, par);
-
-    ByteVec out_serial(h.buf.size(), std::byte{0});
-    ByteVec out_par(h.buf.size(), std::byte{0});
-    ASSERT_EQ(dt::Convertor::unpack_all(h.type, out_serial.data() + h.anchor,
-                                        h.count, serial, dt::PackMode::generic),
-              Status::success);
-    ASSERT_EQ(dt::Convertor::unpack_all(h.type, out_par.data() + h.anchor, h.count,
-                                        serial, dt::PackMode::parallel),
-              Status::success);
-    EXPECT_EQ(out_serial, out_par);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, PlanVsGeneric, ::testing::Range(0, 24));
 
 // --- Fragments smaller than one element ----------------------------------
@@ -310,10 +274,6 @@ TEST(PackPlan, ZeroCountAndEmptyBuffers) {
     EXPECT_EQ(used, 0);
     EXPECT_EQ(dt::Convertor::unpack_all(t, nullptr, 0, empty, dt::PackMode::plan),
               Status::success);
-    EXPECT_EQ(dt::Convertor::pack_all(t, nullptr, 0, empty, &used,
-                                      dt::PackMode::parallel),
-              Status::success);
-    EXPECT_EQ(used, 0);
 }
 
 TEST(PackPlan, CompilerFusesConstantStrideRuns) {

@@ -158,14 +158,12 @@ TEST(ReliabilitySoak, LossyRunMatchesLosslessReference) {
 }
 
 TEST(ReliabilitySoak, PooledLossySoakByteIdentical) {
-    // The slab pool must be invisible to the protocol: the same seeded
-    // drop + dup + reorder (+ corruption, which forces copy-on-write of
-    // shared retransmit payloads) storm delivers every payload intact with
-    // the pool off (deep-copy seed behaviour) and on (shared slabs), and
-    // the pool leak-checks to zero live buffers once each universe is torn
+    // The slab pool must be invisible to the protocol: a seeded drop + dup
+    // + reorder (+ corruption, which forces copy-on-write of shared
+    // retransmit payloads) storm delivers every payload intact, and the
+    // pool leak-checks to zero live buffers once the universe is torn
     // down.
     BufferPool& pool = BufferPool::instance();
-    const bool prev = pool.enabled();
     FaultConfig cfg;
     cfg.seed = 0xB00F;
     cfg.drop = 0.04;
@@ -173,26 +171,16 @@ TEST(ReliabilitySoak, PooledLossySoakByteIdentical) {
     cfg.reorder = 0.03;
     cfg.corrupt = 0.02;
 
-    const int kMessages = 260;
-    std::vector<SoakRecord> runs[2];
-    for (const bool pool_on : {false, true}) {
-        pool.set_enabled(pool_on);
-        runs[pool_on ? 1 : 0] = run_soak(kMessages, cfg);
-        // run_soak's universe is destroyed on return: every packet,
-        // retransmit record and stash entry has released its buffer.
-        EXPECT_EQ(pool.outstanding(), 0u)
-            << "pool leak with pool " << (pool_on ? "on" : "off");
-    }
-    pool.set_enabled(prev);
+    const auto run = run_soak(260, cfg);
+    // run_soak's universe is destroyed on return: every packet, retransmit
+    // record and stash entry has released its buffer.
+    EXPECT_EQ(pool.outstanding(), 0u) << "pool leak";
     pool.trim();
 
-    ASSERT_EQ(runs[0].size(), runs[1].size());
-    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    for (std::size_t i = 0; i < run.size(); ++i) {
         SCOPED_TRACE("message " + std::to_string(i));
-        EXPECT_EQ(runs[0][i].status, Status::success);
-        EXPECT_EQ(runs[1][i].status, Status::success);
-        EXPECT_TRUE(runs[0][i].payload_ok);
-        EXPECT_TRUE(runs[1][i].payload_ok);
+        EXPECT_EQ(run[i].status, Status::success);
+        EXPECT_TRUE(run[i].payload_ok);
     }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the CustomSerialize<T> trait layer, the paper's benchmark
 // types (Listings 6–8), and the zero-serialization fast path: wire
-// classification pins, the concepts-based mpicd::send/recv API, and the
-// MPICD_FAST_PATH=0 differential suite (docs/API.md §7).
+// classification pins and the concepts-based mpicd::send/recv API
+// (docs/API.md §7).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -296,14 +296,12 @@ static_assert(WireSendable<TestBlob>);
 namespace {
 
 // ---------------------------------------------------------------------------
-// Differential suite: MPICD_FAST_PATH on vs off must deliver identical
-// payloads and (for wire-compatible shapes, with the protocol choice
-// pinned) identical wire-fragment schedules.
+// Fast-path transfers: payload, wire byte count, fragment schedule and the
+// fastpath/* counters of mpicd::send/recv per wire class.
 
-// The fast path sends wireable T as CONTIG (eager_threshold) where the
-// fallback sends a one-region IOV (iov_eager_threshold); pinning the two
-// thresholds equal makes both modes pick the same protocol, so fragment
-// schedules are comparable.
+// Trivially-wireable T goes out as CONTIG (eager_threshold), resizable
+// containers as a two-entry IOV (iov_eager_threshold); pinning the two
+// thresholds equal makes every shape cross into rendezvous at one size.
 netsim::WireParams pinned_params(Count eager, Count frag) {
     netsim::WireParams p;
     p.eager_threshold = eager;
@@ -323,13 +321,12 @@ struct Exchanged {
 };
 
 // One blocking mpicd::send/recv pair (receiver on its own thread: the
-// rendezvous protocol needs both sides in flight) with the global knob
-// forced to `fast`, capturing payload, fragment schedule, and retransmits.
+// rendezvous protocol needs both sides in flight), capturing payload,
+// fragment schedule, and retransmits.
 template <typename T>
-Exchanged<T> exchange_one(bool fast, const T& src, const netsim::WireParams& p,
+Exchanged<T> exchange_one(const T& src, const netsim::WireParams& p,
                           const netsim::ScheduledFault* fault = nullptr) {
     metrics().reset();
-    set_fast_path(fast);
     Exchanged<T> out;
     {
         p2p::Universe uni(2, p);
@@ -346,7 +343,6 @@ Exchanged<T> exchange_one(bool fast, const T& src, const netsim::WireParams& p,
             out.frag_sum = h.snap.sum;
         }
     }
-    set_fast_path(fast_path_from_env()); // restore the ambient default
     return out;
 }
 
@@ -356,103 +352,76 @@ std::uint64_t counter_value(const char* group, const char* name) {
     return 0;
 }
 
-TEST(FastPath, WireableOnOffIdenticalEager) {
+TEST(FastPath, WireableEager) {
     std::array<std::int32_t, 64> src{};
     for (std::size_t i = 0; i < src.size(); ++i)
         src[i] = static_cast<std::int32_t>(i * 3 + 1);
-    const auto p = pinned_params(4096, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
+    const auto on = exchange_one(src, pinned_params(4096, 4096));
     ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
     EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
-    // Same bytes on the wire, same fragment schedule.
     EXPECT_EQ(on.recv_st.bytes, static_cast<Count>(sizeof src));
-    EXPECT_EQ(on.frag_count, off.frag_count);
-    EXPECT_EQ(on.frag_sum, off.frag_sum);
+    EXPECT_GE(counter_value("fastpath", "hits_trivial"), 2u); // send + recv
 }
 
-TEST(FastPath, WireableOnOffIdenticalRendezvous) {
+TEST(FastPath, WireableRendezvous) {
     std::array<double, 4096> src{}; // 32 KiB >> pinned 1 KiB threshold
     for (std::size_t i = 0; i < src.size(); ++i)
         src[i] = static_cast<double>(i) * 0.75;
-    const auto p = pinned_params(1024, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
+    const auto on = exchange_one(src, pinned_params(1024, 4096));
     ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
     EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
+    EXPECT_EQ(on.recv_st.bytes, static_cast<Count>(sizeof src));
     EXPECT_GE(on.frag_count, 8u); // really took the fragmented path
-    EXPECT_EQ(on.frag_count, off.frag_count);
-    EXPECT_EQ(on.frag_sum, off.frag_sum);
+    EXPECT_GE(counter_value("fastpath", "hits_trivial"), 2u);
 }
 
-TEST(FastPath, ResizableOnOffIdenticalEager) {
+TEST(FastPath, ResizableEager) {
     const auto src = test::iota_vec<std::int32_t>(500, 11);
-    const auto p = pinned_params(4096, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
+    const auto on = exchange_one(src, pinned_params(4096, 4096));
     ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
     EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
-    // Two-entry size+payload IOV is wire-identical to the count==1
-    // CustomSerialize<vector> lowering: u64 header + payload.
+    // Two-entry size+payload IOV: u64 header + payload.
     EXPECT_EQ(on.recv_st.bytes,
               static_cast<Count>(sizeof(std::uint64_t) + 500 * sizeof(std::int32_t)));
-    EXPECT_EQ(on.frag_count, off.frag_count);
-    EXPECT_EQ(on.frag_sum, off.frag_sum);
+    EXPECT_GE(counter_value("fastpath", "hits_resizable"), 2u);
 }
 
-TEST(FastPath, ResizableOnOffIdenticalRendezvous) {
+TEST(FastPath, ResizableRendezvous) {
     const auto src = test::iota_vec<std::int64_t>(8192, 5); // 64 KiB payload
-    const auto p = pinned_params(1024, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
+    const auto on = exchange_one(src, pinned_params(1024, 4096));
     ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
     EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
+    EXPECT_EQ(on.recv_st.bytes,
+              static_cast<Count>(sizeof(std::uint64_t) + 8192 * sizeof(std::int64_t)));
     EXPECT_GE(on.frag_count, 8u);
-    EXPECT_EQ(on.frag_count, off.frag_count);
-    EXPECT_EQ(on.frag_sum, off.frag_sum);
+    EXPECT_GE(counter_value("fastpath", "hits_resizable"), 2u);
 }
 
-TEST(FastPath, StringAndPairVectorBothModes) {
+TEST(FastPath, StringAndPairVector) {
     const std::string s(10000, 'x');
     const auto p = pinned_params(1024, 4096);
-    EXPECT_EQ(exchange_one(true, s, p).value, s);
-    EXPECT_EQ(exchange_one(false, s, p).value, s);
+    EXPECT_EQ(exchange_one(s, p).value, s);
 
     std::vector<std::pair<std::int32_t, double>> pv(300);
     for (std::size_t i = 0; i < pv.size(); ++i)
         pv[i] = {static_cast<std::int32_t>(i), static_cast<double>(i) * 0.5};
-    EXPECT_EQ(exchange_one(true, pv, p).value, pv);
-    EXPECT_EQ(exchange_one(false, pv, p).value, pv);
+    EXPECT_EQ(exchange_one(pv, p).value, pv);
 }
 
-TEST(FastPath, EmptyVectorBothModes) {
+TEST(FastPath, EmptyVector) {
     const std::vector<double> src;
-    const auto p = pinned_params(4096, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
+    const auto on = exchange_one(src, pinned_params(4096, 4096));
     ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
     EXPECT_TRUE(on.value.empty());
-    EXPECT_TRUE(off.value.empty());
     // Header-only message: exactly the u64 length.
     EXPECT_EQ(on.recv_st.bytes, static_cast<Count>(sizeof(std::uint64_t)));
 }
 
-TEST(FastPath, LossyRendezvousDeliversIdenticalPayload) {
-    // Drop the rendezvous RTS: both modes' memory-exposing sinks take the
-    // RDMA rendezvous (data moves by DMA, not droppable FRAG packets), so
-    // the control channel is where loss can strike. Recovery (RTO +
-    // retransmit) must deliver the same payload in both modes. Fragment
-    // *schedules* are not compared here — the retransmit count depends on
-    // wall-clock timer sampling (see test_trace.cpp).
+TEST(FastPath, LossyRendezvousDeliversPayload) {
+    // Drop the rendezvous RTS: the memory-exposing sink takes the RDMA
+    // rendezvous (data moves by DMA, not droppable FRAG packets), so the
+    // control channel is where loss can strike. Recovery (RTO +
+    // retransmit) must deliver the payload.
     const auto src = test::iota_vec<std::int64_t>(8192, 3);
     auto p = pinned_params(1024, 4096);
     p.rto_us = 20.0;
@@ -463,67 +432,50 @@ TEST(FastPath, LossyRendezvousDeliversIdenticalPayload) {
     f.action = netsim::FaultAction::drop;
     f.kind_filter = ucx::wire::kRts;
     f.nth = 1;
-    const auto on = exchange_one(true, src, p, &f);
-    const auto off = exchange_one(false, src, p, &f);
+    const auto on = exchange_one(src, p, &f);
     ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
     EXPECT_GE(on.retransmits, 1u);
-    EXPECT_GE(off.retransmits, 1u);
     EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
 }
 
-TEST(FastPath, StructSimpleBothModesDeliver) {
+TEST(FastPath, StructSimpleShipsRawObjectBytes) {
     // A wireable type that *also* has a CustomSerialize: the fast path
-    // ships all 24 raw bytes (gap included), the fallback packs 20 — both
-    // must deliver the same field values.
+    // wins and ships all 24 raw bytes, gap included.
     StructSimple src{7, -8, 9, 2.5};
-    const auto p = pinned_params(4096, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
+    const auto on = exchange_one(src, pinned_params(4096, 4096));
     ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
     EXPECT_EQ(on.recv_st.bytes, static_cast<Count>(sizeof(StructSimple)));
-    EXPECT_EQ(off.recv_st.bytes, kScalarPack);
-    for (const auto* r : {&on.value, &off.value}) {
-        EXPECT_EQ(r->a, 7);
-        EXPECT_EQ(r->b, -8);
-        EXPECT_EQ(r->c, 9);
-        EXPECT_DOUBLE_EQ(r->d, 2.5);
-    }
+    EXPECT_EQ(on.value.a, 7);
+    EXPECT_EQ(on.value.b, -8);
+    EXPECT_EQ(on.value.c, 9);
+    EXPECT_DOUBLE_EQ(on.value.d, 2.5);
 }
 
-TEST(FastPath, BlobUsesSerializerBothModes) {
+TEST(FastPath, BlobUsesSerializer) {
     TestBlob src;
     src.id = 42;
     src.data = test::iota_vec<std::int32_t>(257, 100);
-    const auto p = pinned_params(4096, 4096);
-    for (const bool fast : {true, false}) {
-        metrics().reset();
-        set_fast_path(fast);
-        p2p::Universe uni(2, p);
-        TestBlob dst;
-        dst.data.resize(src.data.size()); // serializer path: pre-shaped receiver
-        auto rr = [&] { return mpicd::recv(uni.comm(1), dst, 0, 4); };
-        std::thread rx([&] { (void)rr(); });
-        const auto sst = mpicd::send(uni.comm(0), src, 1, 4);
-        rx.join();
-        EXPECT_EQ(sst.status, Status::success);
-        EXPECT_EQ(dst.id, 42);
-        EXPECT_EQ(dst.data, src.data);
-        // needs_serializer never touches the bypass counters, on or off.
-        EXPECT_GE(counter_value("fastpath", "serializer_ops"), 2u);
-        EXPECT_EQ(counter_value("fastpath", "hits_trivial"), 0u);
-        EXPECT_EQ(counter_value("fastpath", "hits_resizable"), 0u);
-    }
-    set_fast_path(fast_path_from_env());
+    metrics().reset();
+    p2p::Universe uni(2, pinned_params(4096, 4096));
+    TestBlob dst;
+    dst.data.resize(src.data.size()); // serializer path: pre-shaped receiver
+    std::thread rx([&] { (void)mpicd::recv(uni.comm(1), dst, 0, 4); });
+    const auto sst = mpicd::send(uni.comm(0), src, 1, 4);
+    rx.join();
+    EXPECT_EQ(sst.status, Status::success);
+    EXPECT_EQ(dst.id, 42);
+    EXPECT_EQ(dst.data, src.data);
+    // needs_serializer never touches the bypass counters.
+    EXPECT_GE(counter_value("fastpath", "serializer_ops"), 2u);
+    EXPECT_EQ(counter_value("fastpath", "hits_trivial"), 0u);
+    EXPECT_EQ(counter_value("fastpath", "hits_resizable"), 0u);
 }
 
-TEST(FastPath, CountersAccountBypassesAndFallbacks) {
+TEST(FastPath, CountersAccountBypasses) {
     const auto src = test::iota_vec<std::int32_t>(128, 1);
     const std::pair<std::int64_t, std::int64_t> pod{1, 2};
     const auto p = pinned_params(4096, 4096);
-    (void)exchange_one(true, src, p);  // resets metrics itself
+    (void)exchange_one(src, p);  // resets metrics itself
     EXPECT_GE(counter_value("fastpath", "hits_resizable"), 2u); // send + recv
     EXPECT_GT(counter_value("fastpath", "bytes_bypassed"), 0u);
     EXPECT_GE(counter_value("fastpath", "plan_compiles_avoided"), 2u);
@@ -534,16 +486,11 @@ TEST(FastPath, CountersAccountBypassesAndFallbacks) {
                   counter_value("pack", "generic_bytes"),
               0u);
 
-    (void)exchange_one(true, pod, p);
+    (void)exchange_one(pod, p);
     EXPECT_GE(counter_value("fastpath", "hits_trivial"), 2u);
-
-    (void)exchange_one(false, src, p);
-    EXPECT_GE(counter_value("fastpath", "fallback_ops"), 2u);
-    EXPECT_EQ(counter_value("fastpath", "hits_resizable"), 0u);
 }
 
 TEST(FastPath, CorruptStreamIsTruncateError) {
-    core::set_fast_path(true);
     p2p::Universe uni(2, test::test_params());
 
     // (a) 10 bytes: too short to be [u64][k * sizeof(i32)] — must be
@@ -572,7 +519,6 @@ TEST(FastPath, CorruptStreamIsTruncateError) {
     ASSERT_EQ(mpicd::send(uni.comm(0), good, 1, 8).status, Status::success);
     EXPECT_EQ(mpicd::recv(uni.comm(1), dst, 0, 8).status, Status::success);
     EXPECT_EQ(dst, good);
-    set_fast_path(fast_path_from_env());
 }
 
 TEST(FastPath, VectorHeaderBoundCheckRejectsCorruptLengths) {

@@ -356,8 +356,8 @@ TEST_F(UcxPair, CancelUnmatchedRecv) {
 
 // ---------------------------------------------------------------------------
 // MPI matching-semantics conformance (gates the hashed TagMatcher; see
-// docs/MATCHING.md). Every test here must hold under MPICD_TAG_MATCH=linear
-// too — the semantics are the contract, the matcher is an implementation.
+// docs/MATCHING.md). The semantics are the contract, the matcher is an
+// implementation.
 
 TEST_F(UcxPair, PerSrcTagFifoNonOvertaking) {
     // Many messages on ONE (src, tag) pair, interleaved with traffic on

@@ -11,8 +11,8 @@
 #     recorded on a lossless fabric; retransmits and injected delay shift
 #     those numbers legitimately. The benches themselves still run in the
 #     lossy legs (their built-in correctness asserts — matched pairings,
-#     wire-identical ablation — must hold under faults); only the
-#     performance gate is restricted to the faults-off leg.
+#     delivered payloads — must hold under faults); only the performance
+#     gate is restricted to the faults-off leg.
 # Everything else must pass unmodified — that is the point of the sweep: the
 # reliable-delivery protocol makes packet loss invisible to correctness.
 #
@@ -22,7 +22,10 @@
 # buffers across threads, and ASan turns any use-after-release or
 # double-release of a slab into a hard failure. test_property rides along so
 # the CRC-32 kernel's word loads and tail loop run under ASan over every
-# length and alignment. MPICD_SKIP_ASAN=1 skips it.
+# length and alignment, and test_pack_plan/test_convertor so the pack-plan
+# kernels' mid-element pointer arithmetic (plan_pack_range/plan_unpack_range,
+# run on every derived-datatype fragment) does too. MPICD_SKIP_ASAN=1 skips
+# it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
 # matcher-heavy tests — test_matcher's randomized differential sweeps, the
@@ -77,14 +80,15 @@ done
 
 if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
     ASAN_DIR=${BUILD_DIR}-asan
-    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property'
+    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor'
     echo "=== asan leg: configuring $ASAN_DIR ==="
     cmake -B "$ASAN_DIR" -S . \
           -DMPICD_SANITIZE=address \
           -DMPICD_BUILD_BENCH=OFF \
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build "$ASAN_DIR" -j "$JOBS" --target \
-          test_base test_ucx test_faults test_reliability_soak test_property
+          test_base test_ucx test_faults test_reliability_soak test_property \
+          test_pack_plan test_convertor
     echo "=== asan leg: lossy datapath tests under AddressSanitizer ==="
     MPICD_FAULT_SEED=42 \
     MPICD_FAULT_DROP=0.01 \
