@@ -169,13 +169,11 @@ public:
         std::printf("wrote %s\n", path.c_str());
     }
 
-    // Standard epilogue for every bench: human table, JSON artifact, and —
-    // under MPICD_PACK_STATS=1 — the pack-path counters accumulated over
-    // the whole process.
+    // Standard epilogue for every bench: human table and JSON artifact
+    // (whose metrics block carries the pack-path counters).
     void finish(const std::string& name) const {
         print();
         write_json(name);
-        if (env_int_or("MPICD_PACK_STATS", 0) != 0) pack_stats().print(stdout);
     }
 
 private:

@@ -2,13 +2,12 @@
 // mean / min / max / stddev over repeated ping-pong iterations (the paper
 // reports the average of four runs with error bars), plus the global
 // pack-path counters (plan compiles, copy kernels, iovec coalescing) that
-// the benches print under MPICD_PACK_STATS=1.
+// every bench's JSON metrics block carries.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 namespace mpicd {
@@ -46,7 +45,6 @@ struct PackStatsSnapshot {
     std::uint64_t generic_bytes = 0;   // packed/unpacked via the generic segment loop
     std::uint64_t iov_entries_before = 0; // scatter-gather entries pre-coalescing
     std::uint64_t iov_entries_after = 0;  // entries actually handed to the wire
-    std::uint64_t skeleton_hits = 0;      // custom-type descriptor skeleton reuses
 };
 
 class PackStats {
@@ -56,12 +54,9 @@ public:
     std::atomic<std::uint64_t> generic_bytes{0};
     std::atomic<std::uint64_t> iov_entries_before{0};
     std::atomic<std::uint64_t> iov_entries_after{0};
-    std::atomic<std::uint64_t> skeleton_hits{0};
 
     [[nodiscard]] PackStatsSnapshot snapshot() const noexcept;
     void reset() noexcept;
-    // Human-readable dump (one line per nonzero counter).
-    void print(std::FILE* out) const;
 };
 
 // The process-wide instance.

@@ -1,33 +1,13 @@
 #include "core/engine.hpp"
 
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "base/config.hpp"
-#include "base/log.hpp"
 #include "base/metrics.hpp"
 #include "base/stats.hpp"
 #include "base/trace.hpp"
 #include "dt/pack_plan.hpp"
 
 namespace mpicd::core {
-
-Count custom_pack_frag_from_env() {
-    constexpr Count kDefault = 512 * 1024;
-    const Count v = env_int_or("MPICD_CUSTOM_PACK_FRAG", kDefault);
-    if (v <= 0) {
-        MPICD_LOG_WARN("config: MPICD_CUSTOM_PACK_FRAG=" << v
-                       << " is not positive; using the default " << kDefault);
-        return kDefault;
-    }
-    return v;
-}
-
-Count custom_pack_frag_size() {
-    static const Count v = custom_pack_frag_from_env();
-    return v;
-}
 
 FastPathCounters& fastpath_counters() noexcept {
     static FastPathCounters c{
@@ -125,6 +105,7 @@ Status collect_regions(const CustomDatatype& type, void* state, void* buf, Count
     std::vector<void*> bases(static_cast<std::size_t>(n), nullptr);
     std::vector<Count> lens(static_cast<std::size_t>(n), 0);
     MPICD_RETURN_IF_ERROR(cb.region(state, buf, count, n, bases.data(), lens.data()));
+    entries.reserve(entries.size() + static_cast<std::size_t>(n));
     for (Count i = 0; i < n; ++i) {
         const auto idx = static_cast<std::size_t>(i);
         if (lens[idx] < 0 || (lens[idx] > 0 && bases[idx] == nullptr))
@@ -153,50 +134,6 @@ void coalesce_entries(std::vector<IovEntry>& entries) {
                                    std::memory_order_relaxed);
 }
 
-// --- Descriptor skeleton hints ------------------------------------------
-//
-// The user callbacks (query/region) must run for every operation — packed
-// size and region layout may depend on object contents — so unlike the
-// derived-datatype plan cache the custom path cannot reuse lowered
-// descriptors outright. What repeats is the descriptor *skeleton*: entry
-// counts for the same (type, count) pair. Remember them and pre-reserve,
-// so steady-state lowering does no vector growth.
-struct SkeletonHint {
-    Count entries = 0;
-};
-
-std::mutex g_skel_mu;
-std::unordered_map<const CustomDatatype*,
-                   std::unordered_map<Count, SkeletonHint>>&
-skel_map() {
-    static std::unordered_map<const CustomDatatype*,
-                              std::unordered_map<Count, SkeletonHint>>
-        m;
-    return m;
-}
-
-void skeleton_reserve(const CustomDatatype& type, Count count,
-                      std::vector<IovEntry>& entries) {
-    if (!dt::pack_plan_enabled()) return;
-    std::lock_guard<std::mutex> lk(g_skel_mu);
-    const auto it = skel_map().find(&type);
-    if (it == skel_map().end()) return;
-    const auto jt = it->second.find(count);
-    if (jt == it->second.end()) return;
-    entries.reserve(static_cast<std::size_t>(jt->second.entries));
-    pack_stats().skeleton_hits.fetch_add(1, std::memory_order_relaxed);
-}
-
-void skeleton_remember(const CustomDatatype& type, Count count,
-                       const std::vector<IovEntry>& entries) {
-    if (!dt::pack_plan_enabled()) return;
-    std::lock_guard<std::mutex> lk(g_skel_mu);
-    if (skel_map().size() > 256) skel_map().clear(); // unbounded types guard
-    auto& per_type = skel_map()[&type];
-    if (per_type.size() > 64) per_type.clear(); // unbounded counts guard
-    per_type[count] = SkeletonHint{static_cast<Count>(entries.size())};
-}
-
 } // namespace
 
 Status lower_custom_send(const CustomDatatype& type, const void* buf, Count count,
@@ -223,20 +160,18 @@ Status lower_custom_send(const CustomDatatype& type, const void* buf, Count coun
     std::vector<IovEntry> entries;
     {
         const ScopedMeasure measure(host_cost);
-        skeleton_reserve(type, count, entries);
         st = type.make_state(buf, count, &state);
         Count packed = 0;
         if (ok(st)) st = type.callbacks().query(state, buf, count, &packed);
         if (ok(st) && packed < 0) st = Status::err_query;
         if (ok(st) && packed > 0) {
             backing = std::make_shared<ByteVec>(static_cast<std::size_t>(packed));
-            const Count frag = custom_pack_frag_size();
             Count offset = 0;
             SimTime pack_cost = 0.0;
             {
                 const ScopedMeasure pack_measure(pack_cost);
                 while (ok(st) && offset < packed) {
-                    const Count want = std::min(frag, packed - offset);
+                    const Count want = std::min(kCustomPackFrag, packed - offset);
                     trace::Span frag_span("engine", "custom_pack_frag");
                     frag_span.arg0("offset", static_cast<std::uint64_t>(offset));
                     Count used = 0;
@@ -274,7 +209,6 @@ Status lower_custom_send(const CustomDatatype& type, const void* buf, Count coun
                                static_cast<std::uint64_t>(before), "after",
                                static_cast<std::uint64_t>(entries.size()));
             }
-            skeleton_remember(type, count, entries);
         }
         type.free_state(state);
     }
@@ -366,7 +300,6 @@ Status lower_custom_recv(const CustomDatatype& type, void* buf, Count count,
     Count region_bytes = 0;
     {
         const ScopedMeasure measure(host_cost);
-        skeleton_reserve(type, count, entries);
         st = type.make_state(buf, count, &state);
         if (ok(st)) st = type.callbacks().query(state, buf, count, &packed);
         if (ok(st) && packed < 0) st = Status::err_query;
@@ -375,10 +308,7 @@ Status lower_custom_recv(const CustomDatatype& type, void* buf, Count count,
             entries.push_back({backing->data(), packed});
         }
         if (ok(st)) st = collect_regions(type, state, buf, count, entries, &region_bytes);
-        if (ok(st)) {
-            coalesce_entries(entries);
-            skeleton_remember(type, count, entries);
-        }
+        if (ok(st)) coalesce_entries(entries);
     }
     worker.advance_time(host_cost);
     lower_span.arg1("entries", static_cast<std::uint64_t>(entries.size()));

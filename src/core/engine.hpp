@@ -32,13 +32,7 @@ enum class CustomLowering {
 
 // Fragment size used when materializing the packed portion. Mirrors the
 // pipeline buffer size a real implementation would use.
-[[nodiscard]] Count custom_pack_frag_size();
-
-// Uncached env read behind custom_pack_frag_size(). A non-positive
-// MPICD_CUSTOM_PACK_FRAG would make the fragment loop request zero bytes
-// per pack callback and fail every send with err_pack, so values <= 0
-// fall back to the default. Tests call this directly to cover the clamp.
-[[nodiscard]] Count custom_pack_frag_from_env();
+inline constexpr Count kCustomPackFrag = 512 * 1024;
 
 // --- Zero-serialization fast path (docs/API.md §7) -------------------------
 //

@@ -1,4 +1,4 @@
-// Blocking collectives: thin waits over the nonblocking state machines.
+// Blocking collectives: thin waits over the nonblocking collectives.
 #include "p2p/collectives.hpp"
 
 namespace mpicd::p2p {

@@ -1,10 +1,6 @@
 #include "p2p/coll/nonblocking.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <functional>
-
-#include "p2p/coll/schedule.hpp"
 
 namespace mpicd::p2p::coll {
 
@@ -16,49 +12,30 @@ namespace {
 // transitively heard from every other. The send and receive tokens are
 // DISTINCT bytes: the historical implementation posted irecv and isend on
 // the same byte, a read/write race on lossy interleavings.
-class BarrierOp final : public CollOp {
-public:
-    explicit BarrierOp(Communicator& comm)
-        : CollOp(comm, Fam::barrier), rounds_(log2_rounds(topo_.size)) {}
-
-private:
-    void next_phase() override {
-        if (round_ >= rounds_) {
-            finish();
-            return;
-        }
-        const int k = round_++;
+void barrier_phases(Schedule& s) {
+    const int n = s.topo.size, r = s.topo.rank;
+    std::byte* token = s.alloc(2); // [0] sent, [1] received
+    token[0] = std::byte{0};
+    for (int k = 0; k < log2_rounds(n); ++k) {
         const int dist = 1 << k;
-        const int n = topo_.size;
-        const int dst = (topo_.rank + dist) % n;
-        const int src = (topo_.rank - dist % n + n) % n;
-        const auto ctag = tag(static_cast<std::uint32_t>(k));
-        step_recv(src, ctag, [&] {
-            return comm_.coll_irecv_bytes(&recv_token_, 1, src, ctag);
-        });
-        step_send(dst, ctag, [&] {
-            return comm_.coll_isend_bytes(&send_token_, 1, dst, ctag);
-        });
+        const auto sub = static_cast<std::uint32_t>(k);
+        Phase& p = s.phase();
+        p.recv((r - dist % n + n) % n, sub, token + 1, 1);
+        p.send((r + dist) % n, sub, token, 1);
     }
-
-    const int rounds_;
-    int round_ = 0;
-    std::byte send_token_{};
-    std::byte recv_token_{};
-};
+}
 
 // ---------------------------------------------------------------------------
-// Bcast: one schedule (who do I receive from, who do I send to), two
-// algorithms, any payload family. The payload posters are closures so the
-// same machine serves raw bytes, derived datatypes and custom datatypes.
+// Bcast: one tree (who do I receive from, who do I send to), two
+// algorithms, any payload family.
 
-struct BcastSchedule {
+struct BcastTree {
     int recv_from = -1;     // -1: this rank starts with the data
     std::vector<int> sends; // forward to these ranks, in order
 };
 
-BcastSchedule flat_bcast_schedule(const TopologyMap& t, int root) {
-    BcastSchedule s;
+BcastTree flat_bcast_tree(const TopologyMap& t, int root) {
+    BcastTree s;
     const int vr = to_vrank(t.rank, root, t.size);
     if (vr != 0) s.recv_from = from_vrank(bin_parent(vr), root, t.size);
     for (const int kid : bin_children(vr, t.size))
@@ -66,8 +43,8 @@ BcastSchedule flat_bcast_schedule(const TopologyMap& t, int root) {
     return s;
 }
 
-BcastSchedule hier_bcast_schedule(const TopologyMap& t, int root) {
-    BcastSchedule s;
+BcastTree hier_bcast_tree(const TopologyMap& t, int root) {
+    BcastTree s;
     const int r = t.rank;
     const int rb = t.node_of(root);
     if (t.is_leader(r)) {
@@ -97,449 +74,209 @@ BcastSchedule hier_bcast_schedule(const TopologyMap& t, int root) {
     return s;
 }
 
-class BcastOp final : public CollOp {
-public:
-    using Poster = std::function<Request(int peer, std::uint32_t ctag)>;
-
-    BcastOp(Communicator& comm, int root, Count bytes_hint, Poster post_send,
-            Poster post_recv)
-        : CollOp(comm, Fam::bcast),
-          bytes_hint_(bytes_hint),
-          algo_(select_algo(topo_)),
-          send_(std::move(post_send)),
-          recv_(std::move(post_recv)),
-          sched_(algo_ == Algo::hier ? hier_bcast_schedule(topo_, root)
-                                     : flat_bcast_schedule(topo_, root)) {
-        note_algo(algo_);
-    }
-
-private:
-    void next_phase() override {
-        // Phase 0: receive (skipped for ranks that start with the data);
-        // phase 1: forward to everyone downstream at once; then done.
-        if (phase_ == 0) {
-            phase_ = 1;
-            if (sched_.recv_from >= 0) {
-                const int src = sched_.recv_from;
-                step_recv(src, tag(0), [&] { return recv_(src, tag(0)); });
-                return;
-            }
-            // Fall through to the send phase without a round trip.
-        }
-        if (phase_ == 1) {
-            phase_ = 2;
-            for (const int dst : sched_.sends) {
-                if (algo_ == Algo::hier && topo_.cross_node(topo_.rank, dst))
-                    coll_counters().leader_bytes.fetch_add(
-                        static_cast<std::uint64_t>(bytes_hint_),
-                        std::memory_order_relaxed);
-                step_send(dst, tag(0), [&] { return send_(dst, tag(0)); });
-            }
-            if (!sched_.sends.empty()) return;
-        }
-        finish();
-    }
-
-    const Count bytes_hint_;
-    const Algo algo_;
-    const Poster send_;
-    const Poster recv_;
-    const BcastSchedule sched_;
-    int phase_ = 0;
-};
+// Phase 0 receives (skipped by ranks that start with the data); phase 1
+// forwards to everyone downstream at once. `add(phase, is_send, peer)`
+// appends one step on subtag 0.
+template <typename AddStep>
+void bcast_phases(Schedule& s, int root, AddStep add) {
+    s.algo = select_algo(s.topo);
+    const BcastTree t = s.algo == Algo::hier ? hier_bcast_tree(s.topo, root)
+                                             : flat_bcast_tree(s.topo, root);
+    if (t.recv_from >= 0) add(s.phase(), false, t.recv_from);
+    if (t.sends.empty()) return;
+    Phase& p = s.phase();
+    for (const int dst : t.sends) add(p, true, dst);
+}
 
 // ---------------------------------------------------------------------------
 // Gather (raw bytes): rank i's n-byte block lands at byte offset i*n in
 // the root's receive buffer. Flat: linear fan-in. Hierarchical: members
 // send to their node leader, which forwards ONE aggregated node block to
 // the root (nodes are contiguous rank ranges, so a node block is a
-// contiguous slice of the final buffer).
-class GatherBytesOp final : public CollOp {
-public:
-    GatherBytesOp(Communicator& comm, const void* send, Count n, void* recv,
-                  int root)
-        : CollOp(comm, Fam::gather),
-          send_(send),
-          recv_(recv),
-          n_(n),
-          root_(root),
-          algo_(select_algo(topo_)) {
-        note_algo(algo_);
+// contiguous slice of the final buffer). Subtags: 0 to the root or a
+// leader, 1 node blocks.
+void gather_phases(Schedule& s, const void* send, Count n, void* recv,
+                   int root) {
+    s.algo = select_algo(s.topo);
+    // n == 0: nothing to move — complete locally on every rank (n is
+    // uniform across ranks by the collective contract, so no rank posts a
+    // message).
+    if (n == 0) return;
+    const TopologyMap& t = s.topo;
+    const int r = t.rank;
+    const auto block = [&](int rank) {
+        return static_cast<std::byte*>(recv) + static_cast<Count>(rank) * n;
+    };
+    if (t.size == 1) {
+        s.copy(block(r), send, n);
+        return;
     }
-
-private:
-    [[nodiscard]] std::byte* recv_at(Count byte_off) const noexcept {
-        return static_cast<std::byte*>(recv_) + byte_off;
-    }
-    // The n == 0 guard: memcpy with a null/invalid pointer is UB even for
-    // zero bytes (the historical root-side copy missed this).
-    static void copy_block(void* dst, const void* src, Count n) noexcept {
-        if (n > 0) std::memcpy(dst, src, static_cast<std::size_t>(n));
-    }
-
-    void next_phase() override {
-        const int r = topo_.rank;
-        if (phase_ == 0) {
-            phase_ = 1;
-            // n == 0: nothing to move — complete locally on every rank (n
-            // is uniform across ranks by the collective contract, so no
-            // rank posts a message). This is where the historical n == 0
-            // memcpy UB lived; see copy_block.
-            if (n_ == 0) {
-                finish();
-                return;
-            }
-            if (topo_.size == 1) {
-                copy_block(recv_at(static_cast<Count>(r) * n_), send_, n_);
-                finish();
-                return;
-            }
-            if (algo_ == Algo::flat) {
-                if (r == root_) {
-                    for (int src = 0; src < topo_.size; ++src) {
-                        if (src == r) continue;
-                        step_recv(src, tag(0), [&] {
-                            return comm_.coll_irecv_bytes(
-                                recv_at(static_cast<Count>(src) * n_), n_, src,
-                                tag(0));
-                        });
-                    }
-                    copy_block(recv_at(static_cast<Count>(r) * n_), send_, n_);
-                } else {
-                    step_send(root_, tag(0), [&] {
-                        return comm_.coll_isend_bytes(send_, n_, root_, tag(0));
-                    });
-                }
-                return;
-            }
-            post_hier_phase0();
+    if (s.algo == Algo::flat) {
+        if (r != root) {
+            s.phase().send(root, 0, send, n);
             return;
         }
-        if (phase_ == 1) {
-            phase_ = 2;
-            // Hierarchical leaders forward their aggregated node block once
-            // every member contribution arrived.
-            if (algo_ == Algo::hier && topo_.is_leader(r) && r != root_) {
-                const Count block = static_cast<Count>(stage_.size());
-                if (topo_.cross_node(r, root_))
-                    coll_counters().leader_bytes.fetch_add(
-                        static_cast<std::uint64_t>(block),
-                        std::memory_order_relaxed);
-                step_send(root_, tag(1), [&] {
-                    return comm_.coll_isend_bytes(stage_.data(), block, root_,
-                                                  tag(1));
-                });
-                return;
-            }
-        }
-        finish();
+        s.copy(block(r), send, n);
+        Phase& p = s.phase();
+        for (int src = 0; src < t.size; ++src)
+            if (src != r) p.recv(src, 0, block(src), n);
+        return;
     }
-
-    void post_hier_phase0() {
-        const int r = topo_.rank;
-        const int lead = topo_.leader_of(r);
-        if (r == root_) {
-            for (int b = 0; b < topo_.node_count; ++b) {
-                const Count base = static_cast<Count>(topo_.node_begin(b)) * n_;
-                const Count block = static_cast<Count>(topo_.node_size(b)) * n_;
-                if (b != topo_.node_of(r)) {
-                    // One aggregated block per remote node, from its leader.
-                    const int leader = topo_.node_begin(b);
-                    step_recv(leader, tag(1), [&] {
-                        return comm_.coll_irecv_bytes(recv_at(base), block,
-                                                      leader, tag(1));
-                    });
-                } else if (topo_.is_leader(r)) {
-                    // Root doubles as its node's leader: members deliver
-                    // straight into the final buffer.
-                    for (int m = topo_.node_begin(b); m < topo_.node_end(b); ++m) {
-                        if (m == r) continue;
-                        step_recv(m, tag(0), [&] {
-                            return comm_.coll_irecv_bytes(
-                                recv_at(static_cast<Count>(m) * n_), n_, m,
-                                tag(0));
-                        });
-                    }
-                    copy_block(recv_at(static_cast<Count>(r) * n_), send_, n_);
-                } else {
-                    // Root is a plain member of its node: contribute through
-                    // the leader and take the whole node block back from it.
-                    step_send(lead, tag(0), [&] {
-                        return comm_.coll_isend_bytes(send_, n_, lead, tag(0));
-                    });
-                    step_recv(lead, tag(1), [&] {
-                        return comm_.coll_irecv_bytes(recv_at(base), block,
-                                                      lead, tag(1));
-                    });
-                }
+    const int lead = t.leader_of(r);
+    if (r == root) {
+        if (t.is_leader(r)) s.copy(block(r), send, n);
+        Phase& p = s.phase();
+        for (int b = 0; b < t.node_count; ++b) {
+            const Count len = static_cast<Count>(t.node_size(b)) * n;
+            if (b != t.node_of(r)) {
+                // One aggregated block per remote node, from its leader.
+                p.recv(t.node_begin(b), 1, block(t.node_begin(b)), len);
+            } else if (t.is_leader(r)) {
+                // Root doubles as its node's leader: members deliver
+                // straight into the final buffer.
+                for (int m = t.node_begin(b) + 1; m < t.node_end(b); ++m)
+                    p.recv(m, 0, block(m), n);
+            } else {
+                // Root is a plain member of its node: contribute through
+                // the leader and take the whole node block back from it.
+                p.send(lead, 0, send, n);
+                p.recv(lead, 1, block(t.node_begin(b)), len);
             }
-            return;
         }
-        if (topo_.is_leader(r)) {
-            const int b = topo_.node_of(r);
-            stage_.resize(
-                static_cast<std::size_t>(topo_.node_size(b)) *
-                static_cast<std::size_t>(n_));
-            for (int m = topo_.node_begin(b); m < topo_.node_end(b); ++m) {
-                const Count off =
-                    static_cast<Count>(m - topo_.node_begin(b)) * n_;
-                if (m == r) {
-                    copy_block(stage_.data() + off, send_, n_);
-                } else {
-                    step_recv(m, tag(0), [&] {
-                        return comm_.coll_irecv_bytes(stage_.data() + off, n_,
-                                                      m, tag(0));
-                    });
-                }
-            }
-            return;
-        }
-        step_send(lead, tag(0), [&] {
-            return comm_.coll_isend_bytes(send_, n_, lead, tag(0));
-        });
+        return;
     }
-
-    const void* send_;
-    void* recv_;
-    const Count n_;
-    const int root_;
-    const Algo algo_;
-    std::vector<std::byte> stage_; // leader aggregation buffer
-    int phase_ = 0;
-};
+    if (!t.is_leader(r)) {
+        s.phase().send(lead, 0, send, n);
+        return;
+    }
+    // Leader: stage the node block, then forward it once every member
+    // contribution arrived.
+    const int b = t.node_of(r);
+    const Count len = static_cast<Count>(t.node_size(b)) * n;
+    std::byte* stage = s.alloc(len);
+    s.copy(stage, send, n);
+    {
+        Phase& p = s.phase();
+        for (int m = t.node_begin(b) + 1; m < t.node_end(b); ++m)
+            p.recv(m, 0, stage + static_cast<Count>(m - t.node_begin(b)) * n,
+                   n);
+    }
+    s.phase().send(root, 1, stage, len);
+}
 
 // ---------------------------------------------------------------------------
 // Allreduce: binomial-tree reduce to a root + binomial broadcast back.
 // Flat runs the tree over all ranks (rooted at rank 0); hierarchical
 // reduces each node onto its leader, runs the same tree over leaders only
 // (the inter-node plane carries node_count instead of size messages per
-// sweep), then scatters the result inside each node.
+// sweep), then scatters the result inside each node. Each received
+// partial result is folded in before the next phase posts.
+//
+// Subtags: flat reduce rounds k use k; leader rounds 8 + k; broadcast 40;
+// intra-node gather/scatter 48/49. log2(kMaxWorldSize) == 16 < 24 keeps
+// the planes disjoint.
+constexpr std::uint32_t kLeaderRoundBase = 8;
+constexpr std::uint32_t kBcastTag = 40;
+constexpr std::uint32_t kNodeGatherTag = 48;
+constexpr std::uint32_t kNodeScatterTag = 49;
+
+template <typename T, ReduceOp Op>
+void fold(void* dst, const void* src, Count n) {
+    T* d = static_cast<T*>(dst);
+    const T* v = static_cast<const T*>(src);
+    for (Count i = 0; i < n; ++i) {
+        if constexpr (Op == ReduceOp::sum) d[i] += v[i];
+        if constexpr (Op == ReduceOp::min) d[i] = std::min(d[i], v[i]);
+        if constexpr (Op == ReduceOp::max) d[i] = std::max(d[i], v[i]);
+    }
+}
+
 template <typename T>
-class AllreduceOp final : public CollOp {
-public:
-    // Reduce-tree subtags: flat rounds k use tag(k); leader rounds
-    // tag(8 + k); broadcast tag(40); intra-node gather/scatter tags
-    // 48/49. log2(kMaxWorldSize) == 16 < 24 keeps the planes disjoint.
-    static constexpr std::uint32_t kLeaderRoundBase = 8;
-    static constexpr std::uint32_t kBcastTag = 40;
-    static constexpr std::uint32_t kNodeGatherTag = 48;
-    static constexpr std::uint32_t kNodeScatterTag = 49;
+auto fold_fn(ReduceOp op) {
+    switch (op) {
+        case ReduceOp::sum: return fold<T, ReduceOp::sum>;
+        case ReduceOp::min: return fold<T, ReduceOp::min>;
+        case ReduceOp::max: break;
+    }
+    return fold<T, ReduceOp::max>;
+}
 
-    AllreduceOp(Communicator& comm, T* data, Count count, ReduceOp op)
-        : CollOp(comm, Fam::allreduce),
-          data_(data),
-          count_(count),
-          op_(op),
-          algo_(select_algo(topo_)) {
-        note_algo(algo_);
-        if (algo_ == Algo::hier) {
-            mode_ = topo_.is_leader(topo_.rank) ? Mode::node_gather
-                                                : Mode::node_send;
-        } else {
-            mode_ = Mode::reduce;
+template <typename T>
+void allreduce_phases(Schedule& s, T* data, Count count, ReduceOp op) {
+    s.algo = select_algo(s.topo);
+    // Zero elements: complete locally on every rank (count is uniform,
+    // so no rank posts a message and no zero-byte wire traffic flows).
+    if (count == 0) return;
+    const TopologyMap& t = s.topo;
+    const bool hier = s.algo == Algo::hier;
+    const Count bytes = count * static_cast<Count>(sizeof(T));
+    const auto combine = fold_fn<T>(op);
+    const int r = t.rank;
+    const int b = t.node_of(r);
+    if (hier && !t.is_leader(r)) {
+        // Member: hand the local vector to the leader, wait for the result.
+        s.phase().send(t.leader_of(r), kNodeGatherTag, data, bytes);
+        s.phase().recv(t.leader_of(r), kNodeScatterTag, data, bytes);
+        return;
+    }
+    const int members = hier ? t.node_size(b) - 1 : 0;
+    if (members > 0) {
+        // Leader: collect the member vectors.
+        T* in = s.alloc<T>(members * count);
+        Phase& p = s.phase();
+        for (int i = 0; i < members; ++i) {
+            p.recv(t.node_begin(b) + 1 + i, kNodeGatherTag, in + i * count,
+                   bytes);
+            s.local(combine, data, in + i * count, count);
         }
     }
-
-private:
-    enum class Mode {
-        node_send,    // member: hand the local vector to the leader
-        node_gather,  // leader: collect member vectors
-        reduce,       // binomial reduce rounds (all ranks or leaders only)
-        bcast_recv,   // wait for the reduced result
-        bcast_send,   // forward the result down the binomial tree
-        node_scatter, // leader: push the result to node members
-        node_result,  // member: wait for the result
-        finished,
-    };
-
-    void combine(T* dst, const T* src) const noexcept {
-        for (Count i = 0; i < count_; ++i) {
-            switch (op_) {
-                case ReduceOp::sum: dst[i] += src[i]; break;
-                case ReduceOp::min: dst[i] = std::min(dst[i], src[i]); break;
-                case ReduceOp::max: dst[i] = std::max(dst[i], src[i]); break;
-            }
-        }
-    }
-
-    [[nodiscard]] Count bytes() const noexcept {
-        return count_ * static_cast<Count>(sizeof(T));
-    }
-
     // The rank's position and world inside the reduce/bcast tree: all
     // ranks in flat mode, the leader-index space in hier mode.
-    [[nodiscard]] int tree_rank() const noexcept {
-        return algo_ == Algo::hier ? topo_.node_of(topo_.rank) : topo_.rank;
-    }
-    [[nodiscard]] int tree_size() const noexcept {
-        return algo_ == Algo::hier ? topo_.node_count : topo_.size;
-    }
-    [[nodiscard]] int tree_peer_rank(int tr) const noexcept {
-        return algo_ == Algo::hier ? topo_.node_begin(tr) : tr;
-    }
-    [[nodiscard]] std::uint32_t round_tag(int k) const noexcept {
-        return tag((algo_ == Algo::hier ? kLeaderRoundBase : 0) +
-                   static_cast<std::uint32_t>(k));
-    }
-
-    void track_tree_send(int tr, std::uint32_t ctag) {
-        const int peer = tree_peer_rank(tr);
-        if (algo_ == Algo::hier && topo_.cross_node(topo_.rank, peer))
-            coll_counters().leader_bytes.fetch_add(
-                static_cast<std::uint64_t>(bytes()), std::memory_order_relaxed);
-        step_send(peer, ctag, [&] {
-            return comm_.coll_isend_bytes(data_, bytes(), peer, ctag);
-        });
-    }
-
-    void next_phase() override {
-        // Zero elements: complete locally on every rank (count is uniform,
-        // so no rank posts a message and no zero-byte wire traffic flows).
-        if (count_ == 0) {
-            finish();
-            return;
+    const int tr = hier ? b : r;
+    const int tn = hier ? t.node_count : t.size;
+    const auto rank_of = [&](int x) { return hier ? t.node_begin(x) : x; };
+    T* partner = nullptr;
+    int parent = -1;
+    for (int k = 0; k < log2_rounds(tn) && parent < 0; ++k) {
+        const int bit = 1 << k;
+        const auto sub =
+            (hier ? kLeaderRoundBase : 0) + static_cast<std::uint32_t>(k);
+        if ((tr & bit) != 0) {
+            // Lower bits are zero (we would have left the reduction in an
+            // earlier round otherwise): hand the partial result up to the
+            // binomial parent and wait for the broadcast from it.
+            parent = tr - bit;
+            s.phase().send(rank_of(parent), sub, data, bytes);
+        } else if (tr + bit < tn) {
+            if (partner == nullptr) partner = s.alloc<T>(count);
+            s.phase().recv(rank_of(tr + bit), sub, partner, bytes);
+            s.local(combine, data, partner, count);
         }
-        switch (mode_) {
-            case Mode::node_send: {
-                // Member: contribute, then wait for the reduced result.
-                const int lead = topo_.leader_of(topo_.rank);
-                step_send(lead, tag(kNodeGatherTag), [&] {
-                    return comm_.coll_isend_bytes(data_, bytes(), lead,
-                                                  tag(kNodeGatherTag));
-                });
-                mode_ = Mode::node_result;
-                return;
-            }
-            case Mode::node_result: {
-                const int lead = topo_.leader_of(topo_.rank);
-                step_recv(lead, tag(kNodeScatterTag), [&] {
-                    return comm_.coll_irecv_bytes(data_, bytes(), lead,
-                                                  tag(kNodeScatterTag));
-                });
-                mode_ = Mode::finished;
-                return;
-            }
-            case Mode::node_gather: {
-                const int b = topo_.node_of(topo_.rank);
-                const int members = topo_.node_size(b) - 1;
-                if (members > 0) {
-                    node_tmp_.resize(static_cast<std::size_t>(members) *
-                                     static_cast<std::size_t>(count_));
-                    Count off = 0;
-                    for (int m = topo_.node_begin(b); m < topo_.node_end(b);
-                         ++m) {
-                        if (m == topo_.rank) continue;
-                        T* dst = node_tmp_.data() + off;
-                        step_recv(m, tag(kNodeGatherTag), [&] {
-                            return comm_.coll_irecv_bytes(
-                                dst, bytes(), m, tag(kNodeGatherTag));
-                        });
-                        off += count_;
-                    }
-                }
-                mode_ = Mode::reduce;
-                if (members > 0) return;
-                [[fallthrough]];
-            }
-            case Mode::reduce: {
-                if (!node_tmp_.empty()) {
-                    // Member contributions just drained: fold them in.
-                    for (std::size_t i = 0; i < node_tmp_.size();
-                         i += static_cast<std::size_t>(count_))
-                        combine(data_, node_tmp_.data() + i);
-                    node_tmp_.clear();
-                }
-                if (combine_pending_) {
-                    combine(data_, tmp_.data());
-                    combine_pending_ = false;
-                }
-                const int tr = tree_rank();
-                const int tn = tree_size();
-                const int rounds = log2_rounds(tn);
-                while (round_ < rounds) {
-                    const int k = round_++;
-                    const int bit = 1 << k;
-                    if ((tr & bit) != 0) {
-                        // Lower bits are zero (we would have left the
-                        // reduction in an earlier round otherwise): hand the
-                        // partial result up and switch to waiting for the
-                        // broadcast.
-                        track_tree_send(tr - bit, round_tag(k));
-                        mode_ = Mode::bcast_recv;
-                        return;
-                    }
-                    if (tr + bit < tn) {
-                        tmp_.resize(static_cast<std::size_t>(count_));
-                        const int peer = tree_peer_rank(tr + bit);
-                        step_recv(peer, round_tag(k), [&] {
-                            return comm_.coll_irecv_bytes(tmp_.data(), bytes(),
-                                                          peer, round_tag(k));
-                        });
-                        combine_pending_ = true;
-                        return;
-                    }
-                    // No partner this round (ragged world); keep going.
-                }
-                // Tree root: the reduction is complete, broadcast it back.
-                mode_ = Mode::bcast_send;
-                [[fallthrough]];
-            }
-            case Mode::bcast_recv:
-            case Mode::bcast_send: {
-                const int tr = tree_rank();
-                if (mode_ == Mode::bcast_recv && !bcast_received_) {
-                    bcast_received_ = true;
-                    const int peer = tree_peer_rank(bin_parent(tr));
-                    step_recv(peer, tag(kBcastTag), [&] {
-                        return comm_.coll_irecv_bytes(data_, bytes(), peer,
-                                                      tag(kBcastTag));
-                    });
-                    return;
-                }
-                for (const int kid : bin_children(tr, tree_size()))
-                    track_tree_send(kid, tag(kBcastTag));
-                mode_ = algo_ == Algo::hier ? Mode::node_scatter : Mode::finished;
-                if (!done_sending_check_())
-                    return;
-                [[fallthrough]];
-            }
-            case Mode::node_scatter: {
-                if (mode_ == Mode::node_scatter) {
-                    const int b = topo_.node_of(topo_.rank);
-                    for (int m = topo_.node_begin(b); m < topo_.node_end(b);
-                         ++m) {
-                        if (m == topo_.rank) continue;
-                        step_send(m, tag(kNodeScatterTag), [&] {
-                            return comm_.coll_isend_bytes(
-                                data_, bytes(), m, tag(kNodeScatterTag));
-                        });
-                    }
-                    mode_ = Mode::finished;
-                    if (topo_.node_size(b) > 1) return;
-                }
-                [[fallthrough]];
-            }
-            case Mode::finished: finish(); return;
-        }
+        // else: no partner this round (ragged world); keep going.
     }
-
-    // True when the bcast_send phase posted nothing (leaf rank) and the
-    // fallthrough into the next stage should happen immediately.
-    [[nodiscard]] bool done_sending_check_() const noexcept {
-        return bin_children(tree_rank(), tree_size()).empty();
+    if (parent >= 0) s.phase().recv(rank_of(parent), kBcastTag, data, bytes);
+    const std::vector<int> kids = bin_children(tr, tn);
+    if (!kids.empty()) {
+        Phase& p = s.phase();
+        for (const int kid : kids) p.send(rank_of(kid), kBcastTag, data, bytes);
     }
+    if (members > 0) {
+        Phase& p = s.phase();
+        for (int m = t.node_begin(b) + 1; m < t.node_end(b); ++m)
+            p.send(m, kNodeScatterTag, data, bytes);
+    }
+}
 
-    T* data_;
-    const Count count_;
-    const ReduceOp op_;
-    const Algo algo_;
-    Mode mode_;
-    int round_ = 0;
-    bool combine_pending_ = false;
-    bool bcast_received_ = false;
-    std::vector<T> tmp_;      // pairwise reduce partner buffer
-    std::vector<T> node_tmp_; // leader: member contributions
-};
+template <typename T>
+CollRequest iallreduce_of(Communicator& comm, T* data, Count count,
+                          ReduceOp op) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (count < 0 || (count > 0 && data == nullptr))
+        return error_request(Status::err_arg);
+    Schedule s(comm, Fam::allreduce);
+    allreduce_phases(s, data, count, op);
+    return launch(comm, std::move(s));
+}
 
 Status validate_root(const Communicator& comm, int root) {
     if (!ok(comm.status())) return comm.status();
@@ -550,11 +287,13 @@ Status validate_root(const Communicator& comm, int root) {
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Factories
+// Entry points
 
 CollRequest ibarrier(Communicator& comm) {
     if (!ok(comm.status())) return error_request(comm.status());
-    return launch(comm, std::make_shared<BarrierOp>(comm));
+    Schedule s(comm, Fam::barrier);
+    barrier_phases(s);
+    return launch(comm, std::move(s));
 }
 
 CollRequest ibcast_bytes(Communicator& comm, void* buf, Count n, int root) {
@@ -563,14 +302,12 @@ CollRequest ibcast_bytes(Communicator& comm, void* buf, Count n, int root) {
     if (n < 0 || (n > 0 && buf == nullptr)) return error_request(Status::err_arg);
     // Zero bytes: immediately complete on every rank (n is uniform).
     if (n == 0) return error_request(Status::success);
-    return launch(comm, std::make_shared<BcastOp>(
-                            comm, root, n,
-                            [&comm, buf, n](int peer, std::uint32_t ctag) {
-                                return comm.coll_isend_bytes(buf, n, peer, ctag);
-                            },
-                            [&comm, buf, n](int peer, std::uint32_t ctag) {
-                                return comm.coll_irecv_bytes(buf, n, peer, ctag);
-                            }));
+    Schedule s(comm, Fam::bcast);
+    bcast_phases(s, root, [&](Phase& p, bool is_send, int peer) {
+        if (is_send) p.send(peer, 0, buf, n);
+        else p.recv(peer, 0, buf, n);
+    });
+    return launch(comm, std::move(s));
 }
 
 CollRequest ibcast(Communicator& comm, void* buf, Count count,
@@ -579,15 +316,11 @@ CollRequest ibcast(Communicator& comm, void* buf, Count count,
         return error_request(st);
     if (type == nullptr || count < 0) return error_request(Status::err_arg);
     if (!type->committed()) return error_request(Status::err_not_committed);
-    const Count hint = type->size() * count;
-    return launch(comm, std::make_shared<BcastOp>(
-                            comm, root, hint,
-                            [&comm, buf, count, type](int peer, std::uint32_t ctag) {
-                                return comm.coll_isend(buf, count, type, peer, ctag);
-                            },
-                            [&comm, buf, count, type](int peer, std::uint32_t ctag) {
-                                return comm.coll_irecv(buf, count, type, peer, ctag);
-                            }));
+    Schedule s(comm, Fam::bcast);
+    bcast_phases(s, root, [&](Phase& p, bool is_send, int peer) {
+        p.typed(is_send, peer, 0, buf, count, type);
+    });
+    return launch(comm, std::move(s));
 }
 
 CollRequest ibcast_custom(Communicator& comm, void* buf, Count count,
@@ -595,20 +328,11 @@ CollRequest ibcast_custom(Communicator& comm, void* buf, Count count,
     if (const Status st = validate_root(comm, root); !ok(st))
         return error_request(st);
     if (count < 0) return error_request(Status::err_arg);
-    // The packed size is not knowable here without running the sender's
-    // query callback; hier accounting uses 0 (the ablation benches measure
-    // byte-payload collectives).
-    return launch(comm,
-                  std::make_shared<BcastOp>(
-                      comm, root, 0,
-                      [&comm, buf, count, &type](int peer, std::uint32_t ctag) {
-                          return comm.coll_isend_custom(buf, count, type, peer,
-                                                        ctag);
-                      },
-                      [&comm, buf, count, &type](int peer, std::uint32_t ctag) {
-                          return comm.coll_irecv_custom(buf, count, type, peer,
-                                                        ctag);
-                      }));
+    Schedule s(comm, Fam::bcast);
+    bcast_phases(s, root, [&](Phase& p, bool is_send, int peer) {
+        p.custom(is_send, peer, 0, buf, count, type);
+    });
+    return launch(comm, std::move(s));
 }
 
 CollRequest igather_bytes(Communicator& comm, const void* send, Count n,
@@ -618,24 +342,19 @@ CollRequest igather_bytes(Communicator& comm, const void* send, Count n,
     if (n < 0 || (n > 0 && send == nullptr)) return error_request(Status::err_arg);
     if (comm.rank() == root && n > 0 && recv == nullptr)
         return error_request(Status::err_arg);
-    return launch(comm, std::make_shared<GatherBytesOp>(comm, send, n, recv, root));
+    Schedule s(comm, Fam::gather);
+    gather_phases(s, send, n, recv, root);
+    return launch(comm, std::move(s));
 }
 
 CollRequest iallreduce(Communicator& comm, double* data, Count count,
                        ReduceOp op) {
-    if (!ok(comm.status())) return error_request(comm.status());
-    if (count < 0 || (count > 0 && data == nullptr))
-        return error_request(Status::err_arg);
-    return launch(comm, std::make_shared<AllreduceOp<double>>(comm, data, count, op));
+    return iallreduce_of(comm, data, count, op);
 }
 
 CollRequest iallreduce(Communicator& comm, std::int64_t* data, Count count,
                        ReduceOp op) {
-    if (!ok(comm.status())) return error_request(comm.status());
-    if (count < 0 || (count > 0 && data == nullptr))
-        return error_request(Status::err_arg);
-    return launch(comm,
-                  std::make_shared<AllreduceOp<std::int64_t>>(comm, data, count, op));
+    return iallreduce_of(comm, data, count, op);
 }
 
 } // namespace mpicd::p2p::coll

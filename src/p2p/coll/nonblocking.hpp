@@ -1,9 +1,10 @@
 // Nonblocking collectives over the reserved collective tag plane.
 //
-// Each call starts a CollOp state machine (see coll/request.hpp) and
-// returns immediately; the returned CollRequest completes as the op's
-// rounds drain, driven from the owning worker's progress hook — so these
-// overlap with point-to-point traffic and with each other. Algorithms:
+// Each call builds its algorithm's schedule (coll/schedule.hpp), hands
+// it to the CollOp executor (coll/request.hpp) and returns immediately;
+// the returned CollRequest completes as the op's rounds drain, driven
+// from the owning worker's progress hook — so these overlap with
+// point-to-point traffic and with each other. Algorithms:
 //   ibarrier        dissemination (always flat: the payload is one token
 //                   byte, there is nothing for a leader to aggregate)
 //   ibcast*         binomial tree; hierarchical: root -> node leaders
@@ -14,9 +15,9 @@
 //                   hierarchical: intra-node reduce to leaders, the same
 //                   binomial reduce+broadcast among leaders, intra-node
 //                   result scatter
-// Algorithm selection is per operation via coll::select_algo (auto: hier
-// exactly when the fabric topology is two-level; MPICD_COLL_ALGO or
-// set_algo_override force it).
+// Algorithm selection is per operation via coll::select_algo: hier
+// exactly when the fabric topology is two-level, unless bench or test
+// code forces one with set_algo_override.
 //
 // Buffer lifetime follows the MPI nonblocking contract: every buffer
 // passed here must stay valid (and, for send buffers, unmodified) until

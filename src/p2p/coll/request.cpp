@@ -3,15 +3,116 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "base/flight_recorder.hpp"
 #include "base/log.hpp"
+#include "base/trace.hpp"
 #include "p2p/universe.hpp"
 
 namespace mpicd::p2p::coll {
 
+class CollOp {
+public:
+    CollOp(Communicator& comm, Schedule sched);
+    ~CollOp();
+    CollOp(const CollOp&) = delete;
+    CollOp& operator=(const CollOp&) = delete;
+
+    // Poll posted steps; run the next round(s) once the current phase
+    // drained. Returns true if anything moved. Thread-safe; never drives
+    // fabric progress.
+    bool advance();
+
+    [[nodiscard]] bool done() const noexcept {
+        return done_.load(std::memory_order_acquire);
+    }
+    // First error any posted step completed with (success while running).
+    // Stable once done() is true.
+    [[nodiscard]] Status status() const noexcept {
+        return status_.load(std::memory_order_acquire);
+    }
+
+    // Called by CollRequest::wait after a long streak of globally idle
+    // progress calls: advances this rank's virtual clock so the loss
+    // watchdog (armed only under an active fault injector) can fire even
+    // when the whole fabric is quiescent — e.g. every peer's retransmit
+    // budget is already exhausted and no timer remains to escalate to.
+    void on_stall();
+
+private:
+    // Contiguous collective-tag block reserved per operation; step
+    // subtags index into it (sub < kCollTagStride always, with room to
+    // spare — the deepest schedule uses ~2*log2(kMaxWorldSize) rounds).
+    static constexpr std::uint32_t kCollTagStride = 64;
+
+    // Post one step. With tracing on the post runs inside a fresh MsgScope
+    // and a coll.step_send/step_recv instant records (op, rank, peer, sub)
+    // next to the new msg id — that instant is the join point attaching
+    // the message's span tree to this op's round. Msg ids are opaque to
+    // the transport (never touch CRC, timing or the fragment schedule), so
+    // tracing stays a pure observer.
+    void post(const Step& st);
+    void track_step(Request rq, int peer, bool is_send);
+    // Emit the coll.round instant and run the next phase, or the
+    // completion round after the last one (under mu_).
+    void enter_round();
+    // Metrics + coll.op_end at the done transition (under mu_).
+    void complete_locked();
+    // One line of op state + per-peer progress; mu_ must be held (or
+    // known-unlocked via try_lock by the flight dump path).
+    void dump_state(std::FILE* f);
+    // Flight-recorder dump of every live op; `self` is the op whose mutex
+    // the triggering thread already holds (dumped without locking), all
+    // others are try_lock'ed and print "<busy>" when contended.
+    static void dump_all(std::FILE* f, CollOp* self);
+
+    Communicator& comm_;
+    const Schedule sched_;
+    const std::uint32_t base_tag_;
+    const std::uint64_t op_id_;
+    const SimTime begin_vtime_;
+    std::mutex mu_;
+    std::size_t phases_run_ = 0;
+    std::vector<Request> pending_;   // posted, not yet completed
+    std::vector<int> pending_peer_;  // peer of pending_[i]
+    // Per-peer post/completion counts for the flight-recorder table: when
+    // a collective times out, "peer 7: 2 posted, 0 completed" is the
+    // straggler attribution a raw pending count cannot give.
+    struct PeerProgress {
+        int peer = -1;
+        std::uint32_t sends = 0;
+        std::uint32_t recvs = 0;
+        std::uint32_t completed = 0;
+    };
+    std::vector<PeerProgress> peers_;
+    std::uint32_t rounds_run_ = 0;
+    bool started_ = false;
+    bool finishing_ = false;
+    std::atomic<Status> status_{Status::success};
+    std::atomic<bool> done_{false};
+    // Loss watchdog (fault-injected fabrics only; 0 = disarmed). The
+    // point-to-point reliability watchdogs cover a receive only once its
+    // rendezvous started; a collective waiting on a peer that already gave
+    // up (retransmit budget exhausted) would otherwise wait forever on an
+    // eager receive no sender will ever satisfy. If no posted step
+    // completes for `watchdog_us_` of virtual time, the op fails with
+    // Status::timeout and ABANDONS its posted requests — safe because the
+    // op's reserved tag block is never reused (the epoch counter only
+    // moves forward), so an abandoned receive can never match later
+    // traffic.
+    SimTime watchdog_us_ = 0.0;
+    SimTime last_move_vtime_ = 0.0;
+};
+
 namespace {
+
+void run_locals(const std::vector<Local>& locals) {
+    for (const Local& l : locals) l.fn(l.dst, l.src, l.n);
+}
 
 // Live-op registry backing the flight-recorder "coll.ops" source: when a
 // transport failure (or a collective watchdog) triggers a dump, the table
@@ -36,10 +137,9 @@ std::atomic<std::uint64_t> g_coll_source_token{0};
 
 } // namespace
 
-CollOp::CollOp(Communicator& comm, Fam fam)
+CollOp::CollOp(Communicator& comm, Schedule sched)
     : comm_(comm),
-      topo_(TopologyMap::create(comm)),
-      fam_(fam),
+      sched_(std::move(sched)),
       base_tag_(comm.coll_reserve_tags(kCollTagStride)),
       op_id_((static_cast<std::uint64_t>(comm.context()) << 32) | base_tag_),
       begin_vtime_(comm.now()) {
@@ -82,10 +182,34 @@ CollOp::~CollOp() {
     ops.erase(std::remove(ops.begin(), ops.end(), this), ops.end());
 }
 
+void CollOp::post(const Step& st) {
+    const std::uint32_t ctag = base_tag_ + st.sub;
+    // Hierarchical algorithms account the payload they push across the
+    // inter-node plane.
+    if (st.send && sched_.algo == Algo::hier &&
+        sched_.topo.cross_node(sched_.topo.rank, st.peer))
+        coll_counters().leader_bytes.fetch_add(
+            static_cast<std::uint64_t>(st.len), std::memory_order_relaxed);
+    const auto post_now = [&] {
+        if (st.post) return st.post(comm_, st.peer, ctag);
+        return st.send ? comm_.coll_isend_bytes(st.buf, st.len, st.peer, ctag)
+                       : comm_.coll_irecv_bytes(st.buf, st.len, st.peer, ctag);
+    };
+    if (!trace::enabled()) {
+        track_step(post_now(), st.peer, st.send);
+        return;
+    }
+    const trace::MsgScope scope(trace::next_msg_id());
+    trace::instant("coll", st.send ? "step_send" : "step_recv", comm_.now(),
+                   "op", op_id_, "rank",
+                   static_cast<std::uint64_t>(sched_.topo.rank), "peer",
+                   static_cast<std::uint64_t>(st.peer), "sub", st.sub);
+    track_step(post_now(), st.peer, st.send);
+}
+
 void CollOp::track_step(Request rq, int peer, bool is_send) {
     pending_.push_back(std::move(rq));
     pending_peer_.push_back(peer);
-    if (peer < 0) return;
     for (PeerProgress& p : peers_) {
         if (p.peer == peer) {
             (is_send ? p.sends : p.recvs) += 1;
@@ -98,26 +222,33 @@ void CollOp::track_step(Request rq, int peer, bool is_send) {
     peers_.push_back(p);
 }
 
-void CollOp::enter_phase() {
+void CollOp::enter_round() {
     if (trace::enabled()) {
         trace::instant("coll", "round", comm_.now(), "op", op_id_, "rank",
-                       static_cast<std::uint64_t>(topo_.rank), "round",
+                       static_cast<std::uint64_t>(sched_.topo.rank), "round",
                        rounds_run_);
     }
     ++rounds_run_;
-    next_phase();
+    if (phases_run_ == sched_.phases.size()) {
+        run_locals(sched_.queued);
+        finishing_ = true;
+        return;
+    }
+    const Phase& p = sched_.phases[phases_run_++];
+    run_locals(p.local);
+    for (const Step& st : p.steps) post(st);
 }
 
 void CollOp::complete_locked() {
     const SimTime now = comm_.now();
-    auto& h = op_hists(fam_, algo_);
+    auto& h = op_hists(sched_.fam, sched_.algo);
     const double lat_ns = (now - begin_vtime_) * 1000.0;
     h.latency_ns.record(lat_ns > 0.0 ? static_cast<std::uint64_t>(lat_ns) : 0);
     h.rounds.record(rounds_run_);
     if (trace::enabled()) {
         trace::instant(
             "coll", "op_end", now, "op", op_id_, "rank",
-            static_cast<std::uint64_t>(topo_.rank), "status",
+            static_cast<std::uint64_t>(sched_.topo.rank), "status",
             static_cast<std::uint64_t>(status_.load(std::memory_order_relaxed)),
             "rounds", rounds_run_);
     }
@@ -132,24 +263,21 @@ bool CollOp::advance() {
         moved = true;
         if (trace::enabled()) {
             trace::instant("coll", "op_begin", begin_vtime_, "op", op_id_,
-                           "rank", static_cast<std::uint64_t>(topo_.rank),
-                           "fam", static_cast<std::uint64_t>(fam_), "algo",
-                           algo_ == Algo::hier ? 1 : 0);
+                           "rank", static_cast<std::uint64_t>(sched_.topo.rank),
+                           "fam", static_cast<std::uint64_t>(sched_.fam),
+                           "algo", sched_.algo == Algo::hier ? 1 : 0);
         }
-        enter_phase();
+        enter_round();
     }
     for (std::size_t i = 0; i < pending_.size();) {
         MsgStatus st;
         if (pending_[i].poll(&st)) {
             if (!ok(st.status) && ok(status_.load(std::memory_order_relaxed)))
                 status_.store(st.status, std::memory_order_relaxed);
-            const int peer = pending_peer_[i];
-            if (peer >= 0) {
-                for (PeerProgress& p : peers_) {
-                    if (p.peer == peer) {
-                        ++p.completed;
-                        break;
-                    }
+            for (PeerProgress& p : peers_) {
+                if (p.peer == pending_peer_[i]) {
+                    ++p.completed;
+                    break;
                 }
             }
             pending_[i] = std::move(pending_.back());
@@ -161,14 +289,15 @@ bool CollOp::advance() {
             ++i;
         }
     }
-    // Enter the next phase(s). On error no further phase is posted: the op
+    // Run the next round(s); a phase that posts nothing is followed by the
+    // next round at once. On error no further phase is posted: the op
     // finishes as soon as the already-posted requests drain (each of them
     // individually completes or times out under the reliability watchdogs,
     // so an erroring collective can never hang).
     while (pending_.empty() && !finishing_ &&
            ok(status_.load(std::memory_order_relaxed))) {
         moved = true;
-        enter_phase();
+        enter_round();
     }
     if (watchdog_us_ > 0.0 && !pending_.empty()) {
         const SimTime now = comm_.now();
@@ -212,8 +341,8 @@ void CollOp::dump_state(std::FILE* f) {
         f,
         "  op=%llx fam=%s algo=%s rank=%d rounds=%u pending=%zu status=%d "
         "done=%d begin_vt=%.3f last_move_vt=%.3f\n",
-        static_cast<unsigned long long>(op_id_), fam_name(fam_),
-        algo_name(algo_), topo_.rank, rounds_run_, pending_.size(),
+        static_cast<unsigned long long>(op_id_), fam_name(sched_.fam),
+        algo_name(sched_.algo), sched_.topo.rank, rounds_run_, pending_.size(),
         static_cast<int>(status_.load(std::memory_order_relaxed)),
         done_.load(std::memory_order_relaxed) ? 1 : 0, begin_vtime_,
         last_move_vtime_);
@@ -251,12 +380,13 @@ void CollOp::on_stall() {
     (void)advance();
 }
 
-CollRequest launch(Communicator& comm, std::shared_ptr<CollOp> op) {
+CollRequest launch(Communicator& comm, Schedule sched) {
+    auto op = std::make_shared<CollOp>(comm, std::move(sched));
     CollRequest rq;
     rq.uni_ = &comm.universe();
     rq.ep_ = comm.worker().endpoint();
     rq.op_ = op;
-    // Phase 0 posts synchronously: by the time this collective call
+    // Round 0 posts synchronously: by the time this collective call
     // returns, the rank's initial receives exist, so a peer entering later
     // can never mistake other traffic for them.
     (void)op->advance();

@@ -1,9 +1,14 @@
-// CollOp / CollRequest: the nonblocking collective machinery.
+// CollOp / CollRequest: the one collective engine.
 //
-// Every collective is a small state machine (a CollOp subclass) that posts
-// point-to-point operations on the communicator's reserved collective tag
-// plane (Communicator::coll_*) in phases. The machine is advanced from two
-// places:
+// Every collective entry point validates its arguments, selects its
+// algorithm and builds a Schedule (coll/schedule.hpp); launch() hands the
+// schedule to a CollOp, the single executor. Round k runs phase k: its
+// local actions, then its point-to-point steps on the communicator's
+// reserved collective tag plane (Communicator::coll_*). The next round
+// starts once every posted step completed. After the last phase one more
+// round, the completion round, runs the local actions still queued and
+// completes the op, so an op runs phases + 1 rounds. The executor is
+// advanced from two places:
 //  - a worker progress hook (ucx::Worker::add_progress_hook), so a
 //    collective keeps moving whenever this rank's endpoint is progressed —
 //    including when the rank is busy with unrelated p2p traffic, which is
@@ -11,7 +16,7 @@
 //  - CollRequest::test()/wait(), which also drive Universe::progress so a
 //    rank blocked only on the collective still pumps the fabric.
 //
-// advance() is serialized by the op's own mutex; inside it only
+// Advancing is serialized by the op's own mutex; inside it only
 // non-progressing completion polls (Request::poll) and new coll_* posts
 // happen, so it is safe in hook context (worker busy flag held, protocol
 // mutex released).
@@ -31,158 +36,14 @@
 // state table with per-peer round progress.
 #pragma once
 
-#include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
-#include "base/trace.hpp"
-#include "p2p/coll/topology.hpp"
-#include "p2p/communicator.hpp"
+#include "p2p/coll/schedule.hpp"
 
 namespace mpicd::p2p::coll {
 
-class CollOp {
-public:
-    CollOp(Communicator& comm, Fam fam);
-    virtual ~CollOp();
-    CollOp(const CollOp&) = delete;
-    CollOp& operator=(const CollOp&) = delete;
-
-    // Advance the state machine: poll tracked requests, enter the next
-    // phase(s) when the current one drained. Returns true if anything
-    // moved. Thread-safe; never drives fabric progress.
-    bool advance();
-
-    [[nodiscard]] bool done() const noexcept {
-        return done_.load(std::memory_order_acquire);
-    }
-    // First error any tracked request completed with (success while
-    // running). Stable once done() is true.
-    [[nodiscard]] Status status() const noexcept {
-        return status_.load(std::memory_order_acquire);
-    }
-
-    // Called by CollRequest::wait after a long streak of globally idle
-    // progress calls: advances this rank's virtual clock so the loss
-    // watchdog (armed only under an active fault injector) can fire even
-    // when the whole fabric is quiescent — e.g. every peer's retransmit
-    // budget is already exhausted and no timer remains to escalate to.
-    void on_stall();
-
-protected:
-    // Contiguous collective-tag block reserved per operation; phases and
-    // rounds index into it (subtag < kCollTagStride always, with room to
-    // spare — the deepest schedule uses ~2*log2(kMaxWorldSize) rounds).
-    static constexpr std::uint32_t kCollTagStride = 64;
-
-    // Post the operations of the next phase via the step helpers, or call
-    // finish(). Invoked under the op mutex whenever no tracked request
-    // remains; must do one or the other (posting nothing without finishing
-    // would spin). Not called again after finish() or after an error is
-    // recorded.
-    virtual void next_phase() = 0;
-
-    // Post one point-to-point step of this op. `post` runs the actual
-    // comm_.coll_* call; `peer` / `ctag` name the step for tracing and
-    // the flight-recorder progress table. With tracing on the post runs
-    // inside a fresh MsgScope and a coll.step_send/step_recv instant
-    // records (op, rank, peer, sub) next to the new msg id — that instant
-    // is the join point attaching the message's span tree to this op's
-    // round. Msg ids are opaque to the transport (never touch CRC, timing
-    // or the fragment schedule), so tracing stays a pure observer.
-    template <typename PostFn>
-    void step_send(int peer, std::uint32_t ctag, PostFn&& post) {
-        post_step(true, peer, ctag, static_cast<PostFn&&>(post));
-    }
-    template <typename PostFn>
-    void step_recv(int peer, std::uint32_t ctag, PostFn&& post) {
-        post_step(false, peer, ctag, static_cast<PostFn&&>(post));
-    }
-
-    // Untraced tracking (no peer attribution); prefer the step helpers.
-    void track(Request rq) { track_step(std::move(rq), -1, false); }
-
-    // Record the algorithm the subclass selected (selection runs in
-    // subclass ctors, after this base is built). Defaults to flat.
-    void note_algo(Algo a) noexcept { algo_ = a; }
-
-    void finish() noexcept { finishing_ = true; }
-    [[nodiscard]] std::uint32_t tag(std::uint32_t subtag) const noexcept {
-        return base_tag_ + subtag;
-    }
-    [[nodiscard]] std::uint64_t op_id() const noexcept { return op_id_; }
-
-    Communicator& comm_;
-    const TopologyMap topo_;
-
-private:
-    template <typename PostFn>
-    void post_step(bool is_send, int peer, std::uint32_t ctag, PostFn&& post) {
-        if (trace::enabled()) {
-            const trace::MsgScope scope(trace::next_msg_id());
-            trace::instant("coll", is_send ? "step_send" : "step_recv",
-                           comm_.now(), "op", op_id_, "rank",
-                           static_cast<std::uint64_t>(topo_.rank), "peer",
-                           static_cast<std::uint64_t>(peer), "sub",
-                           ctag - base_tag_);
-            track_step(post(), peer, is_send);
-        } else {
-            track_step(post(), peer, is_send);
-        }
-    }
-
-    void track_step(Request rq, int peer, bool is_send);
-    // Emit the coll.round instant and run the subclass phase (under mu_).
-    void enter_phase();
-    // Metrics + coll.op_end at the done transition (under mu_).
-    void complete_locked();
-    // One line of op state + per-peer progress; mu_ must be held (or
-    // known-unlocked via try_lock by the flight dump path).
-    void dump_state(std::FILE* f);
-    // Flight-recorder dump of every live op; `self` is the op whose mutex
-    // the triggering thread already holds (dumped without locking), all
-    // others are try_lock'ed and print "<busy>" when contended.
-    static void dump_all(std::FILE* f, CollOp* self);
-
-    const Fam fam_;
-    Algo algo_ = Algo::flat;
-    const std::uint32_t base_tag_;
-    const std::uint64_t op_id_;
-    const SimTime begin_vtime_;
-    std::mutex mu_;
-    std::vector<Request> pending_;   // posted, not yet completed
-    std::vector<int> pending_peer_;  // peer of pending_[i] (-1 = unknown)
-    // Per-peer post/completion counts for the flight-recorder table: when
-    // a collective times out, "peer 7: 2 posted, 0 completed" is the
-    // straggler attribution a raw pending count cannot give.
-    struct PeerProgress {
-        int peer = -1;
-        std::uint32_t sends = 0;
-        std::uint32_t recvs = 0;
-        std::uint32_t completed = 0;
-    };
-    std::vector<PeerProgress> peers_;
-    std::uint32_t rounds_run_ = 0;
-    bool started_ = false;
-    bool finishing_ = false;
-    std::atomic<Status> status_{Status::success};
-    std::atomic<bool> done_{false};
-    // Loss watchdog (fault-injected fabrics only; 0 = disarmed). The
-    // point-to-point reliability watchdogs cover a receive only once its
-    // rendezvous started; a collective waiting on a peer that already gave
-    // up (retransmit budget exhausted) would otherwise wait forever on an
-    // eager receive no sender will ever satisfy. If no tracked request
-    // completes for `watchdog_us_` of virtual time, the op fails with
-    // Status::timeout and ABANDONS its posted requests — safe because the
-    // op's reserved tag block is never reused (the epoch counter only
-    // moves forward), so an abandoned receive can never match later
-    // traffic.
-    SimTime watchdog_us_ = 0.0;
-    SimTime last_move_vtime_ = 0.0;
-};
+class CollOp; // the executor (request.cpp)
 
 // Handle to an in-flight collective. Copyable (shared state); composable:
 // hold several and wait in any order, or pass a batch to wait_all below.
@@ -202,7 +63,7 @@ public:
     Status wait();
 
 private:
-    friend CollRequest launch(Communicator& comm, std::shared_ptr<CollOp> op);
+    friend CollRequest launch(Communicator& comm, Schedule sched);
     friend CollRequest error_request(Status st);
 
     Universe* uni_ = nullptr;
@@ -214,10 +75,11 @@ private:
     Status early_error_ = Status::err_arg;
 };
 
-// Start `op`: run its first phase synchronously (so every rank's initial
-// receives/sends are posted on entry, preserving collective entry order)
-// and install a worker progress hook that keeps advancing it until done.
-[[nodiscard]] CollRequest launch(Communicator& comm, std::shared_ptr<CollOp> op);
+// Run `sched`: reserve the op's tag block, run round 0 synchronously (so
+// every rank's initial receives/sends are posted on entry, preserving
+// collective entry order) and install a worker progress hook that keeps
+// advancing the op until done.
+[[nodiscard]] CollRequest launch(Communicator& comm, Schedule sched);
 
 // An already-failed request carrying a local validation error.
 [[nodiscard]] CollRequest error_request(Status st);

@@ -1,11 +1,144 @@
-// Communication schedules shared by the collective algorithms: binomial
-// trees (bcast / reduce) and dissemination rounds (barrier). All helpers
-// work in a root-rotated virtual rank space so any rank can be the root.
+// Collective schedules: the data every collective is built from, plus the
+// tree helpers the schedule-building functions share.
+//
+// A collective entry point validates its arguments, selects its algorithm
+// and builds a Schedule up front: a list of phases, each an optional run
+// of local actions (copy, combine, scatter into displacements) followed
+// by the point-to-point steps to post. The one executor, CollOp
+// (coll/request.hpp), runs it one phase per round and then a completion
+// round. This is the schedule design of LibNBC (Hoefler, Lumsdaine, Rehm,
+// "Implementation and Performance Analysis of Non-Blocking Collective
+// Operations for MPI", SC'07).
+//
+// The tree helpers (binomial trees for bcast / reduce, dissemination
+// rounds for barrier) work in a root-rotated virtual rank space so any
+// rank can be the root.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "p2p/coll/topology.hpp"
+#include "p2p/communicator.hpp"
+
 namespace mpicd::p2p::coll {
+
+// One point-to-point step, posted on subtag `sub` of the op's reserved tag
+// block. Byte steps are plain data: the executor posts coll_isend_bytes /
+// coll_irecv_bytes on (buf, len). Derived and custom payloads carry a
+// poster instead, called with the step's peer and collective tag.
+struct Step {
+    using Poster =
+        std::function<Request(Communicator&, int peer, std::uint32_t ctag)>;
+    bool send = false;
+    int peer = -1;
+    std::uint32_t sub = 0;
+    void* buf = nullptr;
+    // Payload bytes; what a hierarchical algorithm accounts as leader
+    // bytes when the send crosses nodes (0 for custom payloads, whose
+    // packed size only the sender's query callback knows).
+    Count len = 0;
+    Poster post;
+};
+
+// A local action: fn(dst, src, n) copies n bytes or folds n elements of
+// src into dst. Plain data, so queuing one allocates no closure.
+struct Local {
+    void (*fn)(void* dst, const void* src, Count n) = nullptr;
+    void* dst = nullptr;
+    const void* src = nullptr;
+    Count n = 0;
+};
+
+struct Phase {
+    std::vector<Local> local; // run first, in order
+    std::vector<Step> steps;  // then posted, in order
+
+    void send(int peer, std::uint32_t sub, const void* p, Count n) {
+        steps.push_back({true, peer, sub, const_cast<void*>(p), n, {}});
+    }
+    void recv(int peer, std::uint32_t sub, void* p, Count n) {
+        steps.push_back({false, peer, sub, p, n, {}});
+    }
+    // `count` elements of a committed derived datatype at `buf`.
+    void typed(bool is_send, int peer, std::uint32_t sub, const void* buf,
+               Count count, const dt::TypeRef& type) {
+        void* p = const_cast<void*>(buf);
+        steps.push_back(
+            {is_send, peer, sub, nullptr, type->size() * count,
+             [is_send, p, count, type](Communicator& c, int to,
+                                       std::uint32_t ctag) {
+                 return is_send ? c.coll_isend(p, count, type, to, ctag)
+                                : c.coll_irecv(p, count, type, to, ctag);
+             }});
+    }
+    // `count` custom-datatype elements at `buf`; `type` must outlive the op.
+    void custom(bool is_send, int peer, std::uint32_t sub, const void* buf,
+                Count count, const core::CustomDatatype& type) {
+        void* p = const_cast<void*>(buf);
+        const core::CustomDatatype* t = &type;
+        steps.push_back(
+            {is_send, peer, sub, nullptr, 0,
+             [is_send, p, count, t](Communicator& c, int to, std::uint32_t ctag) {
+                 return is_send ? c.coll_isend_custom(p, count, *t, to, ctag)
+                                : c.coll_irecv_custom(p, count, *t, to, ctag);
+             }});
+    }
+};
+
+struct Schedule {
+    Schedule(Communicator& comm, Fam f)
+        : fam(f), topo(TopologyMap::create(comm)) {}
+
+    Fam fam;
+    Algo algo = Algo::flat;
+    TopologyMap topo;
+    std::vector<Phase> phases;
+    // Local actions queued since the last phase() call. The next phase
+    // runs them before posting; those still queued after the last phase
+    // (a final scatter into displacements) run in the completion round.
+    std::vector<Local> queued;
+    // Buffers the op owns: leader staging, reduction partners, tokens.
+    std::vector<std::unique_ptr<void, void (*)(void*)>> scratch;
+
+    // Start the next phase; it takes over the queued local actions. The
+    // reference is invalidated by the following phase() call.
+    Phase& phase() {
+        Phase& p = phases.emplace_back();
+        p.local.swap(queued);
+        return p;
+    }
+    void local(void (*fn)(void*, const void*, Count), void* dst,
+               const void* src, Count n) {
+        queued.push_back({fn, dst, src, n});
+    }
+    // Queue a copy of n bytes (nothing for n == 0: memcpy with an invalid
+    // pointer is undefined even for zero bytes).
+    void copy(void* dst, const void* src, Count n) {
+        if (n > 0) local(copy_bytes, dst, src, n);
+    }
+    // An op-owned buffer of n T's whose address never changes. It is left
+    // uninitialized: a receive or a local copy writes every byte before
+    // anything reads it, and zeroing a multi-MiB staging buffer before
+    // round 0 would delay the rank's first post.
+    template <typename T = std::byte>
+    [[nodiscard]] T* alloc(Count n) {
+        auto& b = scratch.emplace_back(
+            nullptr, [](void* p) { delete[] static_cast<T*>(p); });
+        T* p = new T[static_cast<std::size_t>(n)];
+        b.reset(p);
+        return p;
+    }
+
+private:
+    static void copy_bytes(void* dst, const void* src, Count n) {
+        std::memcpy(dst, src, static_cast<std::size_t>(n));
+    }
+};
 
 // ceil(log2(n)) — the number of dissemination / binomial rounds for n
 // participants (0 for n <= 1).

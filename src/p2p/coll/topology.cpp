@@ -4,8 +4,6 @@
 #include <mutex>
 #include <string>
 
-#include "base/config.hpp"
-#include "base/log.hpp"
 #include "base/metrics.hpp"
 #include "p2p/communicator.hpp"
 
@@ -28,24 +26,6 @@ namespace {
 // -1 = unset; otherwise static_cast<int>(Algo).
 std::atomic<int> g_algo_override{-1};
 
-enum class AlgoMode { automatic, flat, hier };
-
-AlgoMode algo_mode_from_env() {
-    const auto v = env_string("MPICD_COLL_ALGO");
-    if (!v || v->empty() || *v == "auto") return AlgoMode::automatic;
-    if (*v == "flat") return AlgoMode::flat;
-    if (*v == "hier") return AlgoMode::hier;
-    // Reached at most once (the result is cached below).
-    MPICD_LOG_WARN("MPICD_COLL_ALGO='" << *v
-                                       << "' is not auto/flat/hier; using auto");
-    return AlgoMode::automatic;
-}
-
-AlgoMode algo_mode() {
-    static const AlgoMode mode = algo_mode_from_env();
-    return mode;
-}
-
 } // namespace
 
 void set_algo_override(std::optional<Algo> algo) noexcept {
@@ -54,21 +34,11 @@ void set_algo_override(std::optional<Algo> algo) noexcept {
 }
 
 Algo select_algo(const TopologyMap& topo) {
-    Algo a = Algo::flat;
     const int ov = g_algo_override.load(std::memory_order_relaxed);
-    if (ov >= 0) {
-        a = static_cast<Algo>(ov);
-    } else {
-        switch (algo_mode()) {
-            case AlgoMode::flat: a = Algo::flat; break;
-            case AlgoMode::hier: a = Algo::hier; break;
-            case AlgoMode::automatic:
-                a = topo.two_level() ? Algo::hier : Algo::flat;
-                break;
-        }
-    }
-    // A forced hier on a single-node topology has no leaders to use.
-    if (a == Algo::hier && !topo.two_level()) a = Algo::flat;
+    Algo a = ov >= 0 ? static_cast<Algo>(ov) : Algo::hier;
+    // Auto and a forced hier both need leaders: a single-node topology
+    // has none to use.
+    if (!topo.two_level()) a = Algo::flat;
     auto& c = coll_counters();
     if (a == Algo::hier)
         c.hier_selected.fetch_add(1, std::memory_order_relaxed);

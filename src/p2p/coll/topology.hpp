@@ -73,14 +73,14 @@ struct TopologyMap {
 // bulk traffic through one leader per node.
 enum class Algo { flat, hier };
 
-// Pick the algorithm for a collective on `topo`: MPICD_COLL_ALGO
-// (flat | hier | auto, cached on first use) or a set_algo_override()
-// from bench/test code wins; `auto` selects hier exactly when the
-// topology is two-level. Increments the coll/flat_selected or
-// coll/hier_selected counter.
+// Pick the algorithm for a collective on `topo`: a set_algo_override()
+// from bench/test code wins; otherwise hier exactly when the topology is
+// two-level. Increments the coll/flat_selected or coll/hier_selected
+// counter.
 [[nodiscard]] Algo select_algo(const TopologyMap& topo);
 
-// Force an algorithm (or std::nullopt to return to env/auto selection).
+// Force an algorithm (or std::nullopt to return to auto selection), so a
+// bench or test can compare flat and hier on one topology.
 void set_algo_override(std::optional<Algo> algo) noexcept;
 
 // Collective operation family — the coarse identity carried by coll.*

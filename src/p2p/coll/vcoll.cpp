@@ -1,30 +1,20 @@
 #include "p2p/coll/vcoll.hpp"
 
-#include <cstring>
 #include <initializer_list>
 #include <vector>
-
-#include "base/trace.hpp"
 
 namespace mpicd::p2p::coll {
 
 namespace {
 
-// Every blocking v-collective reserves one tag block, mirroring the
-// nonblocking ops, so concurrent p2p traffic and later collectives can
-// never alias its rounds. Subtags: 0 = data / member->leader, 1 =
-// leader<->leader superblocks, 2 = leader->member result.
-constexpr std::uint32_t kStride = 64;
-
+[[nodiscard]] constexpr std::size_t ix(int i) noexcept {
+    return static_cast<std::size_t>(i);
+}
 [[nodiscard]] std::byte* at(void* base, Count off) noexcept {
     return static_cast<std::byte*>(base) + off;
 }
 [[nodiscard]] const std::byte* at(const void* base, Count off) noexcept {
     return static_cast<const std::byte*>(base) + off;
-}
-
-void copy_block(void* dst, const void* src, Count n) noexcept {
-    if (n > 0) std::memcpy(dst, src, static_cast<std::size_t>(n));
 }
 
 [[nodiscard]] bool spans_cover(const Communicator& comm,
@@ -34,94 +24,61 @@ void copy_block(void* dst, const void* src, Count n) noexcept {
     return true;
 }
 
-void note_op() { coll_counters().ops.fetch_add(1, std::memory_order_relaxed); }
-
-// The blocking v-collectives are not CollOps, but they speak the same
-// observability vocabulary (docs/OBSERVABILITY.md §collectives): the same
-// (context << 32 | tag block) op id, the same coll.op_begin / coll.round /
-// coll.step_send / coll.step_recv / coll.op_end instants, and the same
-// coll/op_latency_ns_* / op_rounds_* histograms. OpScope is the per-call
-// observer — destructor-based so an early error return still closes the
-// op (record the final status via done()). Pure observer: msg ids and
-// instants never touch the transport.
-class OpScope {
-public:
-    OpScope(Communicator& comm, Fam fam, Algo algo, std::uint32_t base)
-        : comm_(comm),
-          fam_(fam),
-          algo_(algo),
-          op_id_((static_cast<std::uint64_t>(comm.context()) << 32) | base),
-          begin_vtime_(comm.now()) {
-        if (trace::enabled()) {
-            trace::instant("coll", "op_begin", begin_vtime_, "op", op_id_,
-                           "rank", static_cast<std::uint64_t>(comm.rank()),
-                           "fam", static_cast<std::uint64_t>(fam_), "algo",
-                           algo_ == Algo::hier ? 1 : 0);
+// Hierarchical allgatherv: members hand their block to the node leader;
+// leaders exchange ONE aggregated superblock per node pair on the
+// inter-node plane (the packed layout orders blocks by rank, so each
+// node's superblock is contiguous); leaders then push the full packed
+// result to their members, and every rank scatters it into its own
+// displacements in the completion round. Subtags: 0 member -> leader, 1
+// leader <-> leader superblocks, 2 leader -> member result.
+void allgatherv_hier(Schedule& s, const void* send, Count sendn, void* recv,
+                     std::span<const Count> counts,
+                     std::span<const Count> displs) {
+    const TopologyMap& t = s.topo;
+    const int n = t.size, r = t.rank;
+    // Packed offsets: rank i's block at packed[i]; node superblocks are
+    // contiguous because nodes are contiguous rank ranges.
+    std::vector<Count> packed(ix(n) + 1, 0);
+    for (int i = 0; i < n; ++i) packed[ix(i) + 1] = packed[ix(i)] + counts[ix(i)];
+    const Count total = packed[ix(n)];
+    std::byte* all = s.alloc(total);
+    const int b = t.node_of(r), lead = t.leader_of(r);
+    if (!t.is_leader(r)) {
+        // Member: contribute, then take the packed result.
+        if (Phase& p = s.phase(); sendn > 0) p.send(lead, 0, send, sendn);
+        if (Phase& p = s.phase(); total > 0) p.recv(lead, 2, all, total);
+    } else {
+        // Leader: assemble the node's contributions in the packed buffer.
+        s.copy(all + packed[ix(r)], send, sendn);
+        {
+            Phase& p = s.phase();
+            for (int m = t.node_begin(b) + 1; m < t.node_end(b); ++m)
+                if (counts[ix(m)] > 0)
+                    p.recv(m, 0, all + packed[ix(m)], counts[ix(m)]);
         }
-    }
-    ~OpScope() {
-        const SimTime now = comm_.now();
-        auto& h = op_hists(fam_, algo_);
-        const double lat_ns = (now - begin_vtime_) * 1000.0;
-        h.latency_ns.record(lat_ns > 0.0 ? static_cast<std::uint64_t>(lat_ns)
-                                         : 0);
-        h.rounds.record(rounds_);
-        if (trace::enabled()) {
-            trace::instant("coll", "op_end", now, "op", op_id_, "rank",
-                           static_cast<std::uint64_t>(comm_.rank()), "status",
-                           static_cast<std::uint64_t>(status_), "rounds",
-                           rounds_);
+        {
+            // Superblock exchange with every other leader.
+            const Count own_off = packed[ix(t.node_begin(b))];
+            const Count own_len = packed[ix(t.node_end(b))] - own_off;
+            Phase& p = s.phase();
+            for (int bb = 0; bb < t.node_count; ++bb) {
+                if (bb == b) continue;
+                const int peer = t.node_begin(bb);
+                const Count off = packed[ix(peer)];
+                const Count len = packed[ix(t.node_end(bb))] - off;
+                if (len > 0) p.recv(peer, 1, all + off, len);
+                if (own_len > 0) p.send(peer, 1, all + own_off, own_len);
+            }
         }
+        // Push the packed result to the node's members.
+        if (Phase& p = s.phase(); total > 0)
+            for (int m = t.node_begin(b) + 1; m < t.node_end(b); ++m)
+                p.send(m, 2, all, total);
     }
-    OpScope(const OpScope&) = delete;
-    OpScope& operator=(const OpScope&) = delete;
-
-    // Start of the next posting stage (one coll.round instant).
-    void round() {
-        if (trace::enabled()) {
-            trace::instant("coll", "round", comm_.now(), "op", op_id_, "rank",
-                           static_cast<std::uint64_t>(comm_.rank()), "round",
-                           rounds_);
-        }
-        ++rounds_;
-    }
-
-    template <typename PostFn>
-    Request send(int peer, std::uint32_t sub, PostFn&& post) {
-        return step(true, peer, sub, static_cast<PostFn&&>(post));
-    }
-    template <typename PostFn>
-    Request recv(int peer, std::uint32_t sub, PostFn&& post) {
-        return step(false, peer, sub, static_cast<PostFn&&>(post));
-    }
-
-    // Record the op's final status; returns it unchanged so call sites
-    // read `return tr.done(wait_all(...))`.
-    Status done(Status st) noexcept {
-        status_ = st;
-        return st;
-    }
-
-private:
-    template <typename PostFn>
-    Request step(bool is_send, int peer, std::uint32_t sub, PostFn&& post) {
-        if (!trace::enabled()) return post();
-        const trace::MsgScope scope(trace::next_msg_id());
-        trace::instant("coll", is_send ? "step_send" : "step_recv",
-                       comm_.now(), "op", op_id_, "rank",
-                       static_cast<std::uint64_t>(comm_.rank()), "peer",
-                       static_cast<std::uint64_t>(peer), "sub", sub);
-        return post();
-    }
-
-    Communicator& comm_;
-    const Fam fam_;
-    const Algo algo_;
-    const std::uint64_t op_id_;
-    const SimTime begin_vtime_;
-    std::uint32_t rounds_ = 0;
-    Status status_ = Status::success;
-};
+    for (int i = 0; i < n; ++i)
+        if (counts[ix(i)] > 0)
+            s.copy(at(recv, displs[ix(i)]), all + packed[ix(i)], counts[ix(i)]);
+}
 
 } // namespace
 
@@ -138,186 +95,25 @@ Status gatherv_bytes(Communicator& comm, const void* send, Count sendn,
     if (r == root) {
         if (!spans_cover(comm, {recvcounts.size(), displs.size()}))
             return Status::err_arg;
-        if (recvcounts[static_cast<std::size_t>(r)] != sendn)
-            return Status::err_arg;
+        if (recvcounts[ix(r)] != sendn) return Status::err_arg;
         for (int src = 0; src < n; ++src) {
-            const Count c = recvcounts[static_cast<std::size_t>(src)];
+            const Count c = recvcounts[ix(src)];
             if (c < 0 || (c > 0 && recv == nullptr)) return Status::err_arg;
         }
     }
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::gatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
+    Schedule s(comm, Fam::gatherv);
+    if (r == root && sendn > 0) s.copy(at(recv, displs[ix(r)]), send, sendn);
+    Phase& p = s.phase();
     if (r == root) {
         for (int src = 0; src < n; ++src) {
-            const Count c = recvcounts[static_cast<std::size_t>(src)];
-            if (c == 0) continue;
-            if (src == r) {
-                copy_block(at(recv, displs[static_cast<std::size_t>(src)]), send, c);
-            } else {
-                reqs.push_back(tr.recv(src, 0, [&] {
-                    return comm.coll_irecv_bytes(
-                        at(recv, displs[static_cast<std::size_t>(src)]), c, src,
-                        base);
-                }));
-            }
+            const Count c = recvcounts[ix(src)];
+            if (src != r && c > 0) p.recv(src, 0, at(recv, displs[ix(src)]), c);
         }
     } else if (sendn > 0) {
-        reqs.push_back(tr.send(root, 0, [&] {
-            return comm.coll_isend_bytes(send, sendn, root, base);
-        }));
+        p.send(root, 0, send, sendn);
     }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, std::move(s)).wait();
 }
-
-namespace {
-
-Status allgatherv_flat(Communicator& comm, const void* send, Count sendn,
-                       void* recv, std::span<const Count> counts,
-                       std::span<const Count> displs, std::uint32_t base,
-                       OpScope& tr) {
-    const int n = comm.size(), r = comm.rank();
-    tr.round();
-    std::vector<Request> reqs;
-    for (int peer = 0; peer < n; ++peer) {
-        const Count c = counts[static_cast<std::size_t>(peer)];
-        if (peer == r) {
-            copy_block(at(recv, displs[static_cast<std::size_t>(peer)]), send, c);
-            continue;
-        }
-        if (c > 0)
-            reqs.push_back(tr.recv(peer, 0, [&] {
-                return comm.coll_irecv_bytes(
-                    at(recv, displs[static_cast<std::size_t>(peer)]), c, peer,
-                    base);
-            }));
-        if (sendn > 0)
-            reqs.push_back(tr.send(peer, 0, [&] {
-                return comm.coll_isend_bytes(send, sendn, peer, base);
-            }));
-    }
-    return wait_all(std::span<Request>(reqs));
-}
-
-// Hierarchical allgatherv: members hand their block to the node leader;
-// leaders exchange ONE aggregated superblock per node pair on the
-// inter-node plane (the packed layout orders blocks by rank, so each
-// node's superblock is contiguous); leaders then push the full packed
-// result to their members, who scatter it into their own displacements.
-Status allgatherv_hier(Communicator& comm, const void* send, Count sendn,
-                       void* recv, std::span<const Count> counts,
-                       std::span<const Count> displs, std::uint32_t base,
-                       const TopologyMap& topo, OpScope& tr) {
-    const int n = comm.size(), r = comm.rank();
-    // Packed offsets: rank i's block at packed[i]; node superblocks are
-    // contiguous because nodes are contiguous rank ranges.
-    std::vector<Count> packed(static_cast<std::size_t>(n) + 1, 0);
-    for (int i = 0; i < n; ++i)
-        packed[static_cast<std::size_t>(i) + 1] =
-            packed[static_cast<std::size_t>(i)] + counts[static_cast<std::size_t>(i)];
-    const Count total = packed[static_cast<std::size_t>(n)];
-
-    const int lead = topo.leader_of(r);
-    if (!topo.is_leader(r)) {
-        // Member: contribute, then take the packed result and scatter it.
-        {
-            tr.round();
-            std::vector<Request> reqs;
-            if (sendn > 0)
-                reqs.push_back(tr.send(lead, 0, [&] {
-                    return comm.coll_isend_bytes(send, sendn, lead, base);
-                }));
-            MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-        }
-        std::vector<std::byte> all(static_cast<std::size_t>(total));
-        {
-            tr.round();
-            std::vector<Request> reqs;
-            if (total > 0)
-                reqs.push_back(tr.recv(lead, 2, [&] {
-                    return comm.coll_irecv_bytes(all.data(), total, lead,
-                                                 base + 2);
-                }));
-            MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-        }
-        for (int i = 0; i < n; ++i)
-            copy_block(at(recv, displs[static_cast<std::size_t>(i)]),
-                       all.data() + packed[static_cast<std::size_t>(i)],
-                       counts[static_cast<std::size_t>(i)]);
-        return Status::success;
-    }
-
-    // Leader: assemble the packed buffer from the node's contributions.
-    const int b = topo.node_of(r);
-    std::vector<std::byte> all(static_cast<std::size_t>(total));
-    {
-        tr.round();
-        std::vector<Request> reqs;
-        for (int m = topo.node_begin(b); m < topo.node_end(b); ++m) {
-            const Count c = counts[static_cast<std::size_t>(m)];
-            if (m == r) {
-                copy_block(all.data() + packed[static_cast<std::size_t>(m)], send, c);
-            } else if (c > 0) {
-                reqs.push_back(tr.recv(m, 0, [&] {
-                    return comm.coll_irecv_bytes(
-                        all.data() + packed[static_cast<std::size_t>(m)], c, m,
-                        base);
-                }));
-            }
-        }
-        MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-    }
-    {
-        // Superblock exchange with every other leader (inter-node plane).
-        tr.round();
-        const Count own_off = packed[static_cast<std::size_t>(topo.node_begin(b))];
-        const Count own_len =
-            packed[static_cast<std::size_t>(topo.node_end(b))] - own_off;
-        std::vector<Request> reqs;
-        for (int bb = 0; bb < topo.node_count; ++bb) {
-            if (bb == b) continue;
-            const int peer = topo.node_begin(bb);
-            const Count off = packed[static_cast<std::size_t>(topo.node_begin(bb))];
-            const Count len =
-                packed[static_cast<std::size_t>(topo.node_end(bb))] - off;
-            if (len > 0)
-                reqs.push_back(tr.recv(peer, 1, [&] {
-                    return comm.coll_irecv_bytes(all.data() + off, len, peer,
-                                                 base + 1);
-                }));
-            if (own_len > 0) {
-                coll_counters().leader_bytes.fetch_add(
-                    static_cast<std::uint64_t>(own_len), std::memory_order_relaxed);
-                reqs.push_back(tr.send(peer, 1, [&] {
-                    return comm.coll_isend_bytes(all.data() + own_off, own_len,
-                                                 peer, base + 1);
-                }));
-            }
-        }
-        MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-    }
-    {
-        // Push the packed result to the node's members.
-        tr.round();
-        std::vector<Request> reqs;
-        for (int m = topo.node_begin(b); m < topo.node_end(b); ++m) {
-            if (m == r || total == 0) continue;
-            reqs.push_back(tr.send(m, 2, [&] {
-                return comm.coll_isend_bytes(all.data(), total, m, base + 2);
-            }));
-        }
-        MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-    }
-    for (int i = 0; i < n; ++i)
-        copy_block(at(recv, displs[static_cast<std::size_t>(i)]),
-                   all.data() + packed[static_cast<std::size_t>(i)],
-                   counts[static_cast<std::size_t>(i)]);
-    return Status::success;
-}
-
-} // namespace
 
 Status allgatherv_bytes(Communicator& comm, const void* send, Count sendn,
                         void* recv, std::span<const Count> counts,
@@ -325,22 +121,27 @@ Status allgatherv_bytes(Communicator& comm, const void* send, Count sendn,
     if (!ok(comm.status())) return comm.status();
     if (!spans_cover(comm, {counts.size(), displs.size()})) return Status::err_arg;
     if (sendn < 0 || (sendn > 0 && send == nullptr)) return Status::err_arg;
-    if (counts[static_cast<std::size_t>(comm.rank())] != sendn)
-        return Status::err_arg;
+    if (counts[ix(comm.rank())] != sendn) return Status::err_arg;
     for (int i = 0; i < comm.size(); ++i) {
-        const Count c = counts[static_cast<std::size_t>(i)];
+        const Count c = counts[ix(i)];
         if (c < 0 || (c > 0 && recv == nullptr)) return Status::err_arg;
     }
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    const TopologyMap topo = TopologyMap::create(comm);
-    const Algo algo = select_algo(topo);
-    OpScope tr(comm, Fam::allgatherv, algo, base);
-    if (algo == Algo::hier)
-        return tr.done(allgatherv_hier(comm, send, sendn, recv, counts, displs,
-                                       base, topo, tr));
-    return tr.done(
-        allgatherv_flat(comm, send, sendn, recv, counts, displs, base, tr));
+    Schedule s(comm, Fam::allgatherv);
+    s.algo = select_algo(s.topo);
+    if (s.algo == Algo::hier) {
+        allgatherv_hier(s, send, sendn, recv, counts, displs);
+        return launch(comm, std::move(s)).wait();
+    }
+    const int n = comm.size(), r = comm.rank();
+    if (sendn > 0) s.copy(at(recv, displs[ix(r)]), send, sendn);
+    Phase& p = s.phase();
+    for (int peer = 0; peer < n; ++peer) {
+        if (peer == r) continue;
+        const Count c = counts[ix(peer)];
+        if (c > 0) p.recv(peer, 0, at(recv, displs[ix(peer)]), c);
+        if (sendn > 0) p.send(peer, 0, send, sendn);
+    }
+    return launch(comm, std::move(s)).wait();
 }
 
 Status alltoallv_bytes(Communicator& comm, const void* send,
@@ -354,42 +155,26 @@ Status alltoallv_bytes(Communicator& comm, const void* send,
         return Status::err_arg;
     const int n = comm.size(), r = comm.rank();
     for (int peer = 0; peer < n; ++peer) {
-        const Count sc = sendcounts[static_cast<std::size_t>(peer)];
-        const Count rc = recvcounts[static_cast<std::size_t>(peer)];
+        const Count sc = sendcounts[ix(peer)];
+        const Count rc = recvcounts[ix(peer)];
         if (sc < 0 || rc < 0) return Status::err_arg;
         if (sc > 0 && send == nullptr) return Status::err_arg;
         if (rc > 0 && recv == nullptr) return Status::err_arg;
     }
-    if (sendcounts[static_cast<std::size_t>(r)] !=
-        recvcounts[static_cast<std::size_t>(r)])
-        return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::alltoallv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
+    if (sendcounts[ix(r)] != recvcounts[ix(r)]) return Status::err_arg;
+    Schedule s(comm, Fam::alltoallv);
+    if (sendcounts[ix(r)] > 0)
+        s.copy(at(recv, rdispls[ix(r)]), at(send, sdispls[ix(r)]),
+               sendcounts[ix(r)]);
+    Phase& p = s.phase();
     for (int peer = 0; peer < n; ++peer) {
-        const Count sc = sendcounts[static_cast<std::size_t>(peer)];
-        const Count rc = recvcounts[static_cast<std::size_t>(peer)];
-        if (peer == r) {
-            copy_block(at(recv, rdispls[static_cast<std::size_t>(peer)]),
-                       at(send, sdispls[static_cast<std::size_t>(peer)]), sc);
-            continue;
-        }
-        if (rc > 0)
-            reqs.push_back(tr.recv(peer, 0, [&] {
-                return comm.coll_irecv_bytes(
-                    at(recv, rdispls[static_cast<std::size_t>(peer)]), rc, peer,
-                    base);
-            }));
-        if (sc > 0)
-            reqs.push_back(tr.send(peer, 0, [&] {
-                return comm.coll_isend_bytes(
-                    at(send, sdispls[static_cast<std::size_t>(peer)]), sc, peer,
-                    base);
-            }));
+        if (peer == r) continue;
+        const Count sc = sendcounts[ix(peer)];
+        const Count rc = recvcounts[ix(peer)];
+        if (rc > 0) p.recv(peer, 0, at(recv, rdispls[ix(peer)]), rc);
+        if (sc > 0) p.send(peer, 0, at(send, sdispls[ix(peer)]), sc);
     }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, std::move(s)).wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -410,36 +195,22 @@ Status gatherv(Communicator& comm, const void* send, Count sendcount,
         if (!spans_cover(comm, {recvcounts.size(), displs.size()}))
             return Status::err_arg;
         for (int src = 0; src < n; ++src)
-            if (recvcounts[static_cast<std::size_t>(src)] < 0)
-                return Status::err_arg;
+            if (recvcounts[ix(src)] < 0) return Status::err_arg;
     }
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::gatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
+    Schedule s(comm, Fam::gatherv);
+    Phase& p = s.phase();
     if (r == root) {
+        // Typed self-delivery goes through the loopback link so the
+        // send/receive type pair is honored like any other rank's.
         for (int src = 0; src < n; ++src) {
-            const Count c = recvcounts[static_cast<std::size_t>(src)];
-            if (c == 0) continue;
-            void* dst = at(recv, displs[static_cast<std::size_t>(src)] *
-                                     recvtype->extent());
-            // Typed self-delivery goes through the loopback link so the
-            // send/receive type pair is honored like any other rank's.
-            reqs.push_back(tr.recv(src, 0, [&] {
-                return comm.coll_irecv(dst, c, recvtype, src, base);
-            }));
+            const Count c = recvcounts[ix(src)];
+            if (c > 0)
+                p.typed(false, src, 0, at(recv, displs[ix(src)] * recvtype->extent()),
+                        c, recvtype);
         }
-        if (sendcount > 0)
-            reqs.push_back(tr.send(r, 0, [&] {
-                return comm.coll_isend(send, sendcount, sendtype, r, base);
-            }));
-    } else if (sendcount > 0) {
-        reqs.push_back(tr.send(root, 0, [&] {
-            return comm.coll_isend(send, sendcount, sendtype, root, base);
-        }));
     }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    if (sendcount > 0) p.typed(true, root, 0, send, sendcount, sendtype);
+    return launch(comm, std::move(s)).wait();
 }
 
 Status allgatherv(Communicator& comm, const void* send, Count sendcount,
@@ -455,27 +226,17 @@ Status allgatherv(Communicator& comm, const void* send, Count sendcount,
         return Status::err_arg;
     const int n = comm.size();
     for (int i = 0; i < n; ++i)
-        if (recvcounts[static_cast<std::size_t>(i)] < 0) return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::allgatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
+        if (recvcounts[ix(i)] < 0) return Status::err_arg;
+    Schedule s(comm, Fam::allgatherv);
+    Phase& p = s.phase();
     for (int peer = 0; peer < n; ++peer) {
-        const Count c = recvcounts[static_cast<std::size_t>(peer)];
-        if (c > 0) {
-            void* dst = at(recv, displs[static_cast<std::size_t>(peer)] *
-                                     recvtype->extent());
-            reqs.push_back(tr.recv(peer, 0, [&] {
-                return comm.coll_irecv(dst, c, recvtype, peer, base);
-            }));
-        }
-        if (sendcount > 0)
-            reqs.push_back(tr.send(peer, 0, [&] {
-                return comm.coll_isend(send, sendcount, sendtype, peer, base);
-            }));
+        const Count c = recvcounts[ix(peer)];
+        if (c > 0)
+            p.typed(false, peer, 0, at(recv, displs[ix(peer)] * recvtype->extent()),
+                    c, recvtype);
+        if (sendcount > 0) p.typed(true, peer, 0, send, sendcount, sendtype);
     }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, std::move(s)).wait();
 }
 
 Status alltoallv(Communicator& comm, const void* send,
@@ -492,33 +253,20 @@ Status alltoallv(Communicator& comm, const void* send,
         return Status::err_arg;
     const int n = comm.size();
     for (int i = 0; i < n; ++i)
-        if (sendcounts[static_cast<std::size_t>(i)] < 0 ||
-            recvcounts[static_cast<std::size_t>(i)] < 0)
-            return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::alltoallv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
+        if (sendcounts[ix(i)] < 0 || recvcounts[ix(i)] < 0) return Status::err_arg;
+    Schedule s(comm, Fam::alltoallv);
+    Phase& p = s.phase();
     for (int peer = 0; peer < n; ++peer) {
-        const Count sc = sendcounts[static_cast<std::size_t>(peer)];
-        const Count rc = recvcounts[static_cast<std::size_t>(peer)];
-        if (rc > 0) {
-            void* dst = at(recv, rdispls[static_cast<std::size_t>(peer)] *
-                                     recvtype->extent());
-            reqs.push_back(tr.recv(peer, 0, [&] {
-                return comm.coll_irecv(dst, rc, recvtype, peer, base);
-            }));
-        }
-        if (sc > 0) {
-            const void* src = at(send, sdispls[static_cast<std::size_t>(peer)] *
-                                           sendtype->extent());
-            reqs.push_back(tr.send(peer, 0, [&] {
-                return comm.coll_isend(src, sc, sendtype, peer, base);
-            }));
-        }
+        const Count sc = sendcounts[ix(peer)];
+        const Count rc = recvcounts[ix(peer)];
+        if (rc > 0)
+            p.typed(false, peer, 0, at(recv, rdispls[ix(peer)] * recvtype->extent()),
+                    rc, recvtype);
+        if (sc > 0)
+            p.typed(true, peer, 0, at(send, sdispls[ix(peer)] * sendtype->extent()),
+                    sc, sendtype);
     }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, std::move(s)).wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -533,28 +281,17 @@ Status gatherv_custom(Communicator& comm, const void* send,
     if (r == root) {
         if (recv.size() < static_cast<std::size_t>(n)) return Status::err_arg;
         for (int src = 0; src < n; ++src)
-            if (recv[static_cast<std::size_t>(src)] == nullptr)
-                return Status::err_arg;
+            if (recv[ix(src)] == nullptr) return Status::err_arg;
     }
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::gatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    if (r == root) {
-        for (int src = 0; src < n; ++src)
-            reqs.push_back(tr.recv(src, 0, [&] {
-                return comm.coll_irecv_custom(
-                    recv[static_cast<std::size_t>(src)], 1, type, src, base);
-            }));
-    }
+    Schedule s(comm, Fam::gatherv);
+    Phase& p = s.phase();
+    if (r == root)
+        for (int src = 0; src < n; ++src) p.custom(false, src, 0, recv[ix(src)], 1, type);
     // Every rank — including the root, via the loopback link, so the
     // pack/unpack callbacks run for its own object too — contributes one
     // object.
-    reqs.push_back(tr.send(root, 0, [&] {
-        return comm.coll_isend_custom(send, 1, type, root, base);
-    }));
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    p.custom(true, root, 0, send, 1, type);
+    return launch(comm, std::move(s)).wait();
 }
 
 Status allgatherv_custom(Communicator& comm, const void* send,
@@ -565,23 +302,14 @@ Status allgatherv_custom(Communicator& comm, const void* send,
     const int n = comm.size();
     if (recv.size() < static_cast<std::size_t>(n)) return Status::err_arg;
     for (int peer = 0; peer < n; ++peer)
-        if (recv[static_cast<std::size_t>(peer)] == nullptr)
-            return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::allgatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
+        if (recv[ix(peer)] == nullptr) return Status::err_arg;
+    Schedule s(comm, Fam::allgatherv);
+    Phase& p = s.phase();
     for (int peer = 0; peer < n; ++peer) {
-        reqs.push_back(tr.recv(peer, 0, [&] {
-            return comm.coll_irecv_custom(recv[static_cast<std::size_t>(peer)],
-                                          1, type, peer, base);
-        }));
-        reqs.push_back(tr.send(peer, 0, [&] {
-            return comm.coll_isend_custom(send, 1, type, peer, base);
-        }));
+        p.custom(false, peer, 0, recv[ix(peer)], 1, type);
+        p.custom(true, peer, 0, send, 1, type);
     }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, std::move(s)).wait();
 }
 
 Status alltoallv_custom(Communicator& comm, std::span<const void* const> send,
@@ -593,25 +321,15 @@ Status alltoallv_custom(Communicator& comm, std::span<const void* const> send,
         recv.size() < static_cast<std::size_t>(n))
         return Status::err_arg;
     for (int peer = 0; peer < n; ++peer)
-        if (send[static_cast<std::size_t>(peer)] == nullptr ||
-            recv[static_cast<std::size_t>(peer)] == nullptr)
+        if (send[ix(peer)] == nullptr || recv[ix(peer)] == nullptr)
             return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::alltoallv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
+    Schedule s(comm, Fam::alltoallv);
+    Phase& p = s.phase();
     for (int peer = 0; peer < n; ++peer) {
-        reqs.push_back(tr.recv(peer, 0, [&] {
-            return comm.coll_irecv_custom(recv[static_cast<std::size_t>(peer)],
-                                          1, type, peer, base);
-        }));
-        reqs.push_back(tr.send(peer, 0, [&] {
-            return comm.coll_isend_custom(
-                send[static_cast<std::size_t>(peer)], 1, type, peer, base);
-        }));
+        p.custom(false, peer, 0, recv[ix(peer)], 1, type);
+        p.custom(true, peer, 0, send[ix(peer)], 1, type);
     }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, std::move(s)).wait();
 }
 
 } // namespace mpicd::p2p::coll

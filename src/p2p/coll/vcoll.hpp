@@ -19,8 +19,12 @@
 // blocks move no wire traffic on either side.
 //
 // All functions block and must be entered by every rank in the same
-// order. Spans must hold comm.size() entries (err_arg otherwise; counts
-// at non-root ranks of gatherv are not read and may be empty).
+// order. Each builds a schedule and runs it as launch(...).wait() on the
+// same CollOp executor as the nonblocking collectives, so a v-variant
+// gets the loss watchdog (Status::timeout when a peer never arrives under
+// the reliable-delivery protocol), the flight-recorder op table and the
+// coll/* metrics. Spans must hold comm.size() entries (err_arg otherwise;
+// counts at non-root ranks of gatherv are not read and may be empty).
 #pragma once
 
 #include <span>

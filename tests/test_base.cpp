@@ -17,7 +17,6 @@
 #include "base/status.hpp"
 #include "base/time.hpp"
 #include "base/trace.hpp"
-#include "core/engine.hpp"
 
 namespace mpicd {
 namespace {
@@ -138,20 +137,6 @@ TEST(Config, EmptyValueIsNullopt) {
     EXPECT_FALSE(env_double("MPICD_TEST_VAR").has_value());
     EXPECT_FALSE(env_string("MPICD_TEST_VAR").has_value());
     unsetenv("MPICD_TEST_VAR");
-}
-
-TEST(Config, CustomPackFragClampsToDefault) {
-    // A non-positive fragment size would make every pack callback request
-    // zero bytes and fail the send with err_pack; it must fall back.
-    constexpr Count kDefault = 512 * 1024;
-    setenv("MPICD_CUSTOM_PACK_FRAG", "0", 1);
-    EXPECT_EQ(core::custom_pack_frag_from_env(), kDefault);
-    setenv("MPICD_CUSTOM_PACK_FRAG", "-65536", 1);
-    EXPECT_EQ(core::custom_pack_frag_from_env(), kDefault);
-    setenv("MPICD_CUSTOM_PACK_FRAG", "4096", 1);
-    EXPECT_EQ(core::custom_pack_frag_from_env(), 4096);
-    unsetenv("MPICD_CUSTOM_PACK_FRAG");
-    EXPECT_EQ(core::custom_pack_frag_from_env(), kDefault);
 }
 
 TEST(Stats, EmptyIsZero) {

@@ -72,6 +72,17 @@ void expect_delivered_or_timeout(Status st, const char* what) {
 
 constexpr std::uint64_t kSeeds[] = {1, 42, 999983};
 
+std::string read_file(const std::string& path) {
+    std::string out;
+    if (std::FILE* file = std::fopen(path.c_str(), "rb")) {
+        char buf[4096];
+        std::size_t n = 0;
+        while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) out.append(buf, n);
+        std::fclose(file);
+    }
+    return out;
+}
+
 TEST(CollFaults, BarrierUnderLoss) {
     for (const auto seed : kSeeds) {
         run_world_faults(4, lossy_params(), lossy_faults(seed),
@@ -275,19 +286,66 @@ TEST(CollFaults, WatchdogTimeoutTriggersFlightDump) {
     trace::set_enabled(false);
 
     EXPECT_EQ(timeouts.load(), 2);
-    std::string dump;
-    if (std::FILE* file = std::fopen(path.c_str(), "rb")) {
-        char buf[4096];
-        std::size_t n = 0;
-        while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0)
-            dump.append(buf, n);
-        std::fclose(file);
-    }
+    const std::string dump = read_file(path);
     EXPECT_NE(dump.find("reason: coll_watchdog_expired"), std::string::npos);
     EXPECT_NE(dump.find("source: coll.ops"), std::string::npos);
     EXPECT_NE(dump.find("live collective ops:"), std::string::npos);
     EXPECT_NE(dump.find("fam=barrier"), std::string::npos);
     EXPECT_NE(dump.find("peer="), std::string::npos);
+    std::remove(path.c_str());
+}
+
+// The v-variants run on the same executor, so they carry the same loss
+// watchdog: with rank 0 never entering, the other ranks' allgatherv and
+// alltoallv_custom each fail with Status::timeout instead of blocking
+// forever on the receive from rank 0, and the flight dump names the
+// stuck op's family.
+TEST(CollFaults, VVariantMissingPeerTimesOut) {
+    using Sub = std::vector<std::int32_t>;
+    netsim::FaultConfig f;
+    f.force_reliable = true;
+    const std::string path = "mpicd_vcoll_flight.txt";
+    std::remove(path.c_str());
+    flight::set_enabled(true, path);
+    std::atomic<int> allgatherv_timeouts{0};
+    std::atomic<int> alltoallv_timeouts{0};
+    {
+        Universe uni(3, lossy_params(), f);
+        std::vector<std::thread> threads;
+        for (int r = 1; r <= 2; ++r) {
+            threads.emplace_back([&, r] {
+                auto& comm = uni.comm(r);
+                const std::vector<Count> counts(3, 8), displs = {0, 8, 16};
+                const ByteVec mine =
+                    mpicd::test::pattern_bytes(8, static_cast<std::uint32_t>(r));
+                ByteVec all(24);
+                if (coll::allgatherv_bytes(comm, mine.data(), 8, all.data(),
+                                           counts, displs) == Status::timeout)
+                    ++allgatherv_timeouts;
+                std::vector<Sub> send(3, Sub(16, r)), recv(3, Sub(16));
+                std::vector<const void*> sptrs;
+                std::vector<void*> rptrs;
+                for (int p = 0; p < 3; ++p) {
+                    sptrs.push_back(&send[static_cast<std::size_t>(p)]);
+                    rptrs.push_back(&recv[static_cast<std::size_t>(p)]);
+                }
+                if (coll::alltoallv_custom(comm,
+                                           std::span<const void* const>(sptrs),
+                                           std::span<void* const>(rptrs),
+                                           core::custom_datatype_of<Sub>()) ==
+                    Status::timeout)
+                    ++alltoallv_timeouts;
+            });
+        }
+        for (auto& t : threads) t.join();
+    }
+    flight::set_enabled(false);
+
+    EXPECT_EQ(allgatherv_timeouts.load(), 2);
+    EXPECT_EQ(alltoallv_timeouts.load(), 2);
+    const std::string dump = read_file(path);
+    EXPECT_NE(dump.find("reason: coll_watchdog_expired"), std::string::npos);
+    EXPECT_NE(dump.find("fam=allgatherv"), std::string::npos);
     std::remove(path.c_str());
 }
 
