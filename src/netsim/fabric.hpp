@@ -42,15 +42,21 @@ private:
 };
 
 // A packet on the simulated wire. `kind` and `header` are opaque to the
-// fabric; the ucx layer defines them. The reliability fields (link_seq,
-// crc, needs_ack) are likewise opaque: they are written by the ucx
-// reliable-delivery layer and merely carried by the fabric. The fault
+// fabric; the ucx layer defines them. The reliability fields (needs_ack,
+// crc, link_seq, link_floor) are likewise opaque: they are written by the
+// ucx reliable-delivery layer and merely carried by the fabric. The fault
 // injector may corrupt `header`/`payload` bytes but never the crc field —
 // exactly the property that lets the receiver detect the corruption.
 struct Packet {
     int src = -1;
     int dst = -1;
     std::uint16_t kind = 0;
+    // Reliable-delivery fields (see src/ucx/worker.cpp, docs/FAULTS.md).
+    // needs_ack and crc sit in the padding after `kind`, which keeps the
+    // packet at 104 bytes: bench/suite's ddt_pack latency moves with
+    // sizeof(Packet) through heap layout (docs/PERF.md §10).
+    bool needs_ack = false;     // receiver must acknowledge this packet
+    std::uint32_t crc = 0;      // CRC-32 over kind + link_seq + header + payload
     ByteVec header;      // small protocol header (always by copy)
     // Bulk payload carried by the wire (may be empty). Pool-backed: copying
     // a Packet (retransmit queue, duplicate injection) shares the slab;
@@ -59,10 +65,15 @@ struct Packet {
     PooledBuf payload;
     SimTime arrival = 0; // virtual arrival time at the destination
     std::uint64_t seq = 0;
-    // Reliable-delivery fields (see src/ucx/worker.cpp, docs/FAULTS.md).
-    std::uint64_t link_seq = 0; // per-sender sequence number (0 = unnumbered)
-    std::uint32_t crc = 0;      // CRC-32 over kind + link_seq + header + payload
-    bool needs_ack = false;     // receiver must acknowledge this packet
+    // link_seq numbers packets per (src, dst) link: 1, 2, 3, ... with no
+    // gaps, so the receiver can summarise them with a watermark.
+    std::uint64_t link_seq = 0; // per-link sequence number (0 = unnumbered)
+    // The link's floor when the packet was (re)sent: every seq below it is
+    // acked or abandoned, so none of them will be sent again. The
+    // receiver counts them as seen. Like link_seq it sits outside
+    // `header`, so the fault injector never touches it and wire bytes do
+    // not change; unlike link_seq it is not covered by the CRC.
+    std::uint64_t link_floor = 0;
     // Observability fields, opaque to fabric and CRC alike: the message id
     // this packet belongs to (0 = control traffic with no owner) and the
     // sender's virtual time when the *message* was posted. Carried so the

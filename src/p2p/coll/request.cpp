@@ -57,6 +57,9 @@ private:
     // tracing stays a pure observer.
     void post(const Step& st);
     void track_step(Request rq, int peer, bool is_send);
+    // Watchdog expiry: cancel unmatched receives, drop sends, keep the
+    // receives that already matched (under mu_).
+    void abandon_pending();
     // Emit the coll.round instant and run the next phase, or the
     // completion round after the last one (under mu_).
     void enter_round();
@@ -77,8 +80,12 @@ private:
     const SimTime begin_vtime_;
     std::mutex mu_;
     std::size_t phases_run_ = 0;
-    std::vector<Request> pending_;   // posted, not yet completed
-    std::vector<int> pending_peer_;  // peer of pending_[i]
+    struct Posted {
+        Request rq;
+        int peer = -1;
+        bool send = false;
+    };
+    std::vector<Posted> pending_; // posted, not yet completed
     // Per-peer post/completion counts for the flight-recorder table: when
     // a collective times out, "peer 7: 2 posted, 0 completed" is the
     // straggler attribution a raw pending count cannot give.
@@ -97,13 +104,17 @@ private:
     // Loss watchdog (fault-injected fabrics only; 0 = disarmed). The
     // point-to-point reliability watchdogs cover a receive only once its
     // rendezvous started; a collective waiting on a peer that already gave
-    // up (retransmit budget exhausted) would otherwise wait forever on an
-    // eager receive no sender will ever satisfy. If no posted step
-    // completes for `watchdog_us_` of virtual time, the op fails with
-    // Status::timeout and ABANDONS its posted requests — safe because the
-    // op's reserved tag block is never reused (the epoch counter only
-    // moves forward), so an abandoned receive can never match later
-    // traffic.
+    // up (retransmit budget exhausted), or that has not entered yet, would
+    // otherwise wait forever on an eager receive no sender satisfies. If
+    // no posted step completes for `watchdog_us_` of virtual time, the op
+    // fails with Status::timeout. It first cancels every receive that has
+    // not matched: a peer entering the same collective late reserves the
+    // same tag block on its side, so its sends WOULD match a receive left
+    // posted and write into scratch this op frees, or into a buffer the
+    // caller has released. A receive that already matched cannot be
+    // withdrawn; the op stays unfinished until it completes or its
+    // rendezvous watchdog fails it. Sends only read their buffers and are
+    // dropped.
     SimTime watchdog_us_ = 0.0;
     SimTime last_move_vtime_ = 0.0;
 };
@@ -208,8 +219,7 @@ void CollOp::post(const Step& st) {
 }
 
 void CollOp::track_step(Request rq, int peer, bool is_send) {
-    pending_.push_back(std::move(rq));
-    pending_peer_.push_back(peer);
+    pending_.push_back({std::move(rq), peer, is_send});
     for (PeerProgress& p : peers_) {
         if (p.peer == peer) {
             (is_send ? p.sends : p.recvs) += 1;
@@ -271,19 +281,17 @@ bool CollOp::advance() {
     }
     for (std::size_t i = 0; i < pending_.size();) {
         MsgStatus st;
-        if (pending_[i].poll(&st)) {
+        if (pending_[i].rq.poll(&st)) {
             if (!ok(st.status) && ok(status_.load(std::memory_order_relaxed)))
                 status_.store(st.status, std::memory_order_relaxed);
             for (PeerProgress& p : peers_) {
-                if (p.peer == pending_peer_[i]) {
+                if (p.peer == pending_[i].peer) {
                     ++p.completed;
                     break;
                 }
             }
             pending_[i] = std::move(pending_.back());
             pending_.pop_back();
-            pending_peer_[i] = pending_peer_.back();
-            pending_peer_.pop_back();
             moved = true;
         } else {
             ++i;
@@ -299,17 +307,15 @@ bool CollOp::advance() {
         moved = true;
         enter_round();
     }
-    if (watchdog_us_ > 0.0 && !pending_.empty()) {
+    // Once expired (finishing_ with steps left), the op only waits for
+    // the receives that had already matched.
+    if (watchdog_us_ > 0.0 && !pending_.empty() && !finishing_) {
         const SimTime now = comm_.now();
         if (moved) {
             last_move_vtime_ = now;
         } else if (now - last_move_vtime_ > watchdog_us_) {
             // Nothing completed for several full retransmit budgets: a
             // peer gave up (or never arrived) and no packet is coming.
-            // Abandon the posted requests — their tags sit in this op's
-            // reserved block, which the forward-only epoch counter never
-            // hands out again, so a stale posted receive can never match
-            // a later collective's traffic.
             if (ok(status_.load(std::memory_order_relaxed)))
                 status_.store(Status::timeout, std::memory_order_relaxed);
             if (flight::enabled()) {
@@ -321,8 +327,7 @@ bool CollOp::advance() {
                     g_coll_source_token.load(std::memory_order_acquire),
                     [this](std::FILE* f) { dump_all(f, this); });
             }
-            pending_.clear();
-            pending_peer_.clear();
+            abandon_pending();
             finishing_ = true;
             moved = true;
         }
@@ -334,6 +339,10 @@ bool CollOp::advance() {
         moved = true;
     }
     return moved;
+}
+
+void CollOp::abandon_pending() {
+    std::erase_if(pending_, [](Posted& p) { return p.send || p.rq.cancel(); });
 }
 
 void CollOp::dump_state(std::FILE* f) {

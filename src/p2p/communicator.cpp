@@ -103,6 +103,15 @@ MsgStatus Request::wait() {
     return st;
 }
 
+bool Request::cancel() {
+    if (done_ || !valid() || !ok(early_error_)) return false;
+    if (!worker_->cancel_recv(id_)) return false;
+    custom_.reset();
+    result_.status = Status::err_no_match;
+    done_ = true;
+    return true;
+}
+
 // ---------------------------------------------------------------------------
 // Communicator
 

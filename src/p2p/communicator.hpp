@@ -67,6 +67,13 @@ public:
     // is possible for a long wall-clock interval — a deadlock in test code.
     MsgStatus wait();
 
+    // Withdraw a receive that has not matched a message yet
+    // (ucx::Worker::cancel_recv). True when it was withdrawn: no message
+    // can land in its buffer any more, and the request is done with
+    // Status::err_no_match. False for a send, a receive that already
+    // matched (it completes as usual) or a finished request.
+    bool cancel();
+
 private:
     friend class Communicator;
 

@@ -168,6 +168,7 @@ struct Worker::Request {
 
 Worker::Worker(netsim::Fabric& fabric, int endpoint)
     : fabric_(fabric), params_(fabric.params()), ep_(endpoint),
+      tx_(static_cast<std::size_t>(fabric.size())),
       shards_(static_cast<std::size_t>(fabric.size())) {
     // Dump source for the post-mortem flight recorder. The callback is
     // invoked by *other* triggers, so it must try_lock: if this worker is
@@ -293,7 +294,9 @@ void Worker::send_packet_locked(netsim::Packet&& pkt, SimTime ready,
         }
         return;
     }
-    pkt.link_seq = next_link_seq_++;
+    TxLink& link = tx_[static_cast<std::size_t>(pkt.dst)];
+    pkt.link_seq = link.next_seq++;
+    pkt.link_floor = link.floor();
     pkt.needs_ack = true;
     pkt.crc = packet_crc(pkt);
     PendingTx ptx;
@@ -319,7 +322,12 @@ void Worker::send_packet_locked(netsim::Packet&& pkt, SimTime ready,
     // own arrival includes link queueing) rather than from the send, so
     // back-to-back fragment bursts do not trigger spurious retransmits.
     ptx.next_retry = arrival + params_.latency_us + ptx.rto;
-    pending_tx_.emplace(seq, std::move(ptx));
+    link.pending.emplace(seq, std::move(ptx));
+}
+
+Worker::TxTable::iterator Worker::retire(TxLink& link, TxTable::iterator it) {
+    link.retired.admit(it->first);
+    return link.pending.erase(it);
 }
 
 bool Worker::admit_data_packet(netsim::Packet& pkt) {
@@ -353,8 +361,11 @@ bool Worker::admit_data_packet(netsim::Packet& pkt) {
         shards_[static_cast<std::size_t>(pkt.src) % shards_.size()];
     bool dup = false;
     {
+        // The floor first: the packet's own seq is never below it, and a
+        // seq the sender abandoned must not hold the watermark back.
         const std::lock_guard<std::mutex> sk(shard.mu);
-        dup = !shard.seen.insert(pkt.link_seq).second;
+        shard.window.apply_floor(pkt.link_floor);
+        dup = !shard.window.admit(pkt.link_seq);
     }
     if (dup) {
         // Duplicate (fault-injected, or a retransmit whose original ack was
@@ -404,12 +415,13 @@ void Worker::handle_ack_locked(const netsim::Packet& pkt) {
         return;
     }
     const auto h = decode_header<AckHeader>(pkt.header);
-    const auto it = pending_tx_.find(h.acked_seq);
-    if (it == pending_tx_.end()) return; // stale or duplicate ack
+    TxLink& link = tx_[static_cast<std::size_t>(pkt.src)];
+    const auto it = link.pending.find(h.acked_seq);
+    if (it == link.pending.end()) return; // stale or duplicate ack
     ++stats_.acks_received;
     trace::instant("ucx", "ack_recv", clock_.now(), "seq", h.acked_seq);
     const RequestId owner = it->second.owner;
-    pending_tx_.erase(it);
+    retire(link, it);
     if (owner == kInvalidRequest) return;
     const auto rit = requests_.find(owner);
     if (rit == requests_.end() || rit->second->done) return;
@@ -432,25 +444,29 @@ void Worker::fail_request_locked(RequestId id, Status st) {
     }
     if (rq.kind == Request::Kind::recv)
         matcher_.cancel_posted(id, rq.tag, rq.mask);
-    for (auto p = pending_tx_.begin(); p != pending_tx_.end();) {
-        p = (p->second.owner == id) ? pending_tx_.erase(p) : std::next(p);
+    for (TxLink& link : tx_) {
+        for (auto p = link.pending.begin(); p != link.pending.end();)
+            p = (p->second.owner == id) ? retire(link, p) : std::next(p);
     }
     complete_locked(rq, st, rq.bytes_received, rq.comp.sender_tag);
 }
 
 bool Worker::fire_timers_locked() {
-    if (pending_tx_.empty() && rndv_recvs_.empty()) return false;
     bool fired = false;
     const SimTime now = clock_.now();
-    // Collect first: failing a request sweeps pending_tx_, which would
-    // invalidate iterators of a live loop.
-    std::vector<std::uint64_t> due, exhausted;
-    for (const auto& [seq, ptx] : pending_tx_) {
-        if (ptx.next_retry > now) continue;
-        (ptx.retries >= params_.max_retries ? exhausted : due).push_back(seq);
+    // Collect first: failing a request sweeps every link's pending table,
+    // which would invalidate iterators of a live loop.
+    std::vector<std::pair<std::size_t, std::uint64_t>> due, exhausted; // (dst, seq)
+    for (std::size_t dst = 0; dst < tx_.size(); ++dst) {
+        for (const auto& [seq, ptx] : tx_[dst].pending) {
+            if (ptx.next_retry > now) continue;
+            (ptx.retries >= params_.max_retries ? exhausted : due)
+                .emplace_back(dst, seq);
+        }
     }
-    for (const std::uint64_t seq : due) {
-        auto& ptx = pending_tx_.at(seq);
+    for (const auto& [dst, seq] : due) {
+        TxLink& link = tx_[dst];
+        auto& ptx = link.pending.at(seq);
         ++ptx.retries;
         ++stats_.retransmits;
         // Timer context has no open scope: attribute the retransmit (and
@@ -465,6 +481,7 @@ bool Worker::fire_timers_locked() {
         }
         ptx.rto *= 2.0; // exponential backoff in virtual time
         netsim::Packet copy = ptx.pkt;
+        copy.link_floor = link.floor(); // the floor may have risen since
         const SimTime arrival =
             ptx.control ? fabric_.transmit_control(std::move(copy), now)
                         : fabric_.transmit(std::move(copy), now, ptx.wire_bytes,
@@ -472,12 +489,15 @@ bool Worker::fire_timers_locked() {
         ptx.next_retry = arrival + params_.latency_us + ptx.rto;
         fired = true;
     }
-    for (const std::uint64_t seq : exhausted) {
-        const auto it = pending_tx_.find(seq);
-        if (it == pending_tx_.end()) continue; // removed by an earlier failure
+    for (const auto& [dst, seq] : exhausted) {
+        TxLink& link = tx_[dst];
+        const auto it = link.pending.find(seq);
+        if (it == link.pending.end()) continue; // removed by an earlier failure
         const RequestId owner = it->second.owner;
         const std::uint64_t msg = it->second.pkt.msg_id;
-        pending_tx_.erase(it);
+        // Abandoned for good: the floor moves past it, so the receiver's
+        // window stops waiting for it.
+        retire(link, it);
         ++stats_.timeouts;
         const trace::MsgScope msg_scope(msg);
         trace::instant("ucx", "timeout", now, "seq", seq);
@@ -520,7 +540,8 @@ bool Worker::fire_timers_locked() {
 
 SimTime Worker::next_timer_locked() const {
     SimTime t = std::numeric_limits<SimTime>::infinity();
-    for (const auto& [seq, ptx] : pending_tx_) t = std::min(t, ptx.next_retry);
+    for (const TxLink& link : tx_)
+        for (const auto& [seq, ptx] : link.pending) t = std::min(t, ptx.next_retry);
     for (const auto& [op, rid] : rndv_recvs_) {
         const auto rit = requests_.find(rid);
         if (rit == requests_.end() || rit->second->done) continue;
@@ -1285,7 +1306,29 @@ WorkerStats Worker::stats() {
 bool Worker::idle() {
     const std::lock_guard<std::mutex> lock(mutex_);
     return requests_.empty() && matcher_.empty() && mprobed_.empty() &&
-           rndv_sends_.empty() && rndv_recvs_.empty() && pending_tx_.empty();
+           rndv_sends_.empty() && rndv_recvs_.empty() &&
+           std::all_of(tx_.begin(), tx_.end(),
+                       [](const TxLink& l) { return l.pending.empty(); });
+}
+
+LinkState Worker::link_state(int peer) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return link_state_locked(peer);
+}
+
+LinkState Worker::link_state_locked(int peer) const {
+    const auto p = static_cast<std::size_t>(peer);
+    LinkState s;
+    s.next_seq = tx_[p].next_seq;
+    s.floor = tx_[p].floor();
+    s.pending = tx_[p].pending.size();
+    // Shard mutexes are leaves (never held while acquiring another lock),
+    // so taking one under the protocol mutex cannot deadlock.
+    const PeerShard& shard = shards_[p];
+    const std::lock_guard<std::mutex> sk(shard.mu);
+    s.watermark = shard.window.watermark();
+    s.out_of_order = shard.window.out_of_order();
+    return s;
 }
 
 void Worker::dump_state_locked(std::FILE* out) const {
@@ -1307,29 +1350,36 @@ void Worker::dump_state_locked(std::FILE* out) const {
                      static_cast<unsigned long long>(rq->retransmits),
                      rq->op_deadline);
     }
-    std::fprintf(out, "pending retransmit queue (%zu):\n", pending_tx_.size());
-    for (const auto& [seq, ptx] : pending_tx_) {
-        std::fprintf(out,
-                     "  seq %llu kind=%u msg=%llu retries=%d rto=%.3f "
-                     "next_retry=%.3f owner=%llu\n",
-                     static_cast<unsigned long long>(seq), ptx.pkt.kind,
-                     static_cast<unsigned long long>(ptx.pkt.msg_id),
-                     ptx.retries, ptx.rto, ptx.next_retry,
-                     static_cast<unsigned long long>(ptx.owner));
+    std::size_t npending = 0;
+    for (const TxLink& link : tx_) npending += link.pending.size();
+    std::fprintf(out, "pending retransmit queue (%zu):\n", npending);
+    for (std::size_t dst = 0; dst < tx_.size(); ++dst) {
+        for (const auto& [seq, ptx] : tx_[dst].pending) {
+            std::fprintf(out,
+                         "  dst=%zu seq %llu kind=%u msg=%llu retries=%d "
+                         "rto=%.3f next_retry=%.3f owner=%llu\n",
+                         dst, static_cast<unsigned long long>(seq), ptx.pkt.kind,
+                         static_cast<unsigned long long>(ptx.pkt.msg_id),
+                         ptx.retries, ptx.rto, ptx.next_retry,
+                         static_cast<unsigned long long>(ptx.owner));
+        }
     }
     std::fprintf(out,
                  "posted_recvs=%zu unexpected=%zu mprobed=%zu "
                  "rndv_sends=%zu rndv_recvs=%zu\n",
                  matcher_.posted_size(), matcher_.unexpected_size(),
                  mprobed_.size(), rndv_sends_.size(), rndv_recvs_.size());
-    for (std::size_t src = 0; src < shards_.size(); ++src) {
-        const PeerShard& shard = shards_[src];
-        // Shard mutexes are leaves (never held while acquiring another
-        // lock), so taking them under the protocol mutex cannot deadlock.
-        const std::lock_guard<std::mutex> sk(shard.mu);
-        if (shard.seen.empty()) continue;
-        std::fprintf(out, "peer %zu: %zu delivered link_seqs\n", src,
-                     shard.seen.size());
+    for (int peer = 0; peer < static_cast<int>(tx_.size()); ++peer) {
+        const LinkState l = link_state_locked(peer);
+        if (l.next_seq == 1 && l.watermark == 0 && l.out_of_order == 0)
+            continue; // no numbered traffic either way
+        std::fprintf(out,
+                     "peer %d: tx next=%llu floor=%llu pending=%zu  "
+                     "rx watermark=%llu ooo=%zu\n",
+                     peer, static_cast<unsigned long long>(l.next_seq),
+                     static_cast<unsigned long long>(l.floor), l.pending,
+                     static_cast<unsigned long long>(l.watermark),
+                     l.out_of_order);
     }
     std::fprintf(out,
                  "stats: retransmits=%llu dups=%llu crc=%llu acks=%llu/%llu "

@@ -24,7 +24,8 @@
 //    (a concurrent caller returns immediately), which also keeps packet
 //    admission in arrival order;
 //  - inbound CRC verification and duplicate suppression run outside the
-//    main mutex against per-peer shards;
+//    main mutex against per-peer shards, each holding the receive window
+//    of one link;
 //  - completion records live in a separate registry, so is_complete()/
 //    take_completion() never contend with the protocol mutex.
 #pragma once
@@ -38,7 +39,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/bytes.hpp"
@@ -48,6 +48,7 @@
 #include "ucx/datatype.hpp"
 #include "ucx/engine.hpp"
 #include "ucx/matcher.hpp"
+#include "ucx/seq_window.hpp"
 #include "ucx/wire.hpp"
 
 namespace mpicd::ucx {
@@ -90,6 +91,19 @@ struct WorkerStats {
     std::uint64_t acks_sent = 0;
     std::uint64_t acks_received = 0;
     std::uint64_t timeouts = 0;               // ops failed with Status::timeout
+};
+
+// Reliable-delivery state of one link pair: this worker's sends to a peer
+// and its receives from that peer (initial values while the protocol is
+// off).
+struct LinkState {
+    // Send side (this worker -> peer).
+    std::uint64_t next_seq = 1; // link_seq the next numbered packet gets
+    std::uint64_t floor = 1;    // every seq below it is acked or abandoned
+    std::size_t pending = 0;    // packets awaiting ack (retransmit table)
+    // Receive side (peer -> this worker).
+    std::uint64_t watermark = 0;  // every seq at or below it was admitted
+    std::size_t out_of_order = 0; // admitted seqs above the watermark
 };
 
 // Handle returned by mprobe(): the matched message is removed from the
@@ -182,6 +196,10 @@ public:
     // Snapshot of the protocol counters.
     [[nodiscard]] WorkerStats stats();
 
+    // Reliable-delivery state of the link pair with `peer` (the same view
+    // the flight-recorder dump prints).
+    [[nodiscard]] LinkState link_state(int peer);
+
 private:
     struct Request;
     struct PendingSend;
@@ -234,9 +252,10 @@ private:
     void note_unexpected_dwell_locked(const UnexpectedMsg& u);
 
     // Flight-recorder dump of this worker's protocol state (in-flight
-    // request table, retransmit queue, per-peer dedup/rendezvous state).
+    // request table, retransmit queue, per-peer link state).
     // Caller must hold (or be unable to ever share) mutex_.
     void dump_state_locked(std::FILE* out) const;
+    [[nodiscard]] LinkState link_state_locked(int peer) const;
 
     netsim::Fabric& fabric_;
     const netsim::WireParams& params_;
@@ -264,11 +283,10 @@ private:
     // reliability, this worker numbers and acknowledges packets for the
     // rest of its lifetime (reliability never switches off mid-run).
     bool reliable_ = false;
-    std::uint64_t next_link_seq_ = 1;
-    // Unacknowledged outgoing packets by link_seq: the retransmit record
-    // and its backoff schedule in virtual time. The payload inside `pkt`
-    // is a PooledBuf, so this record *shares* the transmitted packet's
-    // slab instead of duplicating the bytes.
+    // Unacknowledged outgoing packet: the retransmit record and its
+    // backoff schedule in virtual time. The payload inside `pkt` is a
+    // PooledBuf, so this record *shares* the transmitted packet's slab
+    // instead of duplicating the bytes.
     struct PendingTx {
         netsim::Packet pkt;
         bool control = false;
@@ -280,17 +298,37 @@ private:
         SimTime next_retry = 0.0; // virtual deadline for the next attempt
         RequestId owner = kInvalidRequest;
     };
-    std::unordered_map<std::uint64_t, PendingTx> pending_tx_;
+    // Unacked packets by link_seq. An unordered_map: its iteration order
+    // decides the order in which due retransmits fire.
+    using TxTable = std::unordered_map<std::uint64_t, PendingTx>;
+    // Send side of the link to one destination. Packets are numbered per
+    // (sender, destination) link, so the destination sees 1, 2, 3, ...
+    // with no gaps and can summarise them with a watermark. `retired`
+    // holds the seqs that left `pending` (acked or abandoned); its
+    // watermark + 1 is the link's floor, stamped on every packet so the
+    // receiver's window never waits for a seq that will not come.
+    struct TxLink {
+        std::uint64_t next_seq = 1;
+        TxTable pending;
+        SeqWindow retired;
+        [[nodiscard]] std::uint64_t floor() const noexcept {
+            return retired.watermark() + 1;
+        }
+    };
+    std::vector<TxLink> tx_; // by destination endpoint
+    // Drop an unacked record for good (acked, or abandoned after its
+    // retries ran out / its request failed); returns the next iterator.
+    static TxTable::iterator retire(TxLink& link, TxTable::iterator it);
 
-    // Per-peer admission shard: the set of delivered link_seq values
-    // (duplicate suppression), guarded by its own mutex so inbound
+    // Per-peer admission shard: the receive window of the link from that
+    // peer (duplicate suppression), guarded by its own mutex so inbound
     // filtering never touches the protocol mutex. Leaf lock: never held
     // while acquiring any other lock. A deque so elements never move.
     struct PeerShard {
         mutable std::mutex mu;
-        std::unordered_set<std::uint64_t> seen;
+        SeqWindow window;
     };
-    std::deque<PeerShard> shards_;
+    std::deque<PeerShard> shards_; // by source endpoint
     // Admission-context counters (outside the protocol mutex); folded into
     // stats() snapshots.
     std::atomic<std::uint64_t> adm_dups_{0};

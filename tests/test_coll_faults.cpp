@@ -292,7 +292,56 @@ TEST(CollFaults, WatchdogTimeoutTriggersFlightDump) {
     EXPECT_NE(dump.find("live collective ops:"), std::string::npos);
     EXPECT_NE(dump.find("fam=barrier"), std::string::npos);
     EXPECT_NE(dump.find("peer="), std::string::npos);
+    // The ucx.worker sources print one reliable-delivery line per peer
+    // with traffic: send side (next seq, floor, unacked count) and receive
+    // side (watermark, out-of-order count).
+    EXPECT_NE(dump.find("source: ucx.worker"), std::string::npos);
+    EXPECT_NE(dump.find(": tx next="), std::string::npos);
+    EXPECT_NE(dump.find(" floor="), std::string::npos);
+    EXPECT_NE(dump.find("rx watermark="), std::string::npos);
+    EXPECT_NE(dump.find(" ooo="), std::string::npos);
     std::remove(path.c_str());
+}
+
+// A timed-out collective must not leave receives posted. Ranks 1 and 2
+// enter a broadcast rooted at rank 0 and time out, because rank 0 has not
+// entered yet. The test then fills their buffers with a sentinel, as a
+// caller reusing them would, and rank 0 enters late. Its first collective
+// reserves the same tag block, so its sends would match receives the
+// timed-out ops left posted and overwrite the sentinel. The watchdog
+// cancels those receives instead: rank 0's payloads stay unexpected at
+// ranks 1 and 2, and both sentinels survive.
+TEST(CollFaults, LatePeerCannotWriteIntoTimedOutOp) {
+    netsim::FaultConfig f;
+    f.force_reliable = true;
+    constexpr Count kLen = 256; // eager
+    Universe uni(3, lossy_params(), f);
+    std::vector<ByteVec> bufs(3, ByteVec(kLen));
+    std::atomic<int> timeouts{0};
+    std::vector<std::thread> threads;
+    for (int r = 1; r <= 2; ++r) {
+        threads.emplace_back([&, r] {
+            auto& buf = bufs[static_cast<std::size_t>(r)];
+            if (coll::ibcast_bytes(uni.comm(r), buf.data(), kLen, 0).wait() ==
+                Status::timeout)
+                ++timeouts;
+        });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_EQ(timeouts.load(), 2);
+
+    for (int r = 1; r <= 2; ++r)
+        std::fill(bufs[static_cast<std::size_t>(r)].begin(),
+                  bufs[static_cast<std::size_t>(r)].end(), std::byte{0xA5});
+    bufs[0] = mpicd::test::pattern_bytes(static_cast<std::size_t>(kLen), 9);
+    EXPECT_EQ(coll::ibcast_bytes(uni.comm(0), bufs[0].data(), kLen, 0).wait(),
+              Status::success);
+    for (int spin = 0; spin < 1000 && uni.progress_all(); ++spin) {
+    }
+
+    const ByteVec sentinel(static_cast<std::size_t>(kLen), std::byte{0xA5});
+    EXPECT_EQ(bufs[1], sentinel);
+    EXPECT_EQ(bufs[2], sentinel);
 }
 
 // The v-variants run on the same executor, so they carry the same loss

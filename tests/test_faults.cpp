@@ -341,6 +341,45 @@ TEST(Faults, FinLossTimesOutBothSides) {
     EXPECT_GE(uni.worker(1).stats().timeouts, 1u);
 }
 
+// An abandoned seq must not pin the receiver's window. The first eager on
+// 0->1 and both of its retransmissions are dropped, so the sender gives
+// that seq up with Status::timeout. 100 more messages then cross the same
+// link. Each carries the link's floor, which lies past the abandoned seq,
+// so the receiver's watermark moves over the gap instead of holding all
+// 100 later seqs out of order forever.
+TEST(Faults, AbandonedSeqDoesNotPinReceiveWindow) {
+    auto params = fault_params();
+    params.max_retries = 2;
+    Universe uni(2, params, FaultConfig{});
+    for (std::uint64_t nth = 1; nth <= 3; ++nth)
+        uni.fabric().faults().schedule(
+            make_fault(FaultAction::drop, ucx::wire::kEager, 0, 1, nth));
+    const ByteVec lost = test::pattern_bytes(256, 5);
+    auto lost_send = uni.comm(0).isend_bytes(lost.data(), 256, 1, 3);
+    EXPECT_EQ(lost_send.wait().status, Status::timeout);
+
+    constexpr int kMore = 100;
+    for (int i = 0; i < kMore; ++i) {
+        const ByteVec src = test::pattern_bytes(128, 200u + static_cast<unsigned>(i));
+        ByteVec dst(128);
+        auto rr = uni.comm(1).irecv_bytes(dst.data(), 128, 0, 10 + i);
+        auto rs = uni.comm(0).isend_bytes(src.data(), 128, 1, 10 + i);
+        EXPECT_EQ(rs.wait().status, Status::success);
+        EXPECT_EQ(rr.wait().status, Status::success);
+        EXPECT_EQ(dst, src);
+    }
+    for (int spin = 0; spin < 1000 && !uni.worker(0).idle(); ++spin)
+        uni.progress_all();
+
+    const ucx::LinkState tx = uni.worker(0).link_state(1);
+    const ucx::LinkState rx = uni.worker(1).link_state(0);
+    EXPECT_EQ(tx.next_seq, 1u + 1u + kMore);
+    EXPECT_EQ(tx.pending, 0u);
+    EXPECT_EQ(tx.floor, tx.next_seq);
+    EXPECT_EQ(rx.out_of_order, 0u);
+    EXPECT_EQ(rx.watermark, tx.next_seq - 1);
+}
+
 // Determinism: the same seed and traffic produce the same fault pattern
 // and identical completion times; a different seed produces a different
 // pattern.

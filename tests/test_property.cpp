@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <random>
+#include <set>
+#include <string>
 
 #include "base/crc32.hpp"
 #include "dt/convertor.hpp"
@@ -15,6 +18,7 @@
 #include "p2p/universe.hpp"
 #include "pysim/pickle.hpp"
 #include "test_util.hpp"
+#include "ucx/seq_window.hpp"
 
 namespace mpicd {
 namespace {
@@ -429,6 +433,90 @@ TEST(CrcProperty, KnownAnswer) {
     const char check[] = "123456789";
     EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
     EXPECT_EQ(crc32(check, 0), 0u);
+}
+
+// --- Reliable-delivery receive window ------------------------------------------
+
+// The receive window of one link (ucx::SeqWindow: watermark + out-of-order
+// numbers) against the structure it replaced, the set of every link_seq
+// ever delivered. A seeded sender numbers 1..N, keeps at most `bound`
+// numbers at or above its floor (the lowest number neither acked nor
+// abandoned) and stamps that floor on every copy it sends. The wire drops,
+// duplicates and reorders copies within a bounded horizon; dropped
+// numbers are retransmitted, lost acks cause retransmits of numbers the
+// receiver already has, and some numbers are abandoned outright. The
+// receiver applies each copy's floor and then admits its number, exactly
+// as Worker::admit_data_packet does. Every admit must equal the reference
+// set's insert().second, where a number below an applied floor counts as
+// seen; the window never holds `bound` or more out-of-order numbers.
+TEST(SeqWindowProperty, MatchesSetReferenceOnLossyStreams) {
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        const auto chance = [&](unsigned pct) { return rng() % 100 < pct; };
+        const std::uint64_t n = 1 + rng() % 800;
+        const std::uint64_t bound = 1 + rng() % 48;
+        const unsigned drop_pct = static_cast<unsigned>(rng() % 4) * 10;
+        const unsigned dup_pct = static_cast<unsigned>(rng() % 3) * 10;
+        const unsigned abandon_pct = seed % 3 == 0 ? 10 : 0;
+        const std::size_t horizon = 1 + rng() % 8; // bounded reordering
+
+        struct Copy {
+            std::uint64_t seq, floor;
+        };
+        std::deque<Copy> wire;
+        std::set<std::uint64_t> unacked; // sent, neither acked nor abandoned
+        std::uint64_t next = 1;
+        bool abandoned_any = false;
+        const auto floor = [&] { return unacked.empty() ? next : *unacked.begin(); };
+        const auto transmit = [&](std::uint64_t seq) {
+            if (chance(drop_pct)) return;
+            wire.push_back({seq, floor()});
+            if (chance(dup_pct)) wire.push_back(wire.back());
+        };
+
+        ucx::SeqWindow window;
+        std::set<std::uint64_t> seen;   // reference model
+        std::uint64_t ref_floor = 1;    // every number below counts as seen
+        while (next <= n || !unacked.empty() || !wire.empty()) {
+            const bool may_send = next <= n && next < floor() + bound;
+            if (may_send && (wire.empty() || chance(40))) {
+                unacked.insert(next);
+                transmit(next++);
+            } else if (!wire.empty()) {
+                const std::size_t pick = rng() % std::min(horizon, wire.size());
+                const Copy c = wire[pick];
+                wire.erase(wire.begin() + static_cast<std::ptrdiff_t>(pick));
+                window.apply_floor(c.floor);
+                ref_floor = std::max(ref_floor, c.floor);
+                const bool want = c.seq >= ref_floor && seen.insert(c.seq).second;
+                ASSERT_EQ(window.admit(c.seq), want) << "seq " << c.seq;
+                ASSERT_LT(window.out_of_order(), bound);
+                if (!chance(drop_pct)) unacked.erase(c.seq); // the ack
+            } else {
+                // Nothing in flight: the retransmit timer of one unacked
+                // number fires; sometimes its retries are already spent.
+                auto it = unacked.begin();
+                std::advance(it, static_cast<std::ptrdiff_t>(rng() % unacked.size()));
+                if (chance(abandon_pct)) {
+                    unacked.erase(it);
+                    abandoned_any = true;
+                } else {
+                    transmit(*it);
+                }
+            }
+        }
+        // Everything was acked: the watermark alone summarises the stream.
+        if (!abandoned_any) {
+            EXPECT_EQ(window.watermark(), n);
+            EXPECT_EQ(window.out_of_order(), 0u);
+        }
+        // The next packet on the link carries floor n + 1, which covers
+        // any abandoned tail.
+        window.apply_floor(n + 1);
+        EXPECT_EQ(window.watermark(), n);
+        EXPECT_EQ(window.out_of_order(), 0u);
+    }
 }
 
 } // namespace

@@ -14,7 +14,18 @@
 #     delivered payloads — must hold under faults); only the performance
 #     gate is restricted to the faults-off leg.
 # Everything else must pass unmodified — that is the point of the sweep: the
-# reliable-delivery protocol makes packet loss invisible to correctness.
+# reliable-delivery protocol makes packet loss invisible to correctness, with
+# one known exception. A dropped eager packet lets later messages with the
+# same (source, tag) overtake it, which breaks MPI's non-overtaking rule
+# (docs/FAULTS.md, Limitations). The 1% legs pass only because their seeds
+# never drop such a packet; test_ucx's PerSrcTagFifoNonOvertaking fails at
+# MPICD_FAULT_DROP=0.2.
+#
+# A heavy-loss leg then replays the reliability and collective tests at 5%
+# drop/dup/reorder and 2% corruption over two seeds. It drives each link's
+# receive window through deep gaps and floor updates. test_ucx stays out of
+# it: its probe/mprobe tests and the non-overtaking test above fail at that
+# loss rate.
 #
 # A final AddressSanitizer leg rebuilds the datapath-relevant tests in a
 # separate build tree (-DMPICD_SANITIZE=address) and replays the lossy
@@ -56,6 +67,8 @@ fi
 
 SEEDS=(1 42 999983)
 EXCLUDE='test_netsim|test_engine|bench_compare'
+HEAVY_SEEDS=(1 12345)
+HEAVY_TESTS='test_faults|test_reliability_soak|test_coll_faults|test_p2p|test_collectives'
 JOBS=${CTEST_PARALLEL_LEVEL:-4}
 
 # --repeat until-pass:2 absorbs the pre-existing scheduler-dependent flake in
@@ -78,6 +91,18 @@ for seed in "${SEEDS[@]}"; do
     MPICD_FAULT_DELAY=0.05 \
     MPICD_FAULT_DELAY_US=10 \
     run_ctest -E "$EXCLUDE"
+done
+
+for seed in "${HEAVY_SEEDS[@]}"; do
+    echo "=== heavy loss: seed=$seed ($HEAVY_TESTS) ==="
+    MPICD_FAULT_SEED=$seed \
+    MPICD_FAULT_DROP=0.05 \
+    MPICD_FAULT_DUP=0.05 \
+    MPICD_FAULT_REORDER=0.05 \
+    MPICD_FAULT_CORRUPT=0.02 \
+    MPICD_FAULT_DELAY=0.05 \
+    MPICD_FAULT_DELAY_US=10 \
+    run_ctest -R "$HEAVY_TESTS"
 done
 
 if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
