@@ -11,12 +11,23 @@
 // Two paths per shape: the generic per-segment loop and the compiled
 // plan.
 //
-// A second table reports scatter-gather entry counts for the MILC region
+// A second table reports plan-mode pack and unpack throughput (MB/s) for
+// the strided halo faces whose reps each land on their own cache line:
+// NAS_MG_x (8 B every 512 B), WRF_x_vec (16 B every 256 B) and NAS_LU_y
+// (40 B every 2560 B). Full mode flushes the face and the packed stream
+// from the caches before every timed pass, as a halo exchange finds them
+// after a compute sweep; smoke mode times warm passes.
+//
+// A third table reports scatter-gather entry counts for the MILC region
 // kernel at both granularities, before and after the coalescing pass, with
 // the gathered byte totals to show coalescing never changes delivered
 // bytes.
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "common.hpp"
 #include "core/paper_types.hpp"
@@ -97,6 +108,83 @@ Shape make_nas_lu_y(Count target_packed) {
     return s;
 }
 
+// Flushes every cache line `type` touches at `buf` (count 1) and the
+// packed stream. Elsewhere than x86-64 nothing is flushed and the passes
+// run warm.
+void evict(const dt::TypeRef& type, const void* buf, const ByteVec& stream) {
+#if defined(__x86_64__)
+    const auto flush = [](const void* p, Count n) {
+        constexpr std::uintptr_t kLine = 64;
+        const auto first = reinterpret_cast<std::uintptr_t>(p) & ~(kLine - 1);
+        const auto end =
+            reinterpret_cast<std::uintptr_t>(p) + static_cast<std::uintptr_t>(n);
+        for (std::uintptr_t a = first; a < end; a += kLine)
+            _mm_clflush(reinterpret_cast<const void*>(a));
+    };
+    for (const dt::Segment& seg : type->segments())
+        flush(static_cast<const std::byte*>(buf) + seg.offset, seg.len);
+    flush(stream.data(), static_cast<Count>(stream.size()));
+    _mm_mfence();
+#else
+    (void)type;
+    (void)buf;
+    (void)stream;
+#endif
+}
+
+// Plan-mode pack and unpack MB/s of one DDTBench kernel's datatype over
+// `reps` passes each; evicts before every pass unless in smoke mode. The
+// unpacked receive side must verify against the sender.
+std::vector<double> strided_MBps(const std::string& name, Count size, int reps) {
+    auto send = ddtbench::make_kernel(name);
+    auto recv = ddtbench::make_kernel(name);
+    send->resize(size);
+    recv->resize(size);
+    send->fill(3);
+    recv->clear();
+    if (send->dt_count() != 1) {
+        std::fprintf(stderr, "ablation_pack_plan: %s is not one element\n",
+                     name.c_str());
+        std::exit(1);
+    }
+    const dt::TypeRef type = send->datatype();
+    const Count total = type->size();
+    verify_identical(type, send->dt_buffer(), 1);
+    ByteVec stream(static_cast<std::size_t>(total));
+    double pack_us = 0.0, unpack_us = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        if (!smoke_mode()) evict(type, send->dt_buffer(), stream);
+        HostTimer t;
+        Count used = 0;
+        const Status st = dt::Convertor::pack_all(type, send->dt_buffer(), 1, stream,
+                                                  &used, dt::PackMode::plan);
+        pack_us += t.elapsed_us();
+        if (st != Status::success || used != total) {
+            std::fprintf(stderr, "ablation_pack_plan: pack failed\n");
+            std::exit(1);
+        }
+    }
+    for (int r = 0; r < reps; ++r) {
+        if (!smoke_mode()) evict(recv->datatype(), recv->dt_buffer(), stream);
+        HostTimer t;
+        const Status st = dt::Convertor::unpack_all(recv->datatype(), recv->dt_buffer(),
+                                                    1, stream, dt::PackMode::plan);
+        unpack_us += t.elapsed_us();
+        if (st != Status::success) {
+            std::fprintf(stderr, "ablation_pack_plan: unpack failed\n");
+            std::exit(1);
+        }
+    }
+    if (!recv->verify(*send)) {
+        std::fprintf(stderr, "ablation_pack_plan: %s unpack differs\n", name.c_str());
+        std::exit(1);
+    }
+    const auto mbps = [&](double us) {
+        return us > 0 ? static_cast<double>(total) * reps / us : 0.0;
+    };
+    return {mbps(pack_us), mbps(unpack_us)};
+}
+
 } // namespace
 
 int main() {
@@ -125,6 +213,16 @@ int main() {
         }
     }
     table.finish("ablation_pack_plan");
+
+    // --- Strided halo faces: one rep per cache line ----------------------
+    Table strided("Ablation: strided halo faces, plan-mode pack/unpack (MB/s)",
+                  "kernel-size", {"pack", "unpack"});
+    const Count strided_size = smoke_mode() ? Count(64) << 10 : Count(1) << 20;
+    for (const char* name : {"NAS_MG_x", "WRF_x_vec", "NAS_LU_y"}) {
+        strided.add_row(std::string(name) + "-" + size_label(strided_size),
+                        strided_MBps(name, strided_size, smoke_mode() ? 8 : 20));
+    }
+    strided.finish("ablation_pack_plan_strided");
 
     // --- Scatter-gather entry counts under coalescing --------------------
     Table iov("Ablation: MILC region-kernel SG entries, +/- coalescing",

@@ -84,11 +84,19 @@ std::shared_ptr<const PackPlan> compile_plan(std::span<const Segment> segments,
 
 namespace {
 
+// Reps of a run whose |stride| is at least a cache line each touch their
+// own line, so the loop stalls on every miss (unpack worst: each store
+// needs a read-for-ownership). Such runs prefetch the rep kPrefetchReps
+// ahead; the last kPrefetchReps reps run unprefetched, so no address past
+// the run's last rep is ever formed.
+inline constexpr Count kPrefetchReps = 16;
+inline constexpr Count kPrefetchMinStride = 64;
+
 template <std::size_t W, bool Pack>
 inline void fixed_run(std::byte* mem, Count stride, Count reps,
                       std::byte*& stream_mut) noexcept {
     std::byte* stream = stream_mut;
-    for (Count r = 0; r < reps; ++r) {
+    const auto copy_rep = [&] {
         if constexpr (Pack) {
             std::memcpy(stream, mem, W);
         } else {
@@ -96,7 +104,16 @@ inline void fixed_run(std::byte* mem, Count stride, Count reps,
         }
         stream += W;
         mem += stride;
+    };
+    Count r = 0;
+    if (stride >= kPrefetchMinStride || stride <= -kPrefetchMinStride) {
+        const Count ahead = kPrefetchReps * stride;
+        for (; r < reps - kPrefetchReps; ++r) {
+            __builtin_prefetch(mem + ahead, Pack ? 0 : 1);
+            copy_rep();
+        }
     }
+    for (; r < reps; ++r) copy_rep();
     stream_mut = stream;
 }
 

@@ -3,7 +3,9 @@
 // position, and fragment boundary — and must move every byte themselves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 
 #include "base/stats.hpp"
 #include "core/paper_types.hpp"
@@ -182,30 +184,41 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlanVsGeneric, ::testing::Range(0, 24));
 
 // --- Fragments smaller than one element ----------------------------------
 
-// Pack `count` elements of `send_type` from `src` in `frag`-byte pieces
-// through a plan-mode convertor, then scatter each piece into `dst` as
-// `recv_type` the same way. Returns the packed stream; every byte must go
-// through the plan's kernels, none through the generic segment loop.
+// Pack `count` elements of `send_type` from `src` through a plan-mode
+// convertor in the pieces that `cuts` (ascending packed offsets inside the
+// stream) delimit, then scatter each piece into `dst` as `recv_type` the
+// same way. Returns the packed stream; every byte must go through the
+// plan's kernels, none through the generic segment loop.
 ByteVec fragmented_round_trip(const dt::TypeRef& send_type, const void* src,
                               const dt::TypeRef& recv_type, void* dst, Count count,
-                              Count frag) {
+                              const std::vector<Count>& cuts) {
     const Count total = send_type->size() * count;
     ByteVec stream(static_cast<std::size_t>(total));
     const auto before = pack_stats().snapshot();
     dt::Convertor pcv(send_type, const_cast<void*>(src), count, dt::PackMode::plan);
     dt::Convertor ucv(recv_type, dst, count, dt::PackMode::plan);
-    for (Count at = 0; at < total; at += frag) {
-        const auto n = static_cast<std::size_t>(std::min(frag, total - at));
+    Count at = 0;
+    for (std::size_t i = 0; i <= cuts.size(); ++i) {
+        const Count end = i < cuts.size() ? cuts[i] : total;
+        const auto n = static_cast<std::size_t>(end - at);
         Count got = 0;
         EXPECT_EQ(pcv.pack(MutBytes(stream.data() + at, n), &got), Status::success);
         EXPECT_EQ(got, static_cast<Count>(n));
         EXPECT_EQ(ucv.unpack(ConstBytes(stream.data() + at, n)), Status::success);
+        at = end;
     }
     const auto after = pack_stats().snapshot();
     EXPECT_EQ(after.kernel_bytes - before.kernel_bytes,
               2 * static_cast<std::uint64_t>(total));
     EXPECT_EQ(after.generic_bytes - before.generic_bytes, 0u);
     return stream;
+}
+
+// Cuts every `frag` bytes of a `total`-byte stream.
+std::vector<Count> every(Count frag, Count total) {
+    std::vector<Count> cuts;
+    for (Count at = frag; at < total; at += frag) cuts.push_back(at);
+    return cuts;
 }
 
 TEST(SubElementFragments, VectorElementRunsEntirelyOnPlan) {
@@ -215,7 +228,8 @@ TEST(SubElementFragments, VectorElementRunsEntirelyOnPlan) {
     ASSERT_EQ(t->commit(), Status::success);
     const ByteVec src = test::pattern_bytes(static_cast<std::size_t>(t->extent()), 9);
     ByteVec dst(src.size(), std::byte{0});
-    const ByteVec stream = fragmented_round_trip(t, src.data(), t, dst.data(), 1, 28);
+    const ByteVec stream =
+        fragmented_round_trip(t, src.data(), t, dst.data(), 1, every(28, t->size()));
 
     ByteVec ref(stream.size());
     Count used = 0;
@@ -230,7 +244,7 @@ TEST(SubElementFragments, VectorElementRunsEntirelyOnPlan) {
     EXPECT_EQ(dst, ref_dst);
 }
 
-class DdtKernelFragments : public ::testing::TestWithParam<const char*> {};
+class DdtKernelFragments : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DdtKernelFragments, OneMiBInRendezvousFragmentsRunsEntirelyOnPlan) {
     // At 1 MiB a DDTBench kernel is one element larger than the 512 KiB
@@ -249,7 +263,8 @@ TEST_P(DdtKernelFragments, OneMiBInRendezvousFragmentsRunsEntirelyOnPlan) {
     ASSERT_GT(type->size() * count, Count{512} << 10);
     const ByteVec stream =
         fragmented_round_trip(type, send->dt_buffer(), recv->datatype(),
-                              recv->dt_buffer(), count, Count{512} << 10);
+                              recv->dt_buffer(), count,
+                              every(Count{512} << 10, type->size() * count));
     ByteVec ref(stream.size());
     Count used = 0;
     ASSERT_EQ(dt::Convertor::pack_all(type, send->dt_buffer(), count, ref, &used,
@@ -260,7 +275,90 @@ TEST_P(DdtKernelFragments, OneMiBInRendezvousFragmentsRunsEntirelyOnPlan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, DdtKernelFragments,
-                         ::testing::Values("NAS_MG_x", "LAMMPS_full"));
+                         ::testing::ValuesIn(ddtbench::kernel_names()),
+                         [](const auto& info) { return info.param; });
+
+// --- Prefetched strided runs ---------------------------------------------
+
+// A fixed-width run (at most 64 B per rep) whose |stride| is at least a
+// cache line prefetches a fixed number of reps ahead and leaves its last
+// reps unprefetched. Rep counts on both sides of that distance, and
+// fragments that enter a run within its last reps, must match the generic
+// convertor byte for byte.
+constexpr Count kPrefetchDistance = 16;
+
+TEST(PackPlan, PrefetchedRunsMatchGeneric) {
+    constexpr Count kGuard = 64;
+    std::vector<Count> rep_counts;
+    for (Count n = 1; n <= 2 * kPrefetchDistance + 1; ++n) rep_counts.push_back(n);
+    rep_counts.push_back(1000);
+    for (const Count w : {4, 8, 16, 40, 64}) {
+        for (const Count stride : {-512, -64, 64, 256, 2560}) {
+            for (const Count n : rep_counts) {
+                SCOPED_TRACE(::testing::Message() << "width " << w << " stride "
+                                                  << stride << " reps " << n);
+                auto t = dt::Datatype::hvector(n, w, stride, dt::type_byte());
+                ASSERT_EQ(t->commit(), Status::success);
+                const Count total = t->size();
+                const auto span = static_cast<std::size_t>(t->true_extent() + 2 * kGuard);
+                const auto seed = static_cast<std::uint32_t>(w * 7919 + stride * 31 + n);
+                const ByteVec src = test::pattern_bytes(span, seed);
+                const ByteVec prefill = test::pattern_bytes(span, seed + 1);
+                const Count anchor = kGuard - t->true_lb();
+                if (n > 1 && stride != w) {
+                    // One fixed-width run: the kernel under test.
+                    ASSERT_EQ(t->plan()->instrs.size(), 1u);
+                    EXPECT_EQ(t->plan()->instrs[0].len, w);
+                    EXPECT_EQ(t->plan()->instrs[0].stride, stride);
+                }
+
+                ByteVec ref(static_cast<std::size_t>(total));
+                ByteVec packed(ref.size());
+                Count used = 0;
+                ASSERT_EQ(dt::Convertor::pack_all(t, src.data() + anchor, 1, ref, &used,
+                                                  dt::PackMode::generic),
+                          Status::success);
+                ASSERT_EQ(dt::Convertor::pack_all(t, src.data() + anchor, 1, packed,
+                                                  &used, dt::PackMode::plan),
+                          Status::success);
+                EXPECT_EQ(packed, ref);
+                ByteVec via_generic = prefill;
+                ByteVec via_plan = prefill;
+                ASSERT_EQ(dt::Convertor::unpack_all(t, via_generic.data() + anchor, 1,
+                                                    ref, dt::PackMode::generic),
+                          Status::success);
+                ASSERT_EQ(dt::Convertor::unpack_all(t, via_plan.data() + anchor, 1, ref,
+                                                    dt::PackMode::plan),
+                          Status::success);
+                EXPECT_EQ(via_plan, via_generic);
+                EXPECT_TRUE(std::equal(via_plan.begin(), via_plan.begin() + kGuard,
+                                       prefill.begin()));
+                EXPECT_TRUE(std::equal(via_plan.end() - kGuard, via_plan.end(),
+                                       prefill.end() - kGuard));
+
+                // Fragment ends inside the last kPrefetchDistance + 1 reps,
+                // on and off rep boundaries, so execute_partial enters the
+                // run near its end.
+                const Count last = std::max<Count>(0, n - kPrefetchDistance - 1) * w;
+                const std::vector<std::vector<Count>> schedules = {
+                    {last}, {last + w / 2}, {last + w / 2, total - w / 2},
+                    {last + w, total - w}};
+                for (const auto& wanted : schedules) {
+                    std::vector<Count> cuts;
+                    for (const Count c : wanted) {
+                        if (c > (cuts.empty() ? 0 : cuts.back()) && c < total)
+                            cuts.push_back(c);
+                    }
+                    ByteVec out = prefill;
+                    EXPECT_EQ(fragmented_round_trip(t, src.data() + anchor, t,
+                                                    out.data() + anchor, 1, cuts),
+                              ref);
+                    EXPECT_EQ(out, via_generic);
+                }
+            }
+        }
+    }
+}
 
 // --- Edge cases ----------------------------------------------------------
 

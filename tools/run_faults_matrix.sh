@@ -35,10 +35,13 @@
 # the CRC-32 kernel's word loads and tail loop run under ASan over every
 # length and alignment, and test_pack_plan/test_convertor so the pack-plan
 # kernels' mid-element pointer arithmetic (plan_pack_range/plan_unpack_range,
-# run on every derived-datatype fragment) does too. test_collectives and
-# test_coll_faults run there as well: collective steps post into buffers
-# the op owns (leader staging, reduction partners), so a step outliving its
-# op would be a use-after-free. MPICD_SKIP_ASAN=1 skips it.
+# run on every derived-datatype fragment) does too. test_ddtbench moves
+# every DDTBench kernel's derived datatype through the transport, so the
+# prefetched strided-run loops run there on the real halo shapes.
+# test_collectives and test_coll_faults run there as well: collective steps
+# post into buffers the op owns (leader staging, reduction partners), so a
+# step outliving its op would be a use-after-free. MPICD_SKIP_ASAN=1 skips
+# it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
 # matcher-heavy tests — test_matcher's randomized differential sweeps, the
@@ -107,7 +110,7 @@ done
 
 if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
     ASAN_DIR=${BUILD_DIR}-asan
-    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor|test_collectives|test_coll_faults'
+    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor|test_ddtbench|test_collectives|test_coll_faults'
     echo "=== asan leg: configuring $ASAN_DIR ==="
     cmake -B "$ASAN_DIR" -S . \
           -DMPICD_SANITIZE=address \
@@ -115,7 +118,8 @@ if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build "$ASAN_DIR" -j "$JOBS" --target \
           test_base test_ucx test_faults test_reliability_soak test_property \
-          test_pack_plan test_convertor test_collectives test_coll_faults
+          test_pack_plan test_convertor test_ddtbench test_collectives \
+          test_coll_faults
     echo "=== asan leg: lossy datapath and collective tests under AddressSanitizer ==="
     MPICD_FAULT_SEED=42 \
     MPICD_FAULT_DROP=0.01 \
