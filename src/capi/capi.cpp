@@ -431,13 +431,14 @@ int MPI_Recv(void* buf, MPI_Count count, MPI_Datatype type, int source, int tag,
 int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
     if (comm == nullptr || comm->comm == nullptr) return MPI_ERR_ARG;
     const auto info = comm->comm->probe(source, tag);
+    const int rc = to_mpi_err(info.status);
     if (status != MPI_STATUS_IGNORE) {
         status->MPI_SOURCE = info.source;
         status->MPI_TAG = info.tag;
-        status->MPI_ERROR = MPI_SUCCESS;
+        status->MPI_ERROR = rc;
         status->count_ = info.bytes;
     }
-    return MPI_SUCCESS;
+    return rc;
 }
 
 int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status) {
@@ -460,14 +461,15 @@ int MPI_Mprobe(int source, int tag, MPI_Comm comm, MPI_Message* message,
         return MPI_ERR_ARG;
     auto h = std::make_unique<mpicd_message_s>();
     h->msg = comm->comm->mprobe(source, tag);
+    const int rc = to_mpi_err(h->msg.info.status);
     if (status != MPI_STATUS_IGNORE) {
         status->MPI_SOURCE = h->msg.info.source;
         status->MPI_TAG = h->msg.info.tag;
-        status->MPI_ERROR = MPI_SUCCESS;
+        status->MPI_ERROR = rc;
         status->count_ = h->msg.info.bytes;
     }
-    *message = h.release();
-    return MPI_SUCCESS;
+    *message = rc == MPI_SUCCESS ? h.release() : nullptr;
+    return rc;
 }
 
 int MPI_Imrecv(void* buf, MPI_Count count, MPI_Datatype type, MPI_Message* message,

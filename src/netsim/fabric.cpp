@@ -159,7 +159,7 @@ void Fabric::flush_limbo_locked(int ep) {
 
 SimTime Fabric::transmit(Packet&& pkt, SimTime ready, Count wire_bytes,
                          Count sg_entries, int rail) {
-    std::unique_lock<std::mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     auto& free_at = link_free_slot(pkt.src, pkt.dst, rail);
     const SimTime avail = ready + params_.sg_overhead(sg_entries);
     const SimTime start = std::max(avail, free_at);
@@ -179,13 +179,11 @@ SimTime Fabric::transmit(Packet&& pkt, SimTime ready, Count wire_bytes,
     trace::instant("net", "tx", arrival, "kind", pkt.kind, "bytes",
                    static_cast<std::uint64_t>(wire_bytes));
     deliver_locked(std::move(pkt));
-    lock.unlock();
-    cv_.notify_all();
     return arrival;
 }
 
 SimTime Fabric::transmit_control(Packet&& pkt, SimTime ready) {
-    std::unique_lock<std::mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     pkt.arrival = ready + params_.link_latency(pkt.src, pkt.dst);
     pkt.seq = next_seq_++;
     const SimTime arrival = pkt.arrival;
@@ -194,8 +192,6 @@ SimTime Fabric::transmit_control(Packet&& pkt, SimTime ready) {
     trace::instant("net", "tx_ctrl", arrival, "kind", pkt.kind, "seq",
                    pkt.link_seq);
     deliver_locked(std::move(pkt));
-    lock.unlock();
-    cv_.notify_all();
     return arrival;
 }
 
@@ -208,16 +204,6 @@ std::optional<Packet> Fabric::poll(int ep) {
         flush_limbo_locked(ep);
         if (inbox.q.empty()) return std::nullopt;
     }
-    Packet pkt = std::move(inbox.q.front());
-    inbox.q.pop_front();
-    return pkt;
-}
-
-Packet Fabric::poll_blocking(int ep) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto& inbox = inboxes_[static_cast<std::size_t>(ep)];
-    if (inbox.q.empty()) flush_limbo_locked(ep);
-    cv_.wait(lock, [&] { return !inbox.q.empty(); });
     Packet pkt = std::move(inbox.q.front());
     inbox.q.pop_front();
     return pkt;

@@ -11,7 +11,6 @@
 // matching, datatype handling) live in src/ucx on top of this layer.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -121,9 +120,6 @@ public:
     // the order their transmissions were issued per link.
     [[nodiscard]] std::optional<Packet> poll(int ep);
 
-    // Blocking variant used by threaded-rank examples.
-    [[nodiscard]] Packet poll_blocking(int ep);
-
     [[nodiscard]] bool inbox_empty(int ep);
 
     // Direct memory transfer used to model RDMA (rendezvous zero-copy):
@@ -191,7 +187,6 @@ private:
     // after the next packet on the link (or on an empty poll).
     std::vector<std::optional<Packet>> limbo_; // [src*n + dst]
     std::mutex mutex_;
-    std::condition_variable cv_;
 };
 
 } // namespace mpicd::netsim

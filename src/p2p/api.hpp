@@ -81,8 +81,9 @@ p2p::MsgStatus recv(p2p::Communicator& comm, T& obj, int src, int tag) {
         using U = typename T::value_type;
         // Discover the wire size first; the per-(source, tag) FIFO
         // matching guarantees the receive posted below lands on the
-        // message just probed.
+        // message just probed (a failed probe has no message to drain).
         const p2p::ProbeResult pr = comm.probe(src, tag);
+        if (!ok(pr.status)) return p2p::MsgStatus{pr.status};
         constexpr Count kHdr = static_cast<Count>(sizeof(std::uint64_t));
         const Count payload = pr.bytes - kHdr;
         if (pr.bytes < kHdr || payload % static_cast<Count>(sizeof(U)) != 0)

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "base/flight_recorder.hpp"
-#include "base/log.hpp"
 #include "base/trace.hpp"
 #include "p2p/universe.hpp"
 
@@ -36,12 +34,10 @@ public:
         return status_.load(std::memory_order_acquire);
     }
 
-    // Called by CollRequest::wait after a long streak of globally idle
-    // progress calls: advances this rank's virtual clock so the loss
-    // watchdog (armed only under an active fault injector) can fire even
-    // when the whole fabric is quiescent — e.g. every peer's retransmit
-    // budget is already exhausted and no timer remains to escalate to.
-    void on_stall();
+    // Loss-watchdog expiry: last move + watchdog span, kNever while the
+    // watchdog is disarmed or the op is finishing. The deadline
+    // CollRequest::wait escalates to; advance() still decides the timeout.
+    [[nodiscard]] SimTime watchdog_expiry();
 
 private:
     // Contiguous collective-tag block reserved per operation; step
@@ -101,7 +97,7 @@ private:
     bool finishing_ = false;
     std::atomic<Status> status_{Status::success};
     std::atomic<bool> done_{false};
-    // Loss watchdog (fault-injected fabrics only; 0 = disarmed). The
+    // Loss watchdog (Universe::loss_watchdog; kNever = disarmed). The
     // point-to-point reliability watchdogs cover a receive only once its
     // rendezvous started; a collective waiting on a peer that already gave
     // up (retransmit budget exhausted), or that has not entered yet, would
@@ -115,8 +111,8 @@ private:
     // withdrawn; the op stays unfinished until it completes or its
     // rendezvous watchdog fails it. Sends only read their buffers and are
     // dropped.
-    SimTime watchdog_us_ = 0.0;
-    SimTime last_move_vtime_ = 0.0;
+    const SimTime watchdog_us_ = comm_.universe().loss_watchdog();
+    SimTime last_move_vtime_ = begin_vtime_;
 };
 
 namespace {
@@ -170,19 +166,6 @@ CollOp::CollOp(Communicator& comm, Schedule sched)
         OpRegistry& reg = op_registry();
         const std::lock_guard<std::mutex> lock(reg.mu);
         reg.ops.push_back(this);
-    }
-    // Arm the loss watchdog only when the reliable-delivery protocol is on
-    // (i.e. a fault injector is active): on a lossless fabric every posted
-    // request completes, so no watchdog is needed — or wanted, since a
-    // rank can legitimately sit in a collective for unbounded virtual time
-    // waiting for a late peer. Under loss, a peer whose retransmit budget
-    // ran out leaves our eager receive unmatchable forever; the budget is
-    // itself bounded by effective_op_timeout(), so several multiples of it
-    // with no completion means no packet is coming.
-    auto& fabric = comm.worker().fabric();
-    if (fabric.reliable()) {
-        watchdog_us_ = 4.0 * fabric.params().effective_op_timeout();
-        last_move_vtime_ = comm.now();
     }
 }
 
@@ -309,11 +292,11 @@ bool CollOp::advance() {
     }
     // Once expired (finishing_ with steps left), the op only waits for
     // the receives that had already matched.
-    if (watchdog_us_ > 0.0 && !pending_.empty() && !finishing_) {
+    if (std::isfinite(watchdog_us_) && !pending_.empty() && !finishing_) {
         const SimTime now = comm_.now();
         if (moved) {
             last_move_vtime_ = now;
-        } else if (now - last_move_vtime_ > watchdog_us_) {
+        } else if (now >= last_move_vtime_ + watchdog_us_) {
             // Nothing completed for several full retransmit budgets: a
             // peer gave up (or never arrived) and no packet is coming.
             if (ok(status_.load(std::memory_order_relaxed)))
@@ -378,15 +361,9 @@ void CollOp::dump_all(std::FILE* f, CollOp* self) {
     }
 }
 
-void CollOp::on_stall() {
-    if (watchdog_us_ <= 0.0) return;
-    if (done_.load(std::memory_order_acquire)) return;
-    // Virtual time only moves when packets or timers are processed; once
-    // every rank's retransmit budget is spent the fabric is quiescent and
-    // the clock freezes short of the watchdog deadline. Charge idle wall
-    // time as virtual time so the deadline is reachable.
-    comm_.advance_time(watchdog_us_ / 16.0);
-    (void)advance();
+SimTime CollOp::watchdog_expiry() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return finishing_ || done() ? kNever : last_move_vtime_ + watchdog_us_;
 }
 
 CollRequest launch(Communicator& comm, Schedule sched) {
@@ -443,42 +420,18 @@ bool CollRequest::test() {
 
 Status CollRequest::wait() {
     if (op_ == nullptr) return early_error_;
-    const auto start = std::chrono::steady_clock::now();
-    const auto deadline = start + std::chrono::seconds(120);
-    auto last_progress = start;
-    auto last_nudge = start;
-    int idle = 0;
-    while (!op_->done()) {
-        const bool progressed = uni_->progress(ep_);
-        const bool moved = op_->advance();
-        if (op_->done()) break;
-        if (progressed || moved) {
-            idle = 0;
-            last_progress = std::chrono::steady_clock::now();
-            continue;
-        }
-        if (++idle > 256) {
-            std::this_thread::yield();
-            idle = 0;
-            const auto now = std::chrono::steady_clock::now();
-            // Globally idle for a long wall-clock stretch: let the op's
-            // loss watchdog see virtual time move (no-op on lossless
-            // fabrics, where the watchdog is disarmed). The wall-clock
-            // thresholds keep a merely-descheduled peer thread (e.g.
-            // under a sanitizer) from being mistaken for a dead one.
-            if (now - last_progress > std::chrono::milliseconds(100) &&
-                now - last_nudge > std::chrono::milliseconds(100)) {
-                op_->on_stall();
-                last_nudge = now;
-            }
-            if (now > deadline) {
-                MPICD_LOG_ERROR(
-                    "CollRequest::wait deadlocked (no progress for 120 s)");
-                std::abort();
-            }
-        }
-    }
-    return op_->status();
+    CollOp& op = *op_;
+    // The direct advance() covers a hook skipped because another thread
+    // held the worker busy flag.
+    if (!op.done())
+        uni_->wait_until(
+            ep_,
+            [&op] {
+                (void)op.advance();
+                return op.done();
+            },
+            [&op] { return op.watchdog_expiry(); }, "collective");
+    return op.status();
 }
 
 Status wait_all(std::span<CollRequest> requests) {

@@ -57,9 +57,9 @@ public:
     // worker progress hook advances the op as a side effect).
     [[nodiscard]] bool test();
 
-    // Progress until complete; aborts after a long wall-clock interval
-    // with no completion (a deadlock in test code). Returns the
-    // collective's status. An invalid (default) request is err_arg.
+    // Progress until complete (Universe::wait_until, up to the op's loss
+    // watchdog) and return the collective's status. An invalid (default)
+    // request is err_arg.
     Status wait();
 
 private:

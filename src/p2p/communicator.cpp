@@ -1,11 +1,8 @@
 #include "p2p/communicator.hpp"
 
-#include <chrono>
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
-#include <thread>
 
-#include "base/log.hpp"
 #include "base/trace.hpp"
 #include "core/traits.hpp"
 #include "p2p/dt_bridge.hpp"
@@ -22,8 +19,10 @@ constexpr ucx::Tag kUserMask = 0xFFFFFFFFull;
 constexpr ucx::Tag kSrcMask = 0xFFFFull << kSrcShift;
 constexpr ucx::Tag kCtxMask = 0xFFFFull << kCtxShift;
 
-// Wall-clock deadlock guard for wait() loops in test code.
-constexpr auto kWaitDeadline = std::chrono::seconds(120);
+ProbeResult probe_result(const ucx::ProbeInfo& info) {
+    return ProbeResult{decode_tag_source(info.tag), decode_tag_user(info.tag),
+                       info.total_len};
+}
 
 } // namespace
 
@@ -88,18 +87,9 @@ bool Request::test(MsgStatus* out) {
 
 MsgStatus Request::wait() {
     MsgStatus st;
-    const auto deadline = std::chrono::steady_clock::now() + kWaitDeadline;
-    int idle = 0;
-    while (!test(&st)) {
-        if (++idle > 1024) {
-            std::this_thread::yield();
-            idle = 0;
-            if (std::chrono::steady_clock::now() > deadline) {
-                MPICD_LOG_ERROR("Request::wait deadlocked (no progress for 120 s)");
-                std::abort();
-            }
-        }
-    }
+    if (!poll(&st))
+        uni_->wait_until(worker_->endpoint(), [&] { return poll(&st); },
+                         [] { return kNever; }, "request");
     return st;
 }
 
@@ -509,54 +499,34 @@ std::optional<ProbeResult> Communicator::iprobe(int src, int tag) {
     encode_recv_tag(src, tag, &t, &mask);
     const auto info = worker_.probe(t, mask);
     if (!info) return std::nullopt;
-    return ProbeResult{decode_tag_source(info->tag), decode_tag_user(info->tag),
-                       info->total_len};
+    return probe_result(*info);
 }
 
-ProbeResult Communicator::probe(int src, int tag) {
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
-    int idle = 0;
-    while (true) {
-        if (auto r = iprobe(src, tag)) return *r;
-        if (++idle > 1024) {
-            std::this_thread::yield();
-            idle = 0;
-            if (std::chrono::steady_clock::now() > deadline) {
-                MPICD_LOG_ERROR("probe deadlocked (no matching message for 120 s)");
-                std::abort();
-            }
-        }
-    }
-}
-
-std::optional<Message> Communicator::improbe(int src, int tag) {
-    if (!ok(check_recv(src, tag))) return std::nullopt;
-    uni_.progress(worker_.endpoint());
+Message Communicator::wait_probe(int src, int tag, bool match) {
+    Message msg;
+    msg.info.status = check_recv(src, tag);
+    if (!ok(msg.info.status)) return msg;
     ucx::Tag t = 0, mask = 0;
     encode_recv_tag(src, tag, &t, &mask);
-    const auto handle = worker_.mprobe(t, mask);
-    if (!handle) return std::nullopt;
-    Message msg;
-    msg.handle = *handle;
-    msg.info = ProbeResult{decode_tag_source(handle->info.tag),
-                           decode_tag_user(handle->info.tag), handle->info.total_len};
-    return msg;
-}
-
-Message Communicator::mprobe(int src, int tag) {
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
-    int idle = 0;
-    while (true) {
-        if (auto m = improbe(src, tag)) return *m;
-        if (++idle > 1024) {
-            std::this_thread::yield();
-            idle = 0;
-            if (std::chrono::steady_clock::now() > deadline) {
-                MPICD_LOG_ERROR("mprobe deadlocked (no matching message for 120 s)");
-                std::abort();
+    const SimTime deadline = now() + uni_.loss_watchdog();
+    uni_.wait_until(
+        worker_.endpoint(),
+        [&] {
+            if (match) {
+                if (const auto handle = worker_.mprobe(t, mask)) {
+                    msg = Message{*handle, probe_result(handle->info)};
+                    return true;
+                }
+            } else if (const auto info = worker_.probe(t, mask)) {
+                msg.info = probe_result(*info);
+                return true;
             }
-        }
-    }
+            if (!std::isfinite(deadline) || now() < deadline) return false;
+            msg.info.status = Status::timeout;
+            return true;
+        },
+        [deadline] { return deadline; }, match ? "mprobe" : "probe");
+    return msg;
 }
 
 Request Communicator::imrecv(Message& msg, void* p, Count n) {

@@ -34,11 +34,13 @@ struct MsgStatus {
     SimTime vtime = 0.0; // virtual completion time at this rank
 };
 
-// Probe result (MPI_Probe / MPI_Mprobe analog).
+// Probe result (MPI_Probe / MPI_Mprobe analog); on err_arg or timeout the
+// other fields are unset.
 struct ProbeResult {
     int source = -1;
     int tag = 0;
     Count bytes = 0;
+    Status status = Status::success;
 };
 
 // Matched-probe message handle (MPI_Message analog).
@@ -63,8 +65,8 @@ public:
     // helping peers could recurse into the time-escalation machinery.
     [[nodiscard]] bool poll(MsgStatus* out = nullptr);
 
-    // Progress until complete. Aborts (with a log message) if no progress
-    // is possible for a long wall-clock interval — a deadlock in test code.
+    // Progress until complete (Universe::wait_until); no deadline, so a
+    // receive nothing ever matches ends in the hang guard's abort.
     MsgStatus wait();
 
     // Withdraw a receive that has not matched a message yet
@@ -188,9 +190,13 @@ public:
 
     // --- Probe family.
     [[nodiscard]] std::optional<ProbeResult> iprobe(int src, int tag);
-    [[nodiscard]] ProbeResult probe(int src, int tag); // blocking
-    [[nodiscard]] std::optional<Message> improbe(int src, int tag);
-    [[nodiscard]] Message mprobe(int src, int tag); // blocking
+    // Blocking; check ProbeResult::status (Message::info.status).
+    [[nodiscard]] ProbeResult probe(int src, int tag) {
+        return wait_probe(src, tag, /*match=*/false).info;
+    }
+    [[nodiscard]] Message mprobe(int src, int tag) {
+        return wait_probe(src, tag, /*match=*/true);
+    }
     [[nodiscard]] Request imrecv(Message& msg, void* p, Count n);
 
     // --- Collective tag plane (used by src/p2p/coll/; see
@@ -252,6 +258,8 @@ private:
     [[nodiscard]] Status check_recv(int src, int tag) const;
     Request make_request(ucx::RequestId id);
     Request make_error_request(Status st);
+    // Blocking probe (`match`: mprobe) bounded by the loss watchdog.
+    Message wait_probe(int src, int tag, bool match);
 
     Universe& uni_;
     ucx::Worker& worker_;

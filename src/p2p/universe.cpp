@@ -3,12 +3,32 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "p2p/coll/topology.hpp"
 #include "p2p/communicator.hpp"
 
 namespace mpicd::p2p {
+
+namespace {
+
+// Holds every worker's protocol mutex, taken in endpoint order.
+class AllProtocolLocks {
+public:
+    explicit AllProtocolLocks(std::vector<std::unique_ptr<ucx::Worker>>& ws)
+        : ws_(ws) {
+        for (auto& w : ws_) w->protocol_mutex().lock();
+    }
+    ~AllProtocolLocks() {
+        for (auto& w : ws_) w->protocol_mutex().unlock();
+    }
+    AllProtocolLocks(const AllProtocolLocks&) = delete;
+    AllProtocolLocks& operator=(const AllProtocolLocks&) = delete;
+
+private:
+    std::vector<std::unique_ptr<ucx::Worker>>& ws_;
+};
+
+} // namespace
 
 Universe::Universe(int nranks, netsim::WireParams params,
                    netsim::FaultConfig faults)
@@ -65,25 +85,31 @@ bool Universe::progress(int rank) {
     return escalate_timers();
 }
 
-bool Universe::escalate_timers() {
+bool Universe::escalate_timers(SimTime deadline) {
     const std::lock_guard<std::mutex> lock(escalate_mutex_);
-    // Re-verify global quiescence under the escalation lock: if any rank
-    // thread is mid-progress or any inbox still holds packets, those
-    // packets may logically precede the timer deadline — escalating now
-    // would fire timers for live operations. Bail out; the caller's
-    // progress loop retries and the packets get drained first.
-    for (const auto& w : workers_)
-        if (w->progress_active()) return false;
-    for (int ep = 0; ep < size(); ++ep)
-        if (!fabric_.inbox_empty(ep)) return false;
-    // Jump every clock to the earliest timer and progress again.
-    SimTime t = std::numeric_limits<SimTime>::infinity();
-    for (auto& w : workers_) t = std::min(t, w->next_timer());
-    if (!std::isfinite(t)) return false;
-    for (auto& w : workers_) w->observe_time(t);
+    {
+        const AllProtocolLocks locks(workers_);
+        // Re-verify global quiescence (see universe.hpp). Inboxes first:
+        // under these locks no packet can enter one, so a thread that
+        // polled one set its busy flag before this check and keeps it
+        // until the locks are released.
+        for (int ep = 0; ep < size(); ++ep)
+            if (!fabric_.inbox_empty(ep)) return false;
+        for (const auto& w : workers_)
+            if (w->progress_active()) return false;
+        SimTime t = deadline;
+        for (const auto& w : workers_) t = std::min(t, w->next_timer_locked());
+        if (!std::isfinite(t)) return false;
+        for (auto& w : workers_) w->observe_time_locked(t);
+    }
     bool any = false;
     for (auto& w : workers_) any = w->progress() || any;
     return any;
+}
+
+SimTime Universe::loss_watchdog() {
+    if (!fabric_.reliable()) return kNever;
+    return 4.0 * fabric_.params().effective_op_timeout();
 }
 
 } // namespace mpicd::p2p

@@ -156,6 +156,7 @@ Status recv_pyobj(Communicator& comm, PyValue* out, int src, int tag,
     // All methods start with a matched probe of the header/stream message —
     // the mpi4py MPI_Mprobe pattern for unknown serialized sizes (§II-C).
     p2p::Message msg = comm.mprobe(src, tag);
+    MPICD_RETURN_IF_ERROR(msg.info.status);
     ByteVec header(static_cast<std::size_t>(msg.info.bytes));
     MPICD_RETURN_IF_ERROR(
         check(comm.imrecv(msg, header.data(), msg.info.bytes).wait()));

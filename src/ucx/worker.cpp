@@ -551,16 +551,6 @@ SimTime Worker::next_timer_locked() const {
     return t;
 }
 
-SimTime Worker::next_timer() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return next_timer_locked();
-}
-
-void Worker::observe_time(SimTime t) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    clock_.observe(t);
-}
-
 // ---------------------------------------------------------------------------
 // Send path
 

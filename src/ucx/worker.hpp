@@ -151,6 +151,9 @@ public:
         return progress_busy_.load(std::memory_order_acquire);
     }
 
+    // Protocol mutex (every send, receive and timer; the *_locked accessors).
+    [[nodiscard]] std::mutex& protocol_mutex() noexcept { return mutex_; }
+
     // Progress hooks: state machines (e.g. nonblocking collectives, see
     // src/p2p/coll/) that must advance whenever this endpoint is driven.
     // Hooks run at the tail of every progress() pass, after the packet
@@ -171,9 +174,9 @@ public:
     // receiver-side operation watchdog); +infinity when none. Used by
     // Universe::progress to jump virtual time when the fabric is
     // quiescent so a lost packet can never stall the simulation.
-    [[nodiscard]] SimTime next_timer();
+    [[nodiscard]] SimTime next_timer_locked() const;
     // Move this worker's clock forward to at least `t` (timer escalation).
-    void observe_time(SimTime t);
+    void observe_time_locked(SimTime t) noexcept { clock_.observe(t); }
 
     [[nodiscard]] bool is_complete(RequestId id);
     // Retrieve (and erase) the completion record of a finished request.
@@ -234,7 +237,6 @@ private:
     // Fire due retransmit timers and operation watchdogs; returns true if
     // anything fired.
     bool fire_timers_locked();
-    [[nodiscard]] SimTime next_timer_locked() const;
     // Fail an in-flight request (retries exhausted / watchdog expired),
     // releasing all protocol state that references it.
     void fail_request_locked(RequestId id, Status st);

@@ -2,7 +2,9 @@
 // (MPI_Type_create_custom, Listings 2–5) plus the minimal MPI surface.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "capi/capi.h"
@@ -187,6 +189,48 @@ void world_probe(void*) {
 
 TEST(CApi, MprobeImrecvDynamicSize) {
     ASSERT_EQ(MPIX_Run_world(2, world_probe, nullptr), MPI_SUCCESS);
+}
+
+// A blocking probe whose (source, tag) can never match returns
+// MPI_ERR_ARG at once, in the return code and in MPI_ERROR.
+void world_probe_bad_args(void*) {
+    MPI_Status st;
+    st.MPI_ERROR = MPI_SUCCESS;
+    EXPECT_EQ(MPI_Probe(-5, 0, MPI_COMM_WORLD, &st), MPI_ERR_ARG);
+    EXPECT_EQ(st.MPI_ERROR, MPI_ERR_ARG);
+    MPI_Message msg = nullptr;
+    st.MPI_ERROR = MPI_SUCCESS;
+    EXPECT_EQ(MPI_Mprobe(0, -2, MPI_COMM_WORLD, &msg, &st), MPI_ERR_ARG);
+    EXPECT_EQ(st.MPI_ERROR, MPI_ERR_ARG);
+    EXPECT_EQ(msg, nullptr);
+}
+
+TEST(CApi, BlockingProbeRejectsInvalidArgs) {
+    ASSERT_EQ(MPIX_Run_world(2, world_probe_bad_args, nullptr), MPI_SUCCESS);
+}
+
+// Under the reliable protocol (MPICD_RELIABLE=1) a probe of a rank that
+// never sends times out, and MPI_Probe reports it as MPI_ERR_OTHER.
+void world_probe_silent_peer(void*) {
+    int rank = -1;
+    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+    if (rank != 0) return;
+    MPI_Status st;
+    st.MPI_ERROR = MPI_SUCCESS;
+    EXPECT_EQ(MPI_Probe(1, 7, MPI_COMM_WORLD, &st), MPI_ERR_OTHER);
+    EXPECT_EQ(st.MPI_ERROR, MPI_ERR_OTHER);
+}
+
+TEST(CApi, ProbeOfSilentPeerTimesOut) {
+    const char* prev = std::getenv("MPICD_RELIABLE");
+    const std::string saved = prev != nullptr ? prev : "";
+    setenv("MPICD_RELIABLE", "1", 1);
+    const int rc = MPIX_Run_world(2, world_probe_silent_peer, nullptr);
+    if (prev != nullptr)
+        setenv("MPICD_RELIABLE", saved.c_str(), 1);
+    else
+        unsetenv("MPICD_RELIABLE");
+    ASSERT_EQ(rc, MPI_SUCCESS);
 }
 
 void world_nonblocking(void*) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <numeric>
 #include <span>
@@ -255,6 +256,46 @@ TEST(CollFaults, HeavyLossTimesOutCleanly) {
     for (auto& t : threads) t.join();
     EXPECT_EQ(returned.load(), 3);
     EXPECT_GT(uni.fabric().faults().counters().dropped, 0u);
+}
+
+// Idle wall time is not virtual time. Rank 1 enters a 2-rank barrier
+// under the reliable protocol 300 ms after rank 0. Rank 0's one message
+// is delivered and acked at once, so no timer is pending and nothing may
+// move either clock while it waits: rank 0's clock when rank 1 enters, and
+// both completion times, match an on-time run to within thread
+// interleaving (a few microseconds), far below the watchdog span.
+struct LateEntry {
+    SimTime rank0_at_entry = 0.0;
+    SimTime done[2] = {0.0, 0.0};
+};
+
+LateEntry barrier_with_late_rank1(std::chrono::milliseconds late) {
+    netsim::FaultConfig f;
+    f.force_reliable = true;
+    Universe uni(2, lossy_params(), f);
+    LateEntry out;
+    std::thread t0([&] {
+        EXPECT_EQ(barrier(uni.comm(0)), Status::success);
+        out.done[0] = uni.comm(0).now();
+    });
+    std::thread t1([&] {
+        std::this_thread::sleep_for(late);
+        out.rank0_at_entry = uni.worker(0).now();
+        EXPECT_EQ(barrier(uni.comm(1)), Status::success);
+        out.done[1] = uni.comm(1).now();
+    });
+    t0.join();
+    t1.join();
+    return out;
+}
+
+TEST(CollFaults, LateEntryChargesNoVirtualTime) {
+    const LateEntry on_time = barrier_with_late_rank1(std::chrono::milliseconds(0));
+    const LateEntry late = barrier_with_late_rank1(std::chrono::milliseconds(300));
+    constexpr SimTime kSlackUs = 5.0;
+    EXPECT_LE(late.rank0_at_entry, on_time.done[0] + kSlackUs);
+    EXPECT_NEAR(late.done[0], on_time.done[0], kSlackUs);
+    EXPECT_NEAR(late.done[1], on_time.done[1], kSlackUs);
 }
 
 // A wedged collective must leave evidence. With the flight recorder

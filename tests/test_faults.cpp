@@ -6,6 +6,7 @@
 // on link 0->1", "corrupt byte 7 of the RTS").
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -454,6 +455,49 @@ TEST(Faults, ForcedReliableLossless) {
     EXPECT_EQ(dst, src);
     EXPECT_GE(uni.worker(1).stats().acks_sent, 1u);
     EXPECT_EQ(uni.worker(0).stats().retransmits, 0u);
+}
+
+// --- Blocking probes end in a status, never in a spin.
+
+// An invalid (source, tag) can never match, so a blocking probe reports
+// err_arg at once instead of waiting for a message.
+TEST(Faults, BlockingProbeRejectsInvalidArgs) {
+    Universe uni(2, fault_params(), FaultConfig{});
+    auto& comm = uni.comm(0);
+    EXPECT_EQ(comm.probe(-5, 0).status, Status::err_arg);
+    EXPECT_EQ(comm.probe(1, -2).status, Status::err_arg);
+    const p2p::Message bad_src = comm.mprobe(-5, 0);
+    EXPECT_EQ(bad_src.info.status, Status::err_arg);
+    EXPECT_FALSE(bad_src.valid());
+    const p2p::Message bad_tag = comm.mprobe(1, -2);
+    EXPECT_EQ(bad_tag.info.status, Status::err_arg);
+    EXPECT_FALSE(bad_tag.valid());
+}
+
+// Under the reliable protocol a blocking probe of a peer that never sends
+// fails with Status::timeout after the loss watchdog, the same deadline a
+// collective has, and virtual time jumps to exactly that deadline.
+TEST(Faults, BlockingProbeOfSilentPeerTimesOut) {
+    FaultConfig cfg;
+    cfg.force_reliable = true;
+    Universe uni(2, fault_params(), cfg);
+    auto& comm = uni.comm(0);
+    const SimTime span = uni.loss_watchdog();
+    ASSERT_TRUE(std::isfinite(span));
+
+    SimTime entry = comm.now();
+    EXPECT_EQ(comm.probe(1, 7).status, Status::timeout);
+    EXPECT_DOUBLE_EQ(comm.now(), entry + span);
+
+    entry = comm.now();
+    const p2p::Message msg = comm.mprobe(p2p::kAnySource, 7);
+    EXPECT_EQ(msg.info.status, Status::timeout);
+    EXPECT_FALSE(msg.valid());
+    EXPECT_DOUBLE_EQ(comm.now(), entry + span);
+
+    // Nothing was lost: the peer is alive, just silent.
+    EXPECT_EQ(uni.worker(0).stats().timeouts, 0u);
+    EXPECT_EQ(uni.worker(1).stats().timeouts, 0u);
 }
 
 } // namespace

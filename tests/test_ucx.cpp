@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <mutex>
 #include <vector>
 
 #include "netsim/fault.hpp"
@@ -26,10 +27,12 @@ struct UcxPair : ::testing::Test {
         const bool any0 = w0.progress();
         const bool any1 = w1.progress();
         if (!any0 && !any1) {
-            const SimTime t = std::min(w0.next_timer(), w1.next_timer());
+            const std::scoped_lock lock(w0.protocol_mutex(), w1.protocol_mutex());
+            const SimTime t =
+                std::min(w0.next_timer_locked(), w1.next_timer_locked());
             if (t < std::numeric_limits<SimTime>::infinity()) {
-                w0.observe_time(t);
-                w1.observe_time(t);
+                w0.observe_time_locked(t);
+                w1.observe_time_locked(t);
             }
         }
     }
@@ -497,10 +500,19 @@ TEST(UcxFaults, MatchedPairStabilityAcrossRetransmitDupFaults) {
         const bool any0 = w0.progress();
         const bool any1 = w1.progress();
         if (!any0 && !any1) {
-            const SimTime t = std::min(w0.next_timer(), w1.next_timer());
-            if (t < std::numeric_limits<SimTime>::infinity()) {
-                w0.observe_time(t);
-                w1.observe_time(t);
+            bool jumped = false;
+            {
+                const std::scoped_lock lock(w0.protocol_mutex(),
+                                            w1.protocol_mutex());
+                const SimTime t =
+                    std::min(w0.next_timer_locked(), w1.next_timer_locked());
+                jumped = t < std::numeric_limits<SimTime>::infinity();
+                if (jumped) {
+                    w0.observe_time_locked(t);
+                    w1.observe_time_locked(t);
+                }
+            }
+            if (jumped) {
                 w0.progress();
                 w1.progress();
             }

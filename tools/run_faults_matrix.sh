@@ -51,7 +51,10 @@
 # that bug lives in test_collectives) — so the finely-locked progress path
 # (busy-flag serialization, sharded admission, completion registry,
 # collective progress hooks) is checked for data races, not just
-# correctness. MPICD_SKIP_TSAN=1 skips it.
+# correctness. test_p2p, test_capi, test_integration and test_trace ride
+# along: their rank threads block in Universe::wait_until, in the blocking
+# probes and in timer escalation, which holds every worker's protocol
+# mutex at once. MPICD_SKIP_TSAN=1 skips it.
 #
 # A final tracing leg replays the lossy fault/collective tests with
 # MPICD_TRACE=1 over one seed: span instrumentation (MsgScope stamping,
@@ -134,7 +137,7 @@ fi
 
 if [[ "${MPICD_SKIP_TSAN:-0}" != "1" ]]; then
     TSAN_DIR=${BUILD_DIR}-tsan
-    TSAN_TESTS='test_ucx|test_matcher|test_reliability_soak|test_collectives|test_coll_faults'
+    TSAN_TESTS='test_ucx|test_matcher|test_reliability_soak|test_collectives|test_coll_faults|test_p2p|test_capi|test_integration|test_trace'
     echo "=== tsan leg: configuring $TSAN_DIR ==="
     cmake -B "$TSAN_DIR" -S . \
           -DMPICD_SANITIZE=thread \
@@ -142,7 +145,8 @@ if [[ "${MPICD_SKIP_TSAN:-0}" != "1" ]]; then
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build "$TSAN_DIR" -j "$JOBS" --target \
           test_ucx test_matcher test_reliability_soak \
-          test_collectives test_coll_faults
+          test_collectives test_coll_faults \
+          test_p2p test_capi test_integration test_trace
     echo "=== tsan leg: matcher + threaded soak under ThreadSanitizer ==="
     MPICD_FAULT_SEED=42 \
     MPICD_FAULT_DROP=0.01 \
