@@ -33,7 +33,6 @@
 #include "core/paper_types.hpp"
 #include "ddtbench/kernel.hpp"
 #include "dt/convertor.hpp"
-#include "dt/pack_plan.hpp"
 
 using namespace mpicd;
 using namespace mpicd::bench;
@@ -188,9 +187,6 @@ std::vector<double> strided_MBps(const std::string& name, Count size, int reps) 
 } // namespace
 
 int main() {
-    std::printf("pack-plan ablation: MPICD_PACK_PLAN=%d\n",
-                dt::pack_plan_enabled() ? 1 : 0);
-
     Table table("Ablation: pack throughput (MB/s), generic vs compiled plan",
                 "shape-size", {"generic", "plan", "plan/gen"});
     const std::vector<Count> sizes = {Count(64) << 10, Count(1) << 20, Count(4) << 20,

@@ -49,11 +49,13 @@ inline constexpr int kRuns = 4; // the paper reports the average of 4 runs
 
 // One benchmarked method: per-iteration bodies for both ranks. The rank-0
 // body must perform a send followed by a matching receive (ping-pong); the
-// rank-1 body the mirror image.
+// rank-1 body the mirror image. `engine` is the pack engine of the
+// universe it runs on, which derived-datatype transfers pack with.
 struct Method {
     std::string name;
     std::function<void(p2p::Communicator&, int iter)> rank0;
     std::function<void(p2p::Communicator&, int iter)> rank1;
+    dt::PackMode engine = dt::PackMode::plan;
 };
 
 // Runs warmup + iters ping-pongs on two rank threads; returns the average
@@ -76,14 +78,18 @@ struct Method {
     return (stop - start) / (2.0 * iters);
 }
 
+// One ping-pong run of `m` on a fresh universe running `m.engine`.
+[[nodiscard]] inline SimTime measure_once(const Method& m, int iters,
+                                          const netsim::WireParams& params) {
+    p2p::Universe uni(2, params, netsim::FaultConfig::from_env(), m.engine);
+    return run_pingpong(uni, m, kWarmup, iters);
+}
+
 // Average of runs_for() repetitions on a fresh universe each run.
 [[nodiscard]] inline RunningStats measure(const Method& m, int iters,
                                           const netsim::WireParams& params) {
     RunningStats stats;
-    for (int run = 0; run < runs_for(); ++run) {
-        p2p::Universe uni(2, params);
-        stats.add(run_pingpong(uni, m, kWarmup, iters));
-    }
+    for (int run = 0; run < runs_for(); ++run) stats.add(measure_once(m, iters, params));
     return stats;
 }
 

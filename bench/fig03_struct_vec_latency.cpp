@@ -11,15 +11,18 @@ int main() {
     const auto ddt = core::struct_vec_dt();
 
     Table table("Fig.3  struct-vec latency (us, one-way)", "size",
-                {"custom", "packed", "rsmpi-ddt"});
+                {"custom", "packed", "rsmpi-ddt", "ddt-plan"});
     for (Count count = 1; count <= (smoke_mode() ? Count(4) : Count(256)); count *= 2) {
         const Count size = count * kStructVecPacked;
         const int iters = iters_for(size);
         std::vector<double> row;
         row.push_back(measure(StructVecBench::custom(count), iters, params).mean());
         row.push_back(measure(StructVecBench::packed(count), iters, params).mean());
-        row.push_back(
-            measure(StructVecBench::derived(count, ddt), iters, params).mean());
+        for (const dt::PackMode engine : kDerivedEngines) {
+            row.push_back(
+                measure(StructVecBench::derived(count, ddt, engine), iters, params)
+                    .mean());
+        }
         table.add_row(size_label(size), row);
     }
     table.finish("fig03_struct_vec_latency");

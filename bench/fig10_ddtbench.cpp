@@ -1,167 +1,23 @@
 // Figure 10: DDTBench subset — per-kernel ping-pong bandwidth under every
-// transfer strategy the paper compares:
-//   reference     raw bytes of the same size (no packing anywhere)
-//   manual        manual pack loops + contiguous send
-//   mpi-pack      MPI_Pack-style convertor pack + contiguous send
-//   mpi-ddt       derived datatype handed straight to send/recv
-//   custom-pack   the custom datatype API, pack/unpack callbacks
-//   custom-region the custom datatype API, memory regions (where sensible)
-#include "rust_methods.hpp"
-#include "ddtbench/kernel.hpp"
-#include "dt/convertor.hpp"
-
-namespace {
-
-using namespace mpicd;
-using namespace mpicd::bench;
-using ddtbench::Kernel;
-
-struct KernelPair {
-    std::shared_ptr<Kernel> k0, k1;
-    Count bytes;
-};
-
-KernelPair make_pair_(const std::string& name, Count target) {
-    KernelPair p;
-    p.k0 = ddtbench::make_kernel(name);
-    p.k1 = ddtbench::make_kernel(name);
-    p.k0->resize(target);
-    p.k1->resize(target);
-    p.k0->fill(1);
-    p.k1->clear();
-    p.bytes = p.k0->payload_bytes();
-    return p;
-}
-
-Method reference_method(const KernelPair& p) { return bytes_baseline(p.bytes); }
-
-Method manual_method(KernelPair p) {
-    auto buf0 = std::make_shared<ByteVec>(static_cast<std::size_t>(p.bytes));
-    auto buf1 = std::make_shared<ByteVec>(static_cast<std::size_t>(p.bytes));
-    auto pack = [](Kernel& k, ByteVec& buf, p2p::Communicator& c) {
-        SimTime cost = 0.0;
-        {
-            const ScopedMeasure m(cost);
-            k.manual_pack(buf.data());
-        }
-        c.advance_time(cost);
-    };
-    auto unpack = [](Kernel& k, const ByteVec& buf, p2p::Communicator& c) {
-        SimTime cost = 0.0;
-        {
-            const ScopedMeasure m(cost);
-            k.manual_unpack(buf.data());
-        }
-        c.advance_time(cost);
-    };
-    const Count n = p.bytes;
-    return {
-        "manual",
-        [p, buf0, n, pack, unpack](p2p::Communicator& c, int) {
-            pack(*p.k0, *buf0, c);
-            (void)c.send_bytes(buf0->data(), n, 1, 1);
-            (void)c.recv_bytes(buf0->data(), n, 1, 2);
-            unpack(*p.k0, *buf0, c);
-        },
-        [p, buf1, n, pack, unpack](p2p::Communicator& c, int) {
-            (void)c.recv_bytes(buf1->data(), n, 0, 1);
-            unpack(*p.k1, *buf1, c);
-            pack(*p.k1, *buf1, c);
-            (void)c.send_bytes(buf1->data(), n, 0, 2);
-        },
-    };
-}
-
-Method mpi_pack_method(KernelPair p) {
-    auto buf0 = std::make_shared<ByteVec>(static_cast<std::size_t>(p.bytes));
-    auto buf1 = std::make_shared<ByteVec>(static_cast<std::size_t>(p.bytes));
-    auto pack = [](Kernel& k, ByteVec& buf, p2p::Communicator& c) {
-        SimTime cost = 0.0;
-        {
-            const ScopedMeasure m(cost);
-            Count used = 0;
-            (void)dt::Convertor::pack_all(k.datatype(), k.dt_buffer(), k.dt_count(),
-                                          buf, &used);
-        }
-        c.advance_time(cost);
-    };
-    auto unpack = [](Kernel& k, const ByteVec& buf, p2p::Communicator& c) {
-        SimTime cost = 0.0;
-        {
-            const ScopedMeasure m(cost);
-            (void)dt::Convertor::unpack_all(k.datatype(), k.dt_buffer(), k.dt_count(),
-                                            buf);
-        }
-        c.advance_time(cost);
-    };
-    const Count n = p.bytes;
-    return {
-        "mpi-pack",
-        [p, buf0, n, pack, unpack](p2p::Communicator& c, int) {
-            pack(*p.k0, *buf0, c);
-            (void)c.send_bytes(buf0->data(), n, 1, 1);
-            (void)c.recv_bytes(buf0->data(), n, 1, 2);
-            unpack(*p.k0, *buf0, c);
-        },
-        [p, buf1, n, pack, unpack](p2p::Communicator& c, int) {
-            (void)c.recv_bytes(buf1->data(), n, 0, 1);
-            unpack(*p.k1, *buf1, c);
-            pack(*p.k1, *buf1, c);
-            (void)c.send_bytes(buf1->data(), n, 0, 2);
-        },
-    };
-}
-
-Method mpi_ddt_method(KernelPair p) {
-    return {
-        "mpi-ddt",
-        [p](p2p::Communicator& c, int) {
-            (void)c.isend(p.k0->dt_buffer(), p.k0->dt_count(), p.k0->datatype(), 1, 1)
-                .wait();
-            (void)c.irecv(p.k0->dt_buffer(), p.k0->dt_count(), p.k0->datatype(), 1, 2)
-                .wait();
-        },
-        [p](p2p::Communicator& c, int) {
-            (void)c.irecv(p.k1->dt_buffer(), p.k1->dt_count(), p.k1->datatype(), 0, 1)
-                .wait();
-            (void)c.isend(p.k1->dt_buffer(), p.k1->dt_count(), p.k1->datatype(), 0, 2)
-                .wait();
-        },
-    };
-}
-
-Method custom_method(KernelPair p, const core::CustomDatatype& type,
-                     const char* name) {
-    const auto* tp = &type; // the datatype is a process-lifetime singleton
-    return {
-        name,
-        [p, tp](p2p::Communicator& c, int) {
-            (void)c.send_custom(p.k0.get(), 1, *tp, 1, 1);
-            (void)c.recv_custom(p.k0.get(), 1, *tp, 1, 2);
-        },
-        [p, tp](p2p::Communicator& c, int) {
-            (void)c.recv_custom(p.k1.get(), 1, *tp, 0, 1);
-            (void)c.send_custom(p.k1.get(), 1, *tp, 0, 2);
-        },
-    };
-}
-
-} // namespace
+// transfer strategy the paper compares (bench/ddtbench_methods.hpp).
+#include "ddtbench_methods.hpp"
 
 int main() {
+    using namespace mpicd;
+    using namespace mpicd::bench;
     const auto params = netsim::WireParams::from_env();
     // ~1 MiB exchanged payload (64 KiB under smoke).
     const Count kTarget = smoke_mode() ? 64 * 1024 : 1024 * 1024;
 
     Table table("Fig.10  DDTBench ping-pong bandwidth (MB/s), ~1 MiB payload",
                 "kernel",
-                {"reference", "manual", "mpi-pack", "mpi-ddt", "custom-pack",
-                 "custom-region"});
+                {"reference", "manual", "mpi-pack", "mpi-ddt", "ddt-plan",
+                 "custom-pack", "custom-region"});
     const auto names = ddtbench::kernel_names();
     const std::size_t nkernels = bench_limit(2, names.size());
     for (std::size_t ki = 0; ki < nkernels; ++ki) {
         const auto& name = names[ki];
-        const auto p = make_pair_(name, kTarget);
+        const auto p = make_kernel_pair(name, kTarget);
         const int iters = iters_for(p.bytes);
         std::vector<double> row;
         row.push_back(
@@ -170,8 +26,10 @@ int main() {
             bandwidth_MBps(p.bytes, measure(manual_method(p), iters, params).mean()));
         row.push_back(
             bandwidth_MBps(p.bytes, measure(mpi_pack_method(p), iters, params).mean()));
-        row.push_back(
-            bandwidth_MBps(p.bytes, measure(mpi_ddt_method(p), iters, params).mean()));
+        for (const dt::PackMode engine : kDerivedEngines) {
+            row.push_back(bandwidth_MBps(
+                p.bytes, measure(mpi_ddt_method(p, engine), iters, params).mean()));
+        }
         row.push_back(bandwidth_MBps(
             p.bytes,
             measure(custom_method(p, ddtbench::kernel_pack_type(), "custom-pack"),

@@ -3,8 +3,10 @@
 // types under three transfer strategies:
 //   custom      — the paper's custom datatype API (pack + memory regions)
 //   packed      — manual packing into a contiguous buffer, sent as bytes
-//   rsmpi/bytes — derived-datatype baseline, or raw bytes where derived
-//                 datatypes cannot express the type (double-vector)
+//   rsmpi/bytes — derived-datatype baseline on the generic engine, or raw
+//                 bytes where derived datatypes cannot express the type
+//                 (double-vector)
+//   ddt-plan    — the same derived-datatype transfer on our plan engine
 #pragma once
 
 #include <memory>
@@ -194,11 +196,13 @@ struct StructBench {
         };
     }
 
-    static Method derived(Count count, dt::TypeRef type) {
+    // Derived-datatype send/recv on a universe running `engine`: generic is
+    // the paper's Open MPI baseline (rsmpi-ddt), plan our engine (ddt-plan).
+    static Method derived(Count count, dt::TypeRef type, dt::PackMode engine) {
         auto a = std::make_shared<std::vector<S>>(static_cast<std::size_t>(count));
         auto b = std::make_shared<std::vector<S>>(static_cast<std::size_t>(count));
         return {
-            "rsmpi-ddt",
+            engine == dt::PackMode::generic ? "rsmpi-ddt" : "ddt-plan",
             [a, type, count](p2p::Communicator& c, int) {
                 (void)c.isend(a->data(), count, type, 1, 1).wait();
                 (void)c.irecv(a->data(), count, type, 1, 2).wait();
@@ -207,6 +211,7 @@ struct StructBench {
                 (void)c.irecv(b->data(), count, type, 0, 1).wait();
                 (void)c.isend(b->data(), count, type, 0, 2).wait();
             },
+            engine,
         };
     }
 };
@@ -260,5 +265,10 @@ using StructVecBench =
 
 inline constexpr Count kStructVecPacked =
     core::kScalarPack + 4 * Count(core::kStructVecData); // 8212 B
+
+// Engines of the derived-datatype columns, in column order: rsmpi-ddt,
+// then ddt-plan.
+inline constexpr dt::PackMode kDerivedEngines[] = {dt::PackMode::generic,
+                                                   dt::PackMode::plan};
 
 } // namespace mpicd::bench

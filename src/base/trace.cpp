@@ -16,7 +16,7 @@ namespace mpicd::trace {
 namespace detail {
 
 std::atomic<int> g_state{-1};
-thread_local std::uint64_t g_current_msg = 0;
+constinit thread_local std::uint64_t g_current_msg = 0;
 
 namespace {
 

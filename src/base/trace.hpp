@@ -71,7 +71,9 @@ namespace detail {
 extern std::atomic<int> g_state;
 // The thread's open message scope; events recorded while it is non-zero
 // are stamped with this id (unless the site set one explicitly).
-extern thread_local std::uint64_t g_current_msg;
+// constinit: the zero initializer is static, so no TLS init wrapper runs
+// on access from other translation units.
+extern constinit thread_local std::uint64_t g_current_msg;
 int init_from_env() noexcept;
 void record(Event&& ev);
 [[nodiscard]] double wall_now_us() noexcept;

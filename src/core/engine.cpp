@@ -5,7 +5,6 @@
 #include "base/metrics.hpp"
 #include "base/stats.hpp"
 #include "base/trace.hpp"
-#include "dt/pack_plan.hpp"
 
 namespace mpicd::core {
 
@@ -121,10 +120,7 @@ Status collect_regions(const CustomDatatype& type, void* state, void* buf, Count
 // reaches Worker::tag_send. The wire stream is the in-order concatenation
 // of the entries, so merging only exact adjacency leaves delivered bytes
 // unchanged while shrinking the SG list the transport charges per entry.
-// Gated with the rest of the pack-plan machinery so MPICD_PACK_PLAN=0
-// reproduces the ungrouped seed descriptors.
 void coalesce_entries(std::vector<IovEntry>& entries) {
-    if (!dt::pack_plan_enabled()) return;
     const std::size_t before = entries.size();
     coalesce_iov(entries);
     auto& ps = pack_stats();

@@ -15,10 +15,7 @@ Convertor::Convertor(TypeRef type, void* buf, Count count, PackMode mode)
     assert(type_ != nullptr && type_->committed());
     assert(count_ >= 0);
     total_ = type_->size() * count_;
-    if (mode != PackMode::generic &&
-        (mode != PackMode::auto_ || pack_plan_enabled())) {
-        plan_ = type_->plan().get();
-    }
+    if (mode == PackMode::plan) plan_ = type_->plan().get();
 }
 
 void Convertor::locate(Count packed_offset, Count* elem, std::size_t* seg,

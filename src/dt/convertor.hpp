@@ -20,19 +20,18 @@
 namespace mpicd::dt {
 
 // How a convertor (or one-shot helper) moves bytes:
-//  - generic: the original per-segment memcpy loop, always available.
+//  - generic: the original per-segment memcpy loop, the model of Open
+//    MPI's datatype engine that the paper measures against.
 //  - plan: execute the compiled pack program over every byte, resuming
 //    mid-element at fragment boundaries.
-//  - auto_: `plan` when MPICD_PACK_PLAN is enabled (default), otherwise
-//    generic.
-enum class PackMode : std::uint8_t { generic, plan, auto_ };
+enum class PackMode : std::uint8_t { generic, plan };
 
 class Convertor {
 public:
     // `buf` is the user buffer holding `count` elements of `type`.
     // The type must be committed. Pack direction reads from buf;
     // unpack direction writes into it (pass the same pointer non-const).
-    Convertor(TypeRef type, void* buf, Count count, PackMode mode = PackMode::auto_);
+    Convertor(TypeRef type, void* buf, Count count, PackMode mode = PackMode::plan);
 
     [[nodiscard]] Count total_packed() const noexcept { return total_; }
     [[nodiscard]] Count position() const noexcept { return pos_; }
@@ -50,14 +49,13 @@ public:
     // advances the cursor.
     [[nodiscard]] Status unpack(ConstBytes src);
 
-    // One-shot helpers (MPI_Pack / MPI_Unpack equivalents). `mode` lets
-    // callers pin a path (benches, tests).
+    // One-shot helpers (MPI_Pack / MPI_Unpack equivalents).
     [[nodiscard]] static Status pack_all(const TypeRef& type, const void* buf,
                                          Count count, MutBytes dst, Count* used,
-                                         PackMode mode = PackMode::auto_);
+                                         PackMode mode = PackMode::plan);
     [[nodiscard]] static Status unpack_all(const TypeRef& type, void* buf, Count count,
                                            ConstBytes src,
-                                           PackMode mode = PackMode::auto_);
+                                           PackMode mode = PackMode::plan);
 
 private:
     // Decompose the cursor into (element index, segment index, bytes into

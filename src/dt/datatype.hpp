@@ -120,9 +120,7 @@ public:
     [[nodiscard]] bool is_contiguous() const noexcept { return contiguous_flag_; }
 
     // Compiled pack program over segments() (dt/pack_plan.hpp), built at
-    // commit(); nullptr for empty types. Always compiled so explicit-mode
-    // callers (tests, benches) can exercise it regardless of the
-    // MPICD_PACK_PLAN gate, which only controls the default pack path.
+    // commit(); nullptr for empty types.
     [[nodiscard]] const std::shared_ptr<const PackPlan>& plan() const noexcept {
         return plan_;
     }

@@ -3,16 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
-#include "base/config.hpp"
 #include "base/stats.hpp"
 #include "base/trace.hpp"
 
 namespace mpicd::dt {
-
-bool pack_plan_enabled() noexcept {
-    static const bool v = env_int_or("MPICD_PACK_PLAN", 1) != 0;
-    return v;
-}
 
 // ---------------------------------------------------------------------------
 // Compiler

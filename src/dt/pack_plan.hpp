@@ -75,10 +75,4 @@ void plan_pack_range(const PackPlan& plan, const std::byte* base, Count offset,
 void plan_unpack_range(const PackPlan& plan, std::byte* base, Count offset, Count len,
                        const std::byte* src) noexcept;
 
-// Master switch for the compiled path: MPICD_PACK_PLAN (default 1).
-// With MPICD_PACK_PLAN=0 every consumer falls back to the generic
-// segment-by-segment loop and the seed's lowering behaviour, preserving
-// the paper-reproduction baselines byte for byte.
-[[nodiscard]] bool pack_plan_enabled() noexcept;
-
 } // namespace mpicd::dt

@@ -106,8 +106,9 @@ bool Request::cancel() {
 // Communicator
 
 Communicator::Communicator(Universe& uni, ucx::Worker& worker, int rank, int size,
-                           std::uint16_t context)
-    : uni_(uni), worker_(worker), rank_(rank), size_(size), context_(context) {
+                           std::uint16_t context, dt::PackMode pack_mode)
+    : uni_(uni), worker_(worker), rank_(rank), size_(size), context_(context),
+      pack_mode_(pack_mode) {
     // The 16-bit source field addresses ranks 0..65535; a wider world (or a
     // negative/out-of-world rank) would alias through the mask in
     // encode_send_tag. Mark the communicator invalid instead.
@@ -210,13 +211,8 @@ Request Communicator::coll_isend(const void* buf, Count count,
     if (const Status st = check_coll_peer(dst); !ok(st))
         return make_error_request(st);
     if (!type->committed()) return make_error_request(Status::err_not_committed);
-    if (type->is_contiguous()) {
-        return make_request(
-            worker_.tag_send(dst, encode_coll_send_tag(ctag),
-                             ucx::make_contig_send(buf, type->size() * count)));
-    }
     return make_request(worker_.tag_send(dst, encode_coll_send_tag(ctag),
-                                         dt_send_desc(type, buf, count)));
+                                         dt_send_desc(type, buf, count, pack_mode_)));
 }
 
 Request Communicator::coll_irecv(void* buf, Count count, const dt::TypeRef& type,
@@ -227,11 +223,8 @@ Request Communicator::coll_irecv(void* buf, Count count, const dt::TypeRef& type
     if (!type->committed()) return make_error_request(Status::err_not_committed);
     ucx::Tag t = 0, mask = 0;
     encode_coll_recv_tag(src, ctag, &t, &mask);
-    if (type->is_contiguous()) {
-        return make_request(worker_.tag_recv(
-            t, mask, ucx::make_contig_recv(buf, type->size() * count)));
-    }
-    return make_request(worker_.tag_recv(t, mask, dt_recv_desc(type, buf, count)));
+    return make_request(
+        worker_.tag_recv(t, mask, dt_recv_desc(type, buf, count, pack_mode_)));
 }
 
 Request Communicator::coll_isend_custom(const void* buf, Count count,
@@ -372,13 +365,8 @@ Request Communicator::isend(const void* buf, Count count, const dt::TypeRef& typ
     if (const Status st = check_send(dst, tag); !ok(st))
         return make_error_request(st);
     if (!type->committed()) return make_error_request(Status::err_not_committed);
-    if (type->is_contiguous()) {
-        return make_request(worker_.tag_send(
-            dst, encode_send_tag(tag),
-            ucx::make_contig_send(buf, type->size() * count)));
-    }
-    return make_request(
-        worker_.tag_send(dst, encode_send_tag(tag), dt_send_desc(type, buf, count)));
+    return make_request(worker_.tag_send(
+        dst, encode_send_tag(tag), dt_send_desc(type, buf, count, pack_mode_)));
 }
 
 Request Communicator::irecv(void* buf, Count count, const dt::TypeRef& type, int src,
@@ -389,11 +377,8 @@ Request Communicator::irecv(void* buf, Count count, const dt::TypeRef& type, int
     if (!type->committed()) return make_error_request(Status::err_not_committed);
     ucx::Tag t = 0, mask = 0;
     encode_recv_tag(src, tag, &t, &mask);
-    if (type->is_contiguous()) {
-        return make_request(
-            worker_.tag_recv(t, mask, ucx::make_contig_recv(buf, type->size() * count)));
-    }
-    return make_request(worker_.tag_recv(t, mask, dt_recv_desc(type, buf, count)));
+    return make_request(
+        worker_.tag_recv(t, mask, dt_recv_desc(type, buf, count, pack_mode_)));
 }
 
 Request Communicator::isend_custom_wiretag(const void* buf, Count count,

@@ -14,6 +14,7 @@
 #include "base/time.hpp"
 #include "core/custom_type.hpp"
 #include "core/engine.hpp"
+#include "dt/convertor.hpp"
 #include "dt/datatype.hpp"
 #include "ucx/worker.hpp"
 
@@ -109,8 +110,9 @@ public:
     // Ranks/sizes outside the wire tag layout's range are rejected: the
     // communicator is marked invalid and every operation returns
     // Status::err_arg instead of silently truncating the source field.
+    // `pack_mode` is the universe's pack engine (see Universe).
     Communicator(Universe& uni, ucx::Worker& worker, int rank, int size,
-                 std::uint16_t context);
+                 std::uint16_t context, dt::PackMode pack_mode = dt::PackMode::plan);
 
     [[nodiscard]] int rank() const noexcept { return rank_; }
     [[nodiscard]] int size() const noexcept { return size_; }
@@ -121,6 +123,9 @@ public:
     // next to the reserved tag block (low word) so op ids stay unique
     // across communicators sharing one trace.
     [[nodiscard]] std::uint16_t context() const noexcept { return context_; }
+    // The engine every derived-datatype send, receive and collective step
+    // of this communicator packs with.
+    [[nodiscard]] dt::PackMode pack_mode() const noexcept { return pack_mode_; }
     [[nodiscard]] Universe& universe() noexcept { return uni_; }
     [[nodiscard]] ucx::Worker& worker() noexcept { return worker_; }
 
@@ -266,6 +271,7 @@ private:
     int rank_;
     int size_;
     std::uint16_t context_;
+    dt::PackMode pack_mode_;
     Status ctor_status_ = Status::success; // err_arg when rank/size overflow
     // Collective tag epoch (see coll_reserve_tags). Each rank holds its own
     // Communicator object, so this is a per-(rank, communicator) counter

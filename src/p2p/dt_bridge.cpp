@@ -1,8 +1,5 @@
 #include "p2p/dt_bridge.hpp"
 
-
-#include "dt/convertor.hpp"
-
 namespace mpicd::p2p {
 
 namespace {
@@ -15,13 +12,15 @@ dt::TypeRef type_of_ctx(void* ctx) {
     return static_cast<dt::Datatype*>(ctx)->shared_from_this();
 }
 
+template <dt::PackMode Mode>
 Status dt_start_pack(void* ctx, const void* buf, Count count, void** state) {
-    *state = new dt::Convertor(type_of_ctx(ctx), const_cast<void*>(buf), count);
+    *state = new dt::Convertor(type_of_ctx(ctx), const_cast<void*>(buf), count, Mode);
     return Status::success;
 }
 
+template <dt::PackMode Mode>
 Status dt_start_unpack(void* ctx, void* buf, Count count, void** state) {
-    *state = new dt::Convertor(type_of_ctx(ctx), buf, count);
+    *state = new dt::Convertor(type_of_ctx(ctx), buf, count, Mode);
     return Status::success;
 }
 
@@ -47,10 +46,13 @@ Status dt_unpack(void* state, Count offset, const void* src, Count src_size) {
 
 void dt_finish(void* state) { delete static_cast<dt::Convertor*>(state); }
 
-ucx::GenericDesc make_desc(const dt::TypeRef& type, Count count) {
+ucx::GenericDesc make_desc(const dt::TypeRef& type, Count count, dt::PackMode mode) {
+    const bool plan = mode == dt::PackMode::plan;
     ucx::GenericDesc g;
-    g.ops.start_pack = dt_start_pack;
-    g.ops.start_unpack = dt_start_unpack;
+    g.ops.start_pack = plan ? dt_start_pack<dt::PackMode::plan>
+                            : dt_start_pack<dt::PackMode::generic>;
+    g.ops.start_unpack = plan ? dt_start_unpack<dt::PackMode::plan>
+                              : dt_start_unpack<dt::PackMode::generic>;
     g.ops.packed_size = dt_packed_size;
     g.ops.pack = dt_pack;
     g.ops.unpack = dt_unpack;
@@ -64,14 +66,18 @@ ucx::GenericDesc make_desc(const dt::TypeRef& type, Count count) {
 
 } // namespace
 
-ucx::BufferDesc dt_send_desc(const dt::TypeRef& type, const void* buf, Count count) {
-    auto g = make_desc(type, count);
+ucx::BufferDesc dt_send_desc(const dt::TypeRef& type, const void* buf, Count count,
+                             dt::PackMode mode) {
+    if (type->is_contiguous()) return ucx::make_contig_send(buf, type->size() * count);
+    auto g = make_desc(type, count, mode);
     g.send_buf = buf;
     return g;
 }
 
-ucx::BufferDesc dt_recv_desc(const dt::TypeRef& type, void* buf, Count count) {
-    auto g = make_desc(type, count);
+ucx::BufferDesc dt_recv_desc(const dt::TypeRef& type, void* buf, Count count,
+                             dt::PackMode mode) {
+    if (type->is_contiguous()) return ucx::make_contig_recv(buf, type->size() * count);
+    auto g = make_desc(type, count, mode);
     g.recv_buf = buf;
     return g;
 }

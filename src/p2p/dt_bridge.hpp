@@ -8,20 +8,23 @@
 // carries everything the callbacks need (segments, prefix sums, the pack
 // plan compiled at commit). Building a descriptor is therefore O(1) and
 // lock-free, and the descriptor pins the type only while its operation
-// is in flight.
+// is in flight. The pack engine is chosen by the callbacks the descriptor
+// carries, so it costs the descriptor no extra field.
 #pragma once
 
-#include "dt/datatype.hpp"
+#include "dt/convertor.hpp"
 #include "ucx/datatype.hpp"
 
 namespace mpicd::p2p {
 
-// Build a generic send descriptor over (buf, count, type).
+// Build the send descriptor over (buf, count, type) of a committed type:
+// plain contiguous bytes for a contiguous type, otherwise a generic
+// descriptor whose convertor runs `mode`.
 [[nodiscard]] ucx::BufferDesc dt_send_desc(const dt::TypeRef& type, const void* buf,
-                                           Count count);
+                                           Count count, dt::PackMode mode);
 
-// Build a generic receive descriptor over (buf, count, type).
+// The receive-side counterpart of dt_send_desc.
 [[nodiscard]] ucx::BufferDesc dt_recv_desc(const dt::TypeRef& type, void* buf,
-                                           Count count);
+                                           Count count, dt::PackMode mode);
 
 } // namespace mpicd::p2p

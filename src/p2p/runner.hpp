@@ -11,8 +11,12 @@
 
 namespace mpicd::p2p {
 
-// Spawns `nranks` threads, calls fn(comm) on each with that rank's world
-// communicator, and joins them. Exceptions escaping a rank are fatal.
+// Spawns one thread per rank of `uni`, calls fn(comm) on each with that
+// rank's world communicator, and joins them. Exceptions escaping a rank
+// are fatal.
+void run_world(Universe& uni, const std::function<void(Communicator&)>& fn);
+
+// The same on a fresh `nranks`-rank universe.
 void run_world(int nranks, const std::function<void(Communicator&)>& fn,
                netsim::WireParams params = netsim::WireParams::from_env());
 

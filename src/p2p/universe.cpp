@@ -31,7 +31,7 @@ private:
 } // namespace
 
 Universe::Universe(int nranks, netsim::WireParams params,
-                   netsim::FaultConfig faults)
+                   netsim::FaultConfig faults, dt::PackMode pack_mode)
     : fabric_(nranks, params, faults) {
     assert(nranks > 0);
     // Materialize the fastpath/* counter group up front so every metrics
@@ -48,7 +48,7 @@ Universe::Universe(int nranks, netsim::WireParams params,
     for (int r = 0; r < nranks; ++r) {
         comms_.push_back(
             std::make_unique<Communicator>(*this, *workers_[static_cast<std::size_t>(r)],
-                                           r, nranks, /*context=*/0));
+                                           r, nranks, /*context=*/0, pack_mode));
     }
 }
 

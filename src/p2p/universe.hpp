@@ -17,6 +17,7 @@
 
 #include "base/flight_recorder.hpp"
 #include "base/log.hpp"
+#include "dt/convertor.hpp"
 #include "netsim/fabric.hpp"
 #include "ucx/worker.hpp"
 
@@ -28,9 +29,14 @@ inline constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
 
 class Universe {
 public:
+    // `pack_mode` is the engine every derived-datatype send, receive and
+    // collective step of this job's communicators packs with
+    // (Communicator::pack_mode()): the compiled plans by default, or the
+    // generic per-segment loop that models the paper's Open MPI baseline.
     explicit Universe(int nranks,
                       netsim::WireParams params = netsim::WireParams::from_env(),
-                      netsim::FaultConfig faults = netsim::FaultConfig::from_env());
+                      netsim::FaultConfig faults = netsim::FaultConfig::from_env(),
+                      dt::PackMode pack_mode = dt::PackMode::plan);
     ~Universe();
     Universe(const Universe&) = delete;
     Universe& operator=(const Universe&) = delete;

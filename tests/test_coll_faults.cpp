@@ -26,6 +26,7 @@
 #include "netsim/fault.hpp"
 #include "p2p/coll/vcoll.hpp"
 #include "p2p/collectives.hpp"
+#include "p2p/runner.hpp"
 #include "p2p/universe.hpp"
 #include "test_util.hpp"
 
@@ -38,11 +39,7 @@ void run_world_faults(int nranks, const netsim::WireParams& params,
                       const netsim::FaultConfig& faults,
                       const std::function<void(Communicator&)>& fn) {
     Universe uni(nranks, params, faults);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r)
-        threads.emplace_back([&uni, &fn, r] { fn(uni.comm(r)); });
-    for (auto& t : threads) t.join();
+    run_world(uni, fn);
 }
 
 // Small retransmit budget so injected losses resolve (either way) in a

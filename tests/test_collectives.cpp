@@ -5,6 +5,7 @@
 #include <atomic>
 #include <span>
 
+#include "base/stats.hpp"
 #include "core/builtin_serialize.hpp"
 #include "p2p/coll/vcoll.hpp"
 #include "p2p/collectives.hpp"
@@ -55,25 +56,38 @@ TEST_P(CollectiveWorld, BcastLargeGoesRendezvous) {
     EXPECT_EQ(correct.load(), n);
 }
 
+// On both pack engines: the default plans, and the generic loop that
+// models the paper's Open MPI baseline. Every step packs with the
+// universe's engine and never the other one.
 TEST_P(CollectiveWorld, BcastDerivedDatatype) {
     const int n = GetParam();
     auto t = dt::Datatype::vector(64, 1, 2, dt::type_double());
     ASSERT_EQ(t->commit(), Status::success);
-    std::atomic<int> correct{0};
-    run_world(n, [&](Communicator& comm) {
-        std::vector<double> grid(128, 0.0);
-        if (comm.rank() == 0) {
-            for (int i = 0; i < 128; i += 2) grid[static_cast<std::size_t>(i)] = i;
-        }
-        ASSERT_EQ(bcast(comm, grid.data(), 1, t, 0), Status::success);
-        bool good = true;
-        for (int i = 0; i < 128; ++i) {
-            const double expect = i % 2 == 0 ? i : 0.0;
-            if (grid[static_cast<std::size_t>(i)] != expect) good = false;
-        }
-        if (good) ++correct;
-    }, test::test_params());
-    EXPECT_EQ(correct.load(), n);
+    for (const dt::PackMode mode : {dt::PackMode::plan, dt::PackMode::generic}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        const auto before = pack_stats().snapshot();
+        Universe uni(n, test::test_params(), netsim::FaultConfig::from_env(), mode);
+        std::atomic<int> correct{0};
+        run_world(uni, [&](Communicator& comm) {
+            std::vector<double> grid(128, 0.0);
+            if (comm.rank() == 0) {
+                for (int i = 0; i < 128; i += 2) grid[static_cast<std::size_t>(i)] = i;
+            }
+            ASSERT_EQ(bcast(comm, grid.data(), 1, t, 0), Status::success);
+            bool good = true;
+            for (int i = 0; i < 128; ++i) {
+                const double expect = i % 2 == 0 ? i : 0.0;
+                if (grid[static_cast<std::size_t>(i)] != expect) good = false;
+            }
+            if (good) ++correct;
+        });
+        EXPECT_EQ(correct.load(), n);
+        const auto after = pack_stats().snapshot();
+        const auto kernel = after.kernel_bytes - before.kernel_bytes;
+        const auto generic = after.generic_bytes - before.generic_bytes;
+        EXPECT_GT(mode == dt::PackMode::plan ? kernel : generic, 0u);
+        EXPECT_EQ(mode == dt::PackMode::plan ? generic : kernel, 0u);
+    }
 }
 
 TEST_P(CollectiveWorld, BcastCustomDatatype) {

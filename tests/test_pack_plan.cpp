@@ -469,11 +469,9 @@ TEST(CoalesceIov, MilcFineRegionTransferDeliversIdenticalBytes) {
     EXPECT_EQ(rr.wait().status, Status::success);
     EXPECT_EQ(rs.wait().status, Status::success);
     EXPECT_TRUE(recv->verify(*send));
-    if (dt::pack_plan_enabled()) {
-        const auto after = pack_stats().snapshot();
-        EXPECT_GT(after.iov_entries_before - before.iov_entries_before,
-                  after.iov_entries_after - before.iov_entries_after);
-    }
+    const auto after = pack_stats().snapshot();
+    EXPECT_GT(after.iov_entries_before - before.iov_entries_before,
+              after.iov_entries_after - before.iov_entries_after);
 }
 
 // --- Derived-datatype bridge --------------------------------------------

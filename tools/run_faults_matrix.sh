@@ -13,6 +13,8 @@
 #     lossy legs (their built-in correctness asserts — matched pairings,
 #     delivered payloads — must hold under faults); only the performance
 #     gate is restricted to the faults-off leg.
+#   - paper_shapes : gates the paper's lossless timing orderings, for the
+#     same reason.
 # Everything else must pass unmodified — that is the point of the sweep: the
 # reliable-delivery protocol makes packet loss invisible to correctness, with
 # one known exception. A dropped eager packet lets later messages with the
@@ -27,11 +29,12 @@
 # it: its probe/mprobe tests and the non-overtaking test above fail at that
 # loss rate.
 #
-# A final AddressSanitizer leg rebuilds the datapath-relevant tests in a
-# separate build tree (-DMPICD_SANITIZE=address) and replays the lossy
+# A final sanitizer leg rebuilds the datapath-relevant tests in a separate
+# build tree (-DMPICD_SANITIZE="address;undefined") and replays the lossy
 # configuration through them: the pooled hot path recycles and shares
 # buffers across threads, and ASan turns any use-after-release or
-# double-release of a slab into a hard failure. test_property rides along so
+# double-release of a slab into a hard failure. UBSan runs with
+# halt_on_error, so any undefined-behaviour report fails its test. test_property rides along so
 # the CRC-32 kernel's word loads and tail loop run under ASan over every
 # length and alignment, and test_pack_plan/test_convertor so the pack-plan
 # kernels' mid-element pointer arithmetic (plan_pack_range/plan_unpack_range,
@@ -40,8 +43,9 @@
 # prefetched strided-run loops run there on the real halo shapes.
 # test_collectives and test_coll_faults run there as well: collective steps
 # post into buffers the op owns (leader staging, reduction partners), so a
-# step outliving its op would be a use-after-free. MPICD_SKIP_ASAN=1 skips
-# it.
+# step outliving its op would be a use-after-free. test_p2p rides along:
+# every send opens a trace::MsgScope, whose thread-local message id UBSan
+# once reported as a null load. MPICD_SKIP_ASAN=1 skips it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
 # matcher-heavy tests — test_matcher's randomized differential sweeps, the
@@ -72,7 +76,7 @@ if [[ ! -f "$BUILD_DIR/CTestTestfile.cmake" ]]; then
 fi
 
 SEEDS=(1 42 999983)
-EXCLUDE='test_netsim|test_engine|bench_compare'
+EXCLUDE='test_netsim|test_engine|bench_compare|paper_shapes'
 HEAVY_SEEDS=(1 12345)
 HEAVY_TESTS='test_faults|test_reliability_soak|test_coll_faults|test_p2p|test_collectives'
 JOBS=${CTEST_PARALLEL_LEVEL:-4}
@@ -113,17 +117,18 @@ done
 
 if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
     ASAN_DIR=${BUILD_DIR}-asan
-    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor|test_ddtbench|test_collectives|test_coll_faults'
+    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor|test_ddtbench|test_collectives|test_coll_faults|test_p2p'
     echo "=== asan leg: configuring $ASAN_DIR ==="
     cmake -B "$ASAN_DIR" -S . \
-          -DMPICD_SANITIZE=address \
+          -DMPICD_SANITIZE="address;undefined" \
           -DMPICD_BUILD_BENCH=OFF \
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build "$ASAN_DIR" -j "$JOBS" --target \
           test_base test_ucx test_faults test_reliability_soak test_property \
           test_pack_plan test_convertor test_ddtbench test_collectives \
-          test_coll_faults
-    echo "=== asan leg: lossy datapath and collective tests under AddressSanitizer ==="
+          test_coll_faults test_p2p
+    echo "=== asan leg: lossy datapath and collective tests under ASan + UBSan ==="
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     MPICD_FAULT_SEED=42 \
     MPICD_FAULT_DROP=0.01 \
     MPICD_FAULT_DUP=0.01 \
