@@ -53,7 +53,7 @@ private:
     // tracing stays a pure observer.
     void post(const Step& st);
     void track_step(Request rq, int peer, bool is_send);
-    // Watchdog expiry: cancel unmatched receives, drop sends, keep the
+    // Watchdog expiry: cancel unmatched receives and every send, keep the
     // receives that already matched (under mu_).
     void abandon_pending();
     // Emit the coll.round instant and run the next phase, or the
@@ -109,8 +109,11 @@ private:
     // posted and write into scratch this op frees, or into a buffer the
     // caller has released. A receive that already matched cannot be
     // withdrawn; the op stays unfinished until it completes or its
-    // rendezvous watchdog fails it. Sends only read their buffers and are
-    // dropped.
+    // rendezvous watchdog fails it. It also cancels every send: a
+    // rendezvous send whose RTS the late peer parked as unexpected would
+    // otherwise read the freed buffer when that peer's CTS arrives, and a
+    // finished one would leave its completion in the worker. The late
+    // peer's CTS is answered with a timeout FIN instead.
     const SimTime watchdog_us_ = comm_.universe().loss_watchdog();
     SimTime last_move_vtime_ = begin_vtime_;
 };
@@ -325,7 +328,8 @@ bool CollOp::advance() {
 }
 
 void CollOp::abandon_pending() {
-    std::erase_if(pending_, [](Posted& p) { return p.send || p.rq.cancel(); });
+    // A send is always gone afterwards: withdrawn, or already finished.
+    std::erase_if(pending_, [](Posted& p) { return p.rq.cancel() || p.send; });
 }
 
 void CollOp::dump_state(std::FILE* f) {

@@ -95,7 +95,9 @@ MsgStatus Request::wait() {
 
 bool Request::cancel() {
     if (done_ || !valid() || !ok(early_error_)) return false;
-    if (!worker_->cancel_recv(id_)) return false;
+    // A finished send completes as usual (poll takes its completion).
+    if (!worker_->cancel_recv(id_) && (poll() || !worker_->cancel_send(id_)))
+        return false;
     custom_.reset();
     result_.status = Status::err_no_match;
     done_ = true;

@@ -71,10 +71,15 @@ public:
     MsgStatus wait();
 
     // Withdraw a receive that has not matched a message yet
-    // (ucx::Worker::cancel_recv). True when it was withdrawn: no message
-    // can land in its buffer any more, and the request is done with
-    // Status::err_no_match. False for a send, a receive that already
-    // matched (it completes as usual) or a finished request.
+    // (ucx::Worker::cancel_recv) or a send that has not finished
+    // (ucx::Worker::cancel_send). True when it was withdrawn: no message
+    // can land in a receive's buffer any more, the library never reads a
+    // send's buffer again, and the request is done with
+    // Status::err_no_match. Whether the receiver gets a withdrawn send is
+    // unspecified: an eager message may already be there, while a
+    // rendezvous whose data has not moved delivers nothing, and its late
+    // receive fails with Status::timeout. False for a receive that
+    // already matched (it completes as usual) or a finished request.
     bool cancel();
 
 private:

@@ -431,23 +431,27 @@ void Worker::handle_ack_locked(const netsim::Packet& pkt) {
         complete_locked(rq, rq.fin_status, rq.fin_len, 0);
 }
 
-void Worker::fail_request_locked(RequestId id, Status st) {
-    if (id == kInvalidRequest) return;
-    const auto it = requests_.find(id);
-    if (it == requests_.end() || it->second->done) return;
-    Request& rq = *it->second;
-    // Release every piece of protocol state that still references the
-    // request so nothing dangles and idle() converges.
+void Worker::release_locked(Request& rq) {
+    // Nothing may dangle once the request is done or gone, and idle() must
+    // converge.
     if (rq.op_id != 0) {
         rndv_sends_.erase(rq.op_id);
         rndv_recvs_.erase(rq.op_id);
     }
     if (rq.kind == Request::Kind::recv)
-        matcher_.cancel_posted(id, rq.tag, rq.mask);
+        matcher_.cancel_posted(rq.id, rq.tag, rq.mask);
     for (TxLink& link : tx_) {
         for (auto p = link.pending.begin(); p != link.pending.end();)
-            p = (p->second.owner == id) ? retire(link, p) : std::next(p);
+            p = (p->second.owner == rq.id) ? retire(link, p) : std::next(p);
     }
+}
+
+void Worker::fail_request_locked(RequestId id, Status st) {
+    if (id == kInvalidRequest) return;
+    const auto it = requests_.find(id);
+    if (it == requests_.end() || it->second->done) return;
+    Request& rq = *it->second;
+    release_locked(rq);
     complete_locked(rq, st, rq.bytes_received, rq.comp.sender_tag);
 }
 
@@ -953,7 +957,20 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
     const auto h = decode_header<CtsHeader>(pkt.header);
     const auto it = rndv_sends_.find(h.sender_op);
     if (it == rndv_sends_.end()) {
-        MPICD_LOG_ERROR("CTS for unknown sender op " << h.sender_op);
+        // The send failed or was cancelled before this CTS arrived: tell
+        // the receiver, so its receive fails now instead of waiting out its
+        // rendezvous watchdog.
+        if (h.mode == CtsMode::abort) return;
+        trace::instant("ucx", "cts_unknown_op", clock_.now(), "op", h.sender_op);
+        netsim::Packet fin;
+        fin.src = ep_;
+        fin.dst = pkt.src;
+        fin.kind = kFin;
+        fin.header = encode_header(FinHeader{h.recv_op, clock_.now(), 0,
+                                             static_cast<std::int32_t>(Status::timeout)});
+        fin.msg_id = pkt.msg_id;
+        send_packet_locked(std::move(fin), clock_.now(), 0, 1, 0, /*control=*/true,
+                           nullptr);
         return;
     }
     Request& rq = *requests_.at(it->second);
@@ -1229,10 +1246,27 @@ Completion Worker::take_completion(RequestId id) {
     return comp;
 }
 
+bool Worker::cancel_send(RequestId id) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = requests_.find(id);
+    if (it == requests_.end() || it->second->kind != Request::Kind::send)
+        return false;
+    if (it->second->done) {
+        const std::lock_guard<std::mutex> ck(comp_mutex_);
+        completed_.erase(id);
+    } else {
+        release_locked(*it->second);
+    }
+    requests_.erase(it);
+    return true;
+}
+
 bool Worker::cancel_recv(RequestId id) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = requests_.find(id);
-    if (it == requests_.end() || it->second->done) return false;
+    if (it == requests_.end() || it->second->done ||
+        it->second->kind != Request::Kind::recv)
+        return false;
     if (!matcher_.cancel_posted(id, it->second->tag, it->second->mask))
         return false;
     requests_.erase(it);

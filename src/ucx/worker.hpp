@@ -183,8 +183,17 @@ public:
     [[nodiscard]] Completion take_completion(RequestId id);
 
     // Cancel a pending (unmatched) receive request; returns false if the
-    // request already matched a message or completed.
+    // request already matched a message or completed, or is a send.
     bool cancel_recv(RequestId id);
+
+    // Withdraw a send request for good. A finished send only has its
+    // completion discarded. An unfinished one releases the protocol state
+    // that references it, as a failure does (a rendezvous awaiting CTS,
+    // unacked packets), and is erased without publishing a completion:
+    // its buffer is never read again, and a late CTS for it is answered
+    // with a FIN carrying Status::timeout. False for an unknown id or a
+    // receive.
+    bool cancel_send(RequestId id);
 
     // Non-destructive probe of the unexpected queue.
     [[nodiscard]] std::optional<ProbeInfo> probe(Tag tag, Tag mask);
@@ -240,6 +249,9 @@ private:
     // Fail an in-flight request (retries exhausted / watchdog expired),
     // releasing all protocol state that references it.
     void fail_request_locked(RequestId id, Status st);
+    // Release every piece of protocol state that references an unfinished
+    // request (fail_request_locked, cancel_send).
+    void release_locked(Request& rq);
     void refresh_reliable_locked();
 
     // Deliver a matched eager payload / RTS to a posted receive request.

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -380,6 +381,48 @@ TEST(CollFaults, LatePeerCannotWriteIntoTimedOutOp) {
     const ByteVec sentinel(static_cast<std::size_t>(kLen), std::byte{0xA5});
     EXPECT_EQ(bufs[1], sentinel);
     EXPECT_EQ(bufs[2], sentinel);
+}
+
+// The send side of the same race. The root broadcasts a rendezvous-size
+// buffer while ranks 1 and 2 have not entered. Its wait drives their
+// workers too, so each RTS is acked and parked as unexpected, and the
+// root's op times out waiting for a CTS. The root then frees its buffer,
+// as a caller may once the call has returned, and the late ranks enter.
+// Their receives match the parked RTS, and their CTS reaches rank 0. The
+// watchdog cancelled the root's sends, so no DMA reads the freed buffer:
+// each CTS is answered with a timeout FIN, the late ranks fail, and rank
+// 0's worker keeps nothing of the op.
+TEST(CollFaults, LatePeerCannotReadFromTimedOutOp) {
+    netsim::FaultConfig f;
+    f.force_reliable = true;
+    constexpr Count kLen = 64 * 1024; // rendezvous
+    Universe uni(3, lossy_params(), f);
+    {
+        auto root_buf = std::make_unique<ByteVec>(
+            mpicd::test::pattern_bytes(static_cast<std::size_t>(kLen), 9));
+        ASSERT_EQ(coll::ibcast_bytes(uni.comm(0), root_buf->data(), kLen, 0).wait(),
+                  Status::timeout);
+    }
+    ASSERT_GT(uni.worker(1).stats().unexpected_msgs +
+                  uni.worker(2).stats().unexpected_msgs,
+              0u);
+
+    std::vector<ByteVec> bufs(3, ByteVec(kLen));
+    std::atomic<int> failed{0};
+    std::vector<std::thread> threads;
+    for (int r = 1; r <= 2; ++r) {
+        threads.emplace_back([&, r] {
+            auto& buf = bufs[static_cast<std::size_t>(r)];
+            if (coll::ibcast_bytes(uni.comm(r), buf.data(), kLen, 0).wait() !=
+                Status::success)
+                ++failed;
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failed.load(), 2);
+    for (int spin = 0; spin < 1000 && uni.progress_all(); ++spin) {
+    }
+    EXPECT_TRUE(uni.worker(0).idle());
 }
 
 // The v-variants run on the same executor, so they carry the same loss

@@ -46,15 +46,17 @@ const char* action_name(FaultAction a) {
     return "?";
 }
 
+// `byte` indexes the concatenated header+payload the corrupt action flips
+// a bit in (the injector clamps it to the last byte).
 ScheduledFault make_fault(FaultAction action, std::uint16_t kind, int src, int dst,
-                          std::uint64_t nth = 1) {
+                          std::uint64_t nth = 1, std::uint64_t byte = 7) {
     ScheduledFault f;
     f.src = src;
     f.dst = dst;
     f.action = action;
     f.kind_filter = kind;
     f.nth = nth;
-    f.byte = 7; // corrupt: byte 7 of the concatenated header+payload
+    f.byte = byte;
     f.bit = 3;
     f.delay_us = 40.0;
     return f;
@@ -77,6 +79,7 @@ struct PathResult {
     Status send_status = Status::success;
     Status recv_status = Status::success;
     bool payload_ok = false;
+    std::uint64_t corruption_detected = 0; // CRC mismatches at the receiver
 };
 
 // --- Per-path drivers. Each runs rank 0 -> rank 1 with the given fault
@@ -93,6 +96,7 @@ PathResult run_eager(const std::vector<ScheduledFault>& faults) {
     out.send_status = rs.wait().status;
     if (ok(out.send_status)) out.recv_status = rr.wait().status;
     out.payload_ok = dst == src;
+    out.corruption_detected = uni.worker(1).stats().corruption_detected;
     return out;
 }
 
@@ -108,6 +112,7 @@ PathResult run_rdma(const std::vector<ScheduledFault>& faults) {
     out.send_status = rs.wait().status;
     out.recv_status = rr.wait().status;
     out.payload_ok = dst == src;
+    out.corruption_detected = uni.worker(1).stats().corruption_detected;
     EXPECT_EQ(uni.worker(0).stats().rndv_rdma, 1u);
     return out;
 }
@@ -130,6 +135,7 @@ PathResult run_pipeline(const std::vector<ScheduledFault>& faults) {
     for (std::size_t i = 0; i < src.size(); i += 2) {
         if (dst[i] != src[i]) out.payload_ok = false;
     }
+    out.corruption_detected = uni.worker(1).stats().corruption_detected;
     EXPECT_EQ(uni.worker(0).stats().rndv_pipeline, 1u);
     return out;
 }
@@ -152,6 +158,7 @@ PathResult run_iov(const std::vector<ScheduledFault>& faults) {
     out.recv_status = uni.worker(1).take_completion(rid).status;
     out.payload_ok = std::equal(a.begin(), a.end(), dst.begin()) &&
                      std::equal(b.begin(), b.end(), dst.begin() + 600);
+    out.corruption_detected = uni.worker(1).stats().corruption_detected;
     EXPECT_EQ(uni.worker(0).stats().eager_sends, 1u);
     return out;
 }
@@ -177,15 +184,30 @@ const FaultAction kActions[] = {FaultAction::drop, FaultAction::duplicate,
                                 FaultAction::reorder, FaultAction::corrupt,
                                 FaultAction::delay};
 
+// Where the targeted packet carries the payload, the corrupt action flips
+// three bytes in turn: byte 7, in the protocol header; byte 200, past every
+// data header (at most 32 bytes) and at least 168 bytes into the payload,
+// inside the 16-byte body the CRC's folding kernel checksums on CPUs that
+// have it; and the payload's last byte. Each corruption is detected once.
 TEST(Faults, EveryClassOnEveryPath) {
+    const std::uint64_t kLastByte = ~std::uint64_t{0}; // clamped to the last
     for (const auto& path : kPaths) {
         for (const FaultAction action : kActions) {
-            SCOPED_TRACE(std::string(path.name) + " / " + action_name(action));
-            const auto r =
-                path.run({make_fault(action, path.data_kind, 0, 1, 1)});
-            EXPECT_EQ(r.send_status, Status::success);
-            EXPECT_EQ(r.recv_status, Status::success);
-            EXPECT_TRUE(r.payload_ok);
+            std::vector<std::uint64_t> bytes = {7};
+            if (action == FaultAction::corrupt && path.data_kind != ucx::wire::kRts)
+                bytes = {7, 200, kLastByte};
+            for (const std::uint64_t byte : bytes) {
+                SCOPED_TRACE(std::string(path.name) + " / " + action_name(action) +
+                             " / byte " + std::to_string(byte));
+                const auto r =
+                    path.run({make_fault(action, path.data_kind, 0, 1, 1, byte)});
+                EXPECT_EQ(r.send_status, Status::success);
+                EXPECT_EQ(r.recv_status, Status::success);
+                EXPECT_TRUE(r.payload_ok);
+                if (action == FaultAction::corrupt) {
+                    EXPECT_EQ(r.corruption_detected, 1u);
+                }
+            }
         }
     }
 }

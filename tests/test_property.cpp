@@ -9,6 +9,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "base/crc32.hpp"
 #include "dt/convertor.hpp"
@@ -369,8 +370,9 @@ TEST(CrcProperty, IncrementalMatchesOneShot) {
     }
 }
 
-// Reference model: the one-table (Sarwate) bytewise loop the slicing-by-8
-// kernel replaced. Every output of crc32() must equal it bit for bit.
+// Reference model: the one-table (Sarwate) bytewise loop both kernels
+// replaced. Every output of crc32() and of each kernel must equal it bit
+// for bit.
 std::uint32_t crc32_bytewise(const void* data, std::size_t n, std::uint32_t seed) {
     std::array<std::uint32_t, 256> table{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -386,45 +388,92 @@ std::uint32_t crc32_bytewise(const void* data, std::size_t n, std::uint32_t seed
     return c ^ 0xFFFFFFFFu;
 }
 
+// crc32() (whichever kernel it dispatches to), the slicing-by-8 kernel and,
+// where the CPU has carry-less multiply, the folding kernel called directly.
+// The lengths cover the fold's entry at 64 bytes, every 16-byte step, every
+// n % 16 tail and 1-16 passes of its four-lane loop.
 TEST(CrcProperty, MatchesBytewiseReference) {
+    using Kernel = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+    struct NamedKernel {
+        const char* name;
+        Kernel fn;
+        std::size_t min_len; // shorter inputs are not this kernel's to take
+    };
+    std::vector<NamedKernel> kernels = {{"crc32", &crc32, 0},
+                                        {"slice8", &detail::crc32_slice8, 0}};
+    const bool fold = detail::crc32_fold_supported();
+    if (fold) kernels.push_back({"fold", &detail::crc32_fold, detail::kCrc32FoldMin});
+    // A piece below the kernel's minimum goes through slicing-by-8, as
+    // crc32() would route it.
+    const auto run = [](const NamedKernel& k, const std::byte* p, std::size_t n,
+                        std::uint32_t seed) {
+        return n >= k.min_len ? k.fn(p, n, seed) : detail::crc32_slice8(p, n, seed);
+    };
+
     std::mt19937 rng(0x5115u);
-    // 8 spare bytes so every length can start at each of the 8 alignments.
-    ByteVec buf(64 * 1024 + 8);
+    // 16 spare bytes so every length can start at each of the 16 alignments.
+    constexpr std::size_t kBig = (std::size_t{1} << 20) + 13;
+    ByteVec buf(kBig + 16);
     for (auto& b : buf) b = static_cast<std::byte>(rng());
 
-    // Every length 0-300 (all tail lengths, several 8-byte blocks) at all 8
-    // start alignments, from the default seed and a random non-zero one.
-    for (std::size_t len = 0; len <= 300; ++len) {
-        for (std::size_t align = 0; align < 8; ++align) {
+    // Every length 0-1100 at all 16 start alignments, from the default seed
+    // and a random non-zero one.
+    for (std::size_t len = 0; len <= 1100; ++len) {
+        for (std::size_t align = 0; align < 16; ++align) {
             const std::byte* p = buf.data() + align;
-            EXPECT_EQ(crc32(p, len), crc32_bytewise(p, len, 0))
-                << "len " << len << " align " << align;
             const std::uint32_t seed = rng() | 1u;
-            EXPECT_EQ(crc32(p, len, seed), crc32_bytewise(p, len, seed))
-                << "len " << len << " align " << align << " seed " << seed;
+            const std::uint32_t want0 = crc32_bytewise(p, len, 0);
+            const std::uint32_t want = crc32_bytewise(p, len, seed);
+            for (const NamedKernel& k : kernels) {
+                if (len < k.min_len) continue;
+                EXPECT_EQ(k.fn(p, len, 0), want0)
+                    << k.name << " len " << len << " align " << align;
+                EXPECT_EQ(k.fn(p, len, seed), want)
+                    << k.name << " len " << len << " align " << align << " seed " << seed;
+            }
         }
     }
 
-    // A 64 KiB buffer at every alignment.
-    for (std::size_t align = 0; align < 8; ++align)
-        EXPECT_EQ(crc32(buf.data() + align, 64 * 1024),
-                  crc32_bytewise(buf.data() + align, 64 * 1024, 0))
-            << "64 KiB align " << align;
+    // 1 MiB + 13 B at every alignment.
+    for (std::size_t align = 0; align < 16; ++align) {
+        const std::uint32_t want = crc32_bytewise(buf.data() + align, kBig, 0);
+        for (const NamedKernel& k : kernels)
+            EXPECT_EQ(k.fn(buf.data() + align, kBig, 0), want)
+                << k.name << " 1 MiB + 13 align " << align;
+    }
 
-    // Incremental splits at random cut points (most not multiples of 8),
-    // each piece chained through the seed, against the reference one-shot.
+    // Incremental: one cut at each fold boundary (63, 64, 65 bytes) and
+    // tail boundary (79, 80), then chains cut at random points (most not
+    // multiples of 16), each piece chained through the seed.
+    for (const std::size_t cut : {63, 64, 65, 79, 80}) {
+        for (const std::size_t rest : {0, 1, 15, 16, 17, 63, 64, 65, 200}) {
+            const std::uint32_t seed = rng() | 1u;
+            const std::uint32_t want = crc32_bytewise(buf.data(), cut + rest, seed);
+            for (const NamedKernel& k : kernels)
+                EXPECT_EQ(run(k, buf.data() + cut, rest, run(k, buf.data(), cut, seed)),
+                          want)
+                    << k.name << " cut " << cut << " rest " << rest;
+        }
+    }
     for (int trial = 0; trial < 64; ++trial) {
         const std::size_t len = rng() % (64 * 1024);
         const std::uint32_t seed = rng() | 1u;
-        std::size_t at = 0;
-        std::uint32_t c = seed;
-        while (at < len) {
-            const std::size_t piece = std::min<std::size_t>(len - at, 1 + rng() % 1500);
-            c = crc32(buf.data() + at, piece, c);
-            at += piece;
+        const std::uint32_t want = crc32_bytewise(buf.data(), len, seed);
+        for (const NamedKernel& k : kernels) {
+            std::mt19937 cuts(static_cast<unsigned>(trial));
+            std::size_t at = 0;
+            std::uint32_t c = seed;
+            while (at < len) {
+                const std::size_t piece =
+                    std::min<std::size_t>(len - at, 1 + cuts() % 1500);
+                c = run(k, buf.data() + at, piece, c);
+                at += piece;
+            }
+            EXPECT_EQ(c, want) << k.name << " trial " << trial;
         }
-        EXPECT_EQ(c, crc32_bytewise(buf.data(), len, seed)) << "trial " << trial;
     }
+
+    if (!fold) GTEST_SKIP() << "no PCLMULQDQ + SSE4.1: the folding kernel was not checked";
 }
 
 // The standard CRC-32 check value pins the polynomial, reflection and the

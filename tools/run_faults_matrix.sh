@@ -35,10 +35,12 @@
 # buffers across threads, and ASan turns any use-after-release or
 # double-release of a slab into a hard failure. UBSan runs with
 # halt_on_error, so any undefined-behaviour report fails its test. test_property rides along so
-# the CRC-32 kernel's word loads and tail loop run under ASan over every
-# length and alignment, and test_pack_plan/test_convertor so the pack-plan
-# kernels' mid-element pointer arithmetic (plan_pack_range/plan_unpack_range,
-# run on every derived-datatype fragment) does too. test_ddtbench moves
+# both CRC-32 kernels run under ASan over every length and alignment: the
+# slicing-by-8 word loads and tail loop, and, on CPUs with PCLMULQDQ, the
+# folding kernel's unaligned 16-byte loads. test_pack_plan/test_convertor
+# ride along so the pack-plan kernels' mid-element pointer arithmetic
+# (plan_pack_range/plan_unpack_range, run on every derived-datatype
+# fragment) runs there too. test_ddtbench moves
 # every DDTBench kernel's derived datatype through the transport, so the
 # prefetched strided-run loops run there on the real halo shapes.
 # test_collectives and test_coll_faults run there as well: collective steps
