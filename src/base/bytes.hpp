@@ -59,12 +59,6 @@ struct ConstIovEntry {
     return t;
 }
 
-[[nodiscard]] inline Count iov_total(std::span<const ConstIovEntry> iov) noexcept {
-    Count t = 0;
-    for (const auto& e : iov) t += e.len;
-    return t;
-}
-
 // Merge runs of exactly-adjacent entries in place (entry i+1 starts at the
 // byte where entry i ends). Only exact adjacency may be merged: the gathered
 // stream is the concatenation of the entries in order, so merging anything

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "base/metrics.hpp"
 #include "base/trace.hpp"
@@ -214,13 +213,6 @@ bool Fabric::inbox_empty(int ep) {
     auto& inbox = inboxes_[static_cast<std::size_t>(ep)];
     if (inbox.q.empty()) flush_limbo_locked(ep);
     return inbox.q.empty();
-}
-
-SimTime Fabric::rdma_write(int src_ep, int dst_ep, const void* src, void* dst,
-                           Count bytes, SimTime ready) {
-    std::memcpy(dst, src, static_cast<std::size_t>(bytes));
-    datapath::add_copied(bytes);
-    return rdma_cost(src_ep, dst_ep, bytes, 1, ready);
 }
 
 SimTime Fabric::rdma_cost(int src_ep, int dst_ep, Count bytes, Count sg_entries,

@@ -122,15 +122,10 @@ public:
 
     [[nodiscard]] bool inbox_empty(int ep);
 
-    // Direct memory transfer used to model RDMA (rendezvous zero-copy):
-    // copies `bytes` from `src` to `dst` immediately for correctness, and
-    // returns the virtual completion time of the transfer starting at
-    // `ready`. Accounts link serialization like transmit().
-    SimTime rdma_write(int src_ep, int dst_ep, const void* src, void* dst,
-                       Count bytes, SimTime ready);
-
     // Virtual completion time for a gathered RDMA transfer with
-    // `sg_entries` descriptors totalling `bytes` (copies done by caller).
+    // `sg_entries` descriptors totalling `bytes`, starting at `ready`;
+    // accounts link serialization like transmit(). The caller moves the
+    // bytes.
     SimTime rdma_cost(int src_ep, int dst_ep, Count bytes, Count sg_entries,
                       SimTime ready, int rail = 0);
 

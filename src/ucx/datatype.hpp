@@ -41,10 +41,11 @@ struct GenericOps {
     bool inorder = true;
 };
 
+// A contiguous buffer is one region. A send descriptor's base is cast from
+// const, as the iovec send lowerings' entries are: the transport only reads
+// the memory a send names.
 struct ContigDesc {
-    const void* send_ptr = nullptr; // used on the send side
-    void* recv_ptr = nullptr;       // used on the receive side
-    Count len = 0;                  // bytes
+    IovEntry region;
 };
 
 struct IovDesc {
@@ -69,17 +70,11 @@ struct GenericDesc {
 using BufferDesc = std::variant<ContigDesc, IovDesc, GenericDesc>;
 
 [[nodiscard]] inline BufferDesc make_contig_send(const void* p, Count len) {
-    ContigDesc d;
-    d.send_ptr = p;
-    d.len = len;
-    return d;
+    return ContigDesc{{const_cast<void*>(p), len}};
 }
 
 [[nodiscard]] inline BufferDesc make_contig_recv(void* p, Count len) {
-    ContigDesc d;
-    d.recv_ptr = p;
-    d.len = len;
-    return d;
+    return ContigDesc{{p, len}};
 }
 
 [[nodiscard]] inline BufferDesc make_iov(std::vector<IovEntry> entries) {

@@ -9,122 +9,82 @@ namespace mpicd::ucx {
 
 namespace {
 
-// Overload-set visitor helper.
-template <class... Ts>
-struct Overloaded : Ts... {
-    using Ts::operator()...;
-};
-template <class... Ts>
-Overloaded(Ts...) -> Overloaded<Ts...>;
+// The regions a descriptor names: the one entry of a contiguous buffer or
+// the iovec's own entries; none for a generic descriptor.
+std::span<const IovEntry> regions_of(const BufferDesc& desc) noexcept {
+    if (const auto* c = std::get_if<ContigDesc>(&desc)) return {&c->region, 1};
+    if (const auto* iov = std::get_if<IovDesc>(&desc)) return iov->entries;
+    return {};
+}
 
 } // namespace
 
-Status scatter_into_regions(std::span<const IovEntry> regions, Count offset,
-                            ConstBytes src) {
-    Count remaining = static_cast<Count>(src.size());
-    std::size_t src_pos = 0;
-    for (const auto& r : regions) {
-        if (remaining == 0) return Status::success;
-        if (offset >= r.len) {
-            offset -= r.len;
-            continue;
-        }
-        const Count space = r.len - offset;
-        const Count n = std::min(space, remaining);
-        std::memcpy(static_cast<std::byte*>(r.base) + offset, src.data() + src_pos,
-                    static_cast<std::size_t>(n));
-        src_pos += static_cast<std::size_t>(n);
-        remaining -= n;
-        offset = 0;
-    }
-    datapath::add_copied(static_cast<Count>(src.size()) - remaining);
-    return remaining == 0 ? Status::success : Status::err_truncate;
-}
-
-Status gather_from_regions(std::span<const ConstIovEntry> regions, Count offset,
-                           MutBytes dst, Count* used) {
-    Count produced = 0;
-    Count want = static_cast<Count>(dst.size());
-    for (const auto& r : regions) {
-        if (want == 0) break;
-        if (offset >= r.len) {
-            offset -= r.len;
-            continue;
-        }
-        const Count avail = r.len - offset;
-        const Count n = std::min(avail, want);
-        std::memcpy(dst.data() + produced,
-                    static_cast<const std::byte*>(r.base) + offset,
-                    static_cast<std::size_t>(n));
-        produced += n;
-        want -= n;
-        offset = 0;
-    }
-    *used = produced;
-    datapath::add_copied(produced);
-    return Status::success;
-}
-
-Status dma_regions(std::span<const ConstIovEntry> src, std::span<const IovEntry> dst,
-                   Count offset, Count len, Count* moved) {
-    *moved = 0;
-    // Advance both cursors to the stream offset, then walk the two region
-    // lists in lockstep copying the overlap of the current entries.
+Status copy_regions(std::span<const IovEntry> src, Count src_off,
+                    std::span<const IovEntry> dst, Count dst_off, Count len,
+                    Count* moved) {
+    // Step each cursor to its stream offset, past every entry the offset
+    // covers (empty entries too).
     std::size_t si = 0, di = 0;
-    Count soff = offset, doff = offset;
-    while (si < src.size() && soff >= src[si].len) soff -= src[si++].len;
-    while (di < dst.size() && doff >= dst[di].len) doff -= dst[di++].len;
+    while (si < src.size() && src_off >= src[si].len) src_off -= src[si++].len;
+    while (di < dst.size() && dst_off >= dst[di].len) dst_off -= dst[di++].len;
+    // Walk both lists in lockstep: copy the overlap of the current entries,
+    // then step past whichever ran out (both, when they end together). An
+    // empty entry is stepped over before anything else (its base may be
+    // null), so trailing empty source entries never read as truncation.
+    // The entries and the count live in locals, which memcpy cannot alias,
+    // so nothing is reloaded after each copy.
     Count remaining = len;
+    Status st = Status::success;
     while (remaining > 0 && si < src.size()) {
-        if (di >= dst.size()) return Status::err_truncate;
-        const Count n = std::min({remaining, src[si].len - soff, dst[di].len - doff});
-        std::memcpy(static_cast<std::byte*>(dst[di].base) + doff,
-                    static_cast<const std::byte*>(src[si].base) + soff,
-                    static_cast<std::size_t>(n));
-        *moved += n;
-        remaining -= n;
-        soff += n;
-        doff += n;
-        if (soff == src[si].len) {
+        const IovEntry s = src[si];
+        if (s.len == 0) {
             ++si;
-            soff = 0;
+            continue;
         }
-        if (doff == dst[di].len) {
+        if (di == dst.size()) {
+            st = Status::err_truncate;
+            break;
+        }
+        const IovEntry d = dst[di];
+        if (d.len == 0) {
             ++di;
-            doff = 0;
+            continue;
+        }
+        const Count s_left = s.len - src_off, d_left = d.len - dst_off;
+        const Count n = std::min(remaining, std::min(s_left, d_left));
+        std::memcpy(static_cast<std::byte*>(d.base) + dst_off,
+                    static_cast<const std::byte*>(s.base) + src_off,
+                    static_cast<std::size_t>(n));
+        remaining -= n;
+        if (n == s_left) {
+            ++si;
+            src_off = 0;
+        } else {
+            src_off += n;
+        }
+        if (n == d_left) {
+            ++di;
+            dst_off = 0;
+        } else {
+            dst_off += n;
         }
     }
-    datapath::add_dma(*moved);
-    return Status::success;
+    *moved = len - remaining;
+    return st;
 }
 
 // ---------------------------------------------------------------------------
 // SendSource
 
 SendSource::SendSource(const BufferDesc& desc) : desc_(&desc) {
-    std::visit(
-        Overloaded{
-            [&](const ContigDesc& c) {
-                regions_.push_back({c.send_ptr, c.len});
-                total_ = c.len;
-                total_known_ = true;
-            },
-            [&](const IovDesc& iov) {
-                regions_.reserve(iov.entries.size());
-                for (const auto& e : iov.entries) {
-                    regions_.push_back({e.base, e.len});
-                    total_ += e.len;
-                }
-                total_known_ = true;
-            },
-            [&](const GenericDesc& g) {
-                generic_ = true;
-                inorder_ = g.ops.inorder;
-                init_status_ =
-                    g.ops.start_pack(g.ops.ctx, g.send_buf, g.count, &generic_state_);
-            },
-        },
-        *desc_);
+    if (const auto* g = std::get_if<GenericDesc>(desc_)) {
+        generic_ = true;
+        inorder_ = g->ops.inorder;
+        init_status_ = g->ops.start_pack(g->ops.ctx, g->send_buf, g->count, &generic_state_);
+        return;
+    }
+    total_ = iov_total(regions());
+    total_known_ = true;
 }
 
 SendSource::~SendSource() {
@@ -134,25 +94,8 @@ SendSource::~SendSource() {
     }
 }
 
-SendSource::SendSource(SendSource&& other) noexcept
-    : desc_(other.desc_),
-      regions_(std::move(other.regions_)),
-      generic_state_(other.generic_state_),
-      generic_(other.generic_),
-      inorder_(other.inorder_),
-      init_status_(other.init_status_),
-      total_(other.total_),
-      total_known_(other.total_known_) {
-    other.generic_state_ = nullptr;
-    other.generic_ = false;
-}
-
-SendSource& SendSource::operator=(SendSource&& other) noexcept {
-    if (this != &other) {
-        this->~SendSource();
-        new (this) SendSource(std::move(other));
-    }
-    return *this;
+std::span<const IovEntry> SendSource::regions() const noexcept {
+    return regions_of(*desc_);
 }
 
 Status SendSource::total_bytes(Count* out, SimTime& host_cost) {
@@ -170,7 +113,7 @@ Status SendSource::total_bytes(Count* out, SimTime& host_cost) {
 bool SendSource::exposes_memory() const noexcept { return !generic_; }
 
 Count SendSource::sg_entries() const noexcept {
-    return generic_ ? 1 : static_cast<Count>(regions_.size());
+    return generic_ ? 1 : static_cast<Count>(regions().size());
 }
 
 bool SendSource::allows_out_of_order() const noexcept {
@@ -191,40 +134,32 @@ Status SendSource::read(Count offset, MutBytes dst, Count* used, SimTime& host_c
         if (ok(st)) datapath::add_copied(*used);
         return st;
     }
-    return gather_from_regions(regions_, offset, dst, used);
+    // Gather into the one-entry list dst, which has room for every byte
+    // asked for, so the walk never truncates.
+    const IovEntry out{dst.data(), static_cast<Count>(dst.size())};
+    const Status st = copy_regions(regions(), offset, {&out, 1}, 0,
+                                   static_cast<Count>(dst.size()), used);
+    datapath::add_copied(*used);
+    return st;
 }
 
 // ---------------------------------------------------------------------------
 // RecvSink
 
 RecvSink::RecvSink(BufferDesc& desc) : desc_(&desc) {
-    std::visit(
-        Overloaded{
-            [&](ContigDesc& c) {
-                regions_.push_back({c.recv_ptr, c.len});
-                capacity_ = c.len;
-            },
-            [&](IovDesc& iov) {
-                regions_.reserve(iov.entries.size());
-                for (const auto& e : iov.entries) {
-                    regions_.push_back(e);
-                    capacity_ += e.len;
-                }
-            },
-            [&](GenericDesc& g) {
-                generic_ = true;
-                inorder_ = g.ops.inorder;
-                // The receive capacity of a generic sink is queried from
-                // its own callbacks after start_unpack; the paper requires
-                // the receive side to know the expected sizes in advance.
-                init_status_ =
-                    g.ops.start_unpack(g.ops.ctx, g.recv_buf, g.count, &generic_state_);
-                if (ok(init_status_) && g.ops.packed_size != nullptr) {
-                    init_status_ = g.ops.packed_size(generic_state_, &capacity_);
-                }
-            },
-        },
-        *desc_);
+    if (auto* g = std::get_if<GenericDesc>(desc_)) {
+        generic_ = true;
+        inorder_ = g->ops.inorder;
+        // The receive capacity of a generic sink is queried from its own
+        // callbacks after start_unpack; the paper requires the receive side
+        // to know the expected sizes in advance.
+        init_status_ =
+            g->ops.start_unpack(g->ops.ctx, g->recv_buf, g->count, &generic_state_);
+        if (ok(init_status_) && g->ops.packed_size != nullptr)
+            init_status_ = g->ops.packed_size(generic_state_, &capacity_);
+        return;
+    }
+    capacity_ = iov_total(regions());
 }
 
 RecvSink::~RecvSink() {
@@ -234,31 +169,11 @@ RecvSink::~RecvSink() {
     }
 }
 
-RecvSink::RecvSink(RecvSink&& other) noexcept
-    : desc_(other.desc_),
-      regions_(std::move(other.regions_)),
-      generic_state_(other.generic_state_),
-      generic_(other.generic_),
-      inorder_(other.inorder_),
-      init_status_(other.init_status_),
-      capacity_(other.capacity_) {
-    other.generic_state_ = nullptr;
-    other.generic_ = false;
-}
-
-RecvSink& RecvSink::operator=(RecvSink&& other) noexcept {
-    if (this != &other) {
-        this->~RecvSink();
-        new (this) RecvSink(std::move(other));
-    }
-    return *this;
+std::span<const IovEntry> RecvSink::regions() const noexcept {
+    return regions_of(*desc_);
 }
 
 bool RecvSink::exposes_memory() const noexcept { return !generic_; }
-
-Count RecvSink::sg_entries() const noexcept {
-    return generic_ ? 1 : static_cast<Count>(regions_.size());
-}
 
 bool RecvSink::allows_out_of_order() const noexcept {
     return !generic_ || !inorder_;
@@ -278,7 +193,14 @@ Status RecvSink::write(Count offset, ConstBytes src, SimTime& host_cost) {
         if (ok(st)) datapath::add_copied(static_cast<Count>(src.size()));
         return st;
     }
-    return scatter_into_regions(regions_, offset, src);
+    // Scatter the one-entry list src; the walker only reads a source, so
+    // casting away const is safe.
+    const IovEntry in{const_cast<std::byte*>(src.data()), static_cast<Count>(src.size())};
+    Count moved = 0;
+    const Status st = copy_regions({&in, 1}, 0, regions(), offset,
+                                   static_cast<Count>(src.size()), &moved);
+    datapath::add_copied(moved);
+    return st;
 }
 
 } // namespace mpicd::ucx

@@ -6,12 +6,15 @@
 //    regions for zero-copy rendezvous;
 //  - a RecvSink absorbs bytes (scatter / unpack) and may expose raw memory
 //    regions for RDMA writes.
+// Both are views: their regions are the descriptor's own (the one entry of
+// a CONTIG buffer or IovDesc::entries), read where they lie, and every copy
+// between region lists goes through copy_regions.
 // Host CPU cost: user/datatype pack callbacks are *measured* (HostTimer);
 // plain gather/scatter copies that stand in for NIC DMA are *modeled* by
 // the caller through the wire model (see DESIGN.md §5).
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "base/bytes.hpp"
 #include "base/status.hpp"
@@ -22,12 +25,14 @@ namespace mpicd::ucx {
 
 class SendSource {
 public:
+    // A view of `desc`, which must stay in place for the source's lifetime
+    // (the owning Worker::Request builds it with optional::emplace).
     explicit SendSource(const BufferDesc& desc);
     ~SendSource();
     SendSource(const SendSource&) = delete;
     SendSource& operator=(const SendSource&) = delete;
-    SendSource(SendSource&&) noexcept;
-    SendSource& operator=(SendSource&&) noexcept;
+    SendSource(SendSource&&) = delete;
+    SendSource& operator=(SendSource&&) = delete;
 
     // Total bytes this source will produce on the wire. For generic
     // sources this calls the packed_size callback (measured).
@@ -37,10 +42,8 @@ public:
     // (contiguous buffer or iovec) — enables zero-copy rendezvous.
     [[nodiscard]] bool exposes_memory() const noexcept;
 
-    // Raw regions, valid only when exposes_memory().
-    [[nodiscard]] const std::vector<ConstIovEntry>& regions() const noexcept {
-        return regions_;
-    }
+    // The descriptor's regions (empty for a generic source).
+    [[nodiscard]] std::span<const IovEntry> regions() const noexcept;
 
     [[nodiscard]] Count sg_entries() const noexcept;
 
@@ -58,7 +61,6 @@ public:
 
 private:
     const BufferDesc* desc_ = nullptr;
-    std::vector<ConstIovEntry> regions_; // flattened memory view (non-generic)
     void* generic_state_ = nullptr;
     bool generic_ = false;
     bool inorder_ = true;
@@ -69,21 +71,20 @@ private:
 
 class RecvSink {
 public:
+    // A view of `desc`, under the same rule as SendSource.
     explicit RecvSink(BufferDesc& desc);
     ~RecvSink();
     RecvSink(const RecvSink&) = delete;
     RecvSink& operator=(const RecvSink&) = delete;
-    RecvSink(RecvSink&&) noexcept;
-    RecvSink& operator=(RecvSink&&) noexcept;
+    RecvSink(RecvSink&&) = delete;
+    RecvSink& operator=(RecvSink&&) = delete;
 
     // Maximum bytes this sink can absorb (receive-buffer capacity).
     [[nodiscard]] Count capacity() const noexcept { return capacity_; }
 
     [[nodiscard]] bool exposes_memory() const noexcept;
-    [[nodiscard]] const std::vector<IovEntry>& regions() const noexcept {
-        return regions_;
-    }
-    [[nodiscard]] Count sg_entries() const noexcept;
+    // The descriptor's regions (empty for a generic sink).
+    [[nodiscard]] std::span<const IovEntry> regions() const noexcept;
     [[nodiscard]] bool allows_out_of_order() const noexcept;
 
     // Absorb `src` at virtual offset `offset` (scatter copy or unpack
@@ -94,7 +95,6 @@ public:
 
 private:
     BufferDesc* desc_ = nullptr;
-    std::vector<IovEntry> regions_;
     void* generic_state_ = nullptr;
     bool generic_ = false;
     bool inorder_ = true;
@@ -102,24 +102,16 @@ private:
     Count capacity_ = 0;
 };
 
-// Scatter `src` into `regions` starting at byte offset `offset` within the
-// concatenated region layout. Returns err_truncate when src overruns.
-[[nodiscard]] Status scatter_into_regions(std::span<const IovEntry> regions,
-                                          Count offset, ConstBytes src);
-
-// Gather bytes [offset, offset+dst.size()) of the concatenated region
-// layout into dst; *used receives the bytes produced (may be short at end).
-[[nodiscard]] Status gather_from_regions(std::span<const ConstIovEntry> regions,
-                                         Count offset, MutBytes dst, Count* used);
-
-// Move up to `len` bytes at stream offset `offset` directly from the
-// source region layout into the destination region layout — the simulated
-// NIC's scatter-gather DMA for the zero-copy rendezvous path. No bounce
-// buffer, no host copy: the moved bytes count toward datapath::bytes_dma,
-// not bytes_copied. *moved may be short when the source is exhausted;
-// err_truncate when the destination cannot hold the source bytes.
-[[nodiscard]] Status dma_regions(std::span<const ConstIovEntry> src,
-                                 std::span<const IovEntry> dst, Count offset,
-                                 Count len, Count* moved);
+// The one copy between region lists. Each list is read as a byte stream,
+// the concatenation of its entries in order (empty entries add nothing). Moves
+// min(len, bytes of src past src_off) bytes from src's stream offset
+// src_off to dst's stream offset dst_off and reports them in *moved;
+// err_truncate when dst runs out first (*moved then holds what fit). It
+// counts nothing: a caller books the bytes as a host copy
+// (datapath::add_copied: gather, scatter, bounce) or as NIC DMA
+// (datapath::add_dma: the zero-copy rendezvous).
+[[nodiscard]] Status copy_regions(std::span<const IovEntry> src, Count src_off,
+                                  std::span<const IovEntry> dst, Count dst_off,
+                                  Count len, Count* moved);
 
 } // namespace mpicd::ucx

@@ -75,6 +75,12 @@ struct CtsHeader {
     CtsMode mode;
     std::uint32_t nregions;
 };
+// An rdma CTS carries the receiver's region table right after the fixed
+// part, and the sender reads it where it lies. The table is memcpy'd into
+// the header, which creates the entries there, and copies of a header copy
+// its bytes whole; a header is a heap buffer, aligned for any fundamental
+// type, so the entries are aligned when this offset is.
+static_assert(sizeof(CtsHeader) % alignof(IovEntry) == 0);
 
 struct FinHeader {
     std::uint64_t recv_op;
@@ -780,7 +786,7 @@ void Worker::send_cts_locked(Request& rq, int src, std::uint64_t sender_op) {
     pkt.msg_id = rq.msg_id;
     pkt.post_vtime = rq.post_vtime;
     if (rq.sink->exposes_memory()) {
-        const auto& regions = rq.sink->regions();
+        const auto regions = rq.sink->regions();
         CtsHeader h{sender_op, rq.op_id, CtsMode::rdma,
                     static_cast<std::uint32_t>(regions.size())};
         pkt.header = encode_header(h);
@@ -1001,14 +1007,15 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
             complete_locked(rq, Status::err_truncate, 0, 0);
             return;
         }
-        std::vector<IovEntry> recv_regions(h.nregions);
-        std::memcpy(recv_regions.data(), pkt.header.data() + sizeof(CtsHeader),
-                    h.nregions * sizeof(IovEntry));
+        // Walk the table where it lies (its alignment: see CtsHeader).
+        const std::span<const IovEntry> table(
+            reinterpret_cast<const IovEntry*>(pkt.header.data() + sizeof(CtsHeader)),
+            h.nregions);
         // Memory-backed sources transfer region-to-region like a real NIC's
         // scatter-gather DMA — no bounce buffer, no host copy (the moved
         // bytes land in datapath/bytes_dma, keeping copy_amp honest for the
         // zero-serialization fast path). Generic sources still pack through
-        // a bounce fragment.
+        // a bounce fragment, whose scatter is a host copy.
         const bool direct = rq.source->exposes_memory();
         PooledBuf bounce;
         if (!direct)
@@ -1023,10 +1030,11 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
             const Count want = std::min(frag_size, total - offset);
             Count used = 0;
             if (direct) {
-                st = dma_regions(rq.source->regions(), recv_regions, offset, want,
-                                 &used);
+                st = copy_regions(rq.source->regions(), offset, table, offset, want,
+                                  &used);
                 if (ok(st) && used == 0) st = Status::err_pack;
                 if (!ok(st)) break;
+                datapath::add_dma(used);
                 frag_bytes_hist().record(static_cast<std::uint64_t>(used));
             } else {
                 SimTime pack_cost = 0.0;
@@ -1038,8 +1046,10 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
                 if (ok(st) && used == 0) st = Status::err_pack;
                 if (!ok(st)) break;
                 frag_bytes_hist().record(static_cast<std::uint64_t>(used));
-                st = scatter_into_regions(recv_regions, offset,
-                                          ConstBytes(bounce.data(), static_cast<std::size_t>(used)));
+                const IovEntry staged{bounce.data(), used};
+                Count scattered = 0;
+                st = copy_regions({&staged, 1}, 0, table, offset, used, &scattered);
+                datapath::add_copied(scattered);
                 if (!ok(st)) break;
             }
             data_done = fabric_.rdma_cost(ep_, rq.peer, used, first ? sg : 1,

@@ -101,14 +101,18 @@ TEST(CollFaults, BcastEagerAndRendezvousUnderLoss) {
             if (comm.rank() == 0) small = mpicd::test::pattern_bytes(1024, 3);
             const Status s1 = bcast_bytes(comm, small.data(), 1024, 0);
             expect_delivered_or_timeout(s1, "bcast eager");
-            if (ok(s1)) EXPECT_EQ(small, mpicd::test::pattern_bytes(1024, 3));
+            if (ok(s1)) {
+                EXPECT_EQ(small, mpicd::test::pattern_bytes(1024, 3));
+            }
             // Rendezvous-sized payload.
             const std::size_t big = 128 * 1024;
             ByteVec large(big);
             if (comm.rank() == 1) large = mpicd::test::pattern_bytes(big, 5);
             const Status s2 = bcast_bytes(comm, large.data(), Count(big), 1);
             expect_delivered_or_timeout(s2, "bcast rndv");
-            if (ok(s2)) EXPECT_EQ(large, mpicd::test::pattern_bytes(big, 5));
+            if (ok(s2)) {
+                EXPECT_EQ(large, mpicd::test::pattern_bytes(big, 5));
+            }
         });
     }
 }
@@ -122,9 +126,10 @@ TEST(CollFaults, GatherUnderLoss) {
             const Status st = gather_bytes(
                 comm, &mine, 8, comm.rank() == 0 ? all.data() : nullptr, 0);
             expect_delivered_or_timeout(st, "gather");
-            if (ok(st) && comm.rank() == 0)
+            if (ok(st) && comm.rank() == 0) {
                 for (int i = 0; i < 4; ++i)
                     EXPECT_EQ(all[static_cast<std::size_t>(i)], 1000 + i);
+            }
         });
     }
 }
@@ -136,11 +141,15 @@ TEST(CollFaults, AllreduceBothTypesUnderLoss) {
             double d = comm.rank() + 1.0;
             const Status s1 = allreduce(comm, &d, 1, ReduceOp::sum);
             expect_delivered_or_timeout(s1, "allreduce double");
-            if (ok(s1)) EXPECT_DOUBLE_EQ(d, 10.0);
+            if (ok(s1)) {
+                EXPECT_DOUBLE_EQ(d, 10.0);
+            }
             std::int64_t q = 7 * (comm.rank() + 1);
             const Status s2 = allreduce(comm, &q, 1, ReduceOp::max);
             expect_delivered_or_timeout(s2, "allreduce int64");
-            if (ok(s2)) EXPECT_EQ(q, 28);
+            if (ok(s2)) {
+                EXPECT_EQ(q, 28);
+            }
         });
     }
 }

@@ -564,9 +564,10 @@ TEST(CollHier, CollectivesCorrectOnTwoLevelTopology) {
         ASSERT_EQ(gather_bytes(comm, &mine, 4,
                                comm.rank() == 5 ? all.data() : nullptr, 5),
                   Status::success);
-        if (comm.rank() == 5)
+        if (comm.rank() == 5) {
             for (int i = 0; i < n; ++i)
                 EXPECT_EQ(all[static_cast<std::size_t>(i)], i * 3);
+        }
         // allreduce.
         double d = comm.rank() + 0.5;
         ASSERT_EQ(allreduce(comm, &d, 1, ReduceOp::sum), Status::success);
@@ -621,9 +622,10 @@ TEST(CollHier, ForcedFlatAndHierAgree) {
             ASSERT_EQ(gather_bytes(comm, &mine, 4,
                                    comm.rank() == 2 ? g.data() : nullptr, 2),
                       Status::success);
-            if (comm.rank() == 2)
+            if (comm.rank() == 2) {
                 for (int i = 0; i < n; ++i)
                     EXPECT_EQ(g[static_cast<std::size_t>(i)], i + 1);
+            }
         }, two_level_params());
     }
     coll::set_algo_override(std::nullopt);

@@ -216,7 +216,8 @@ TEST(CustomEngine, EndToEndRoundTrip) {
 }
 
 TEST(CustomEngine, RendezvousRoundTrip) {
-    p2p::Universe uni(2, test::test_params());
+    // The lowering emits an IOV, so the IOV eager range decides the path.
+    p2p::Universe uni(2, test::iov_rndv_params());
     const auto type = blob_type();
     Blob send[1], recv[1];
     send[0].magic = 42;
@@ -229,6 +230,7 @@ TEST(CustomEngine, RendezvousRoundTrip) {
     EXPECT_EQ(rq_s.wait().status, Status::success);
     EXPECT_EQ(recv[0].data, send[0].data);
     EXPECT_EQ(recv[0].magic, 42u);
+    EXPECT_EQ(uni.worker(0).stats().rndv_rdma, 1u);
 }
 
 TEST(CustomEngine, GenericPipelineLoweringRejectsRegions) {

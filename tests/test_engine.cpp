@@ -1,6 +1,8 @@
-// Unit tests for the transport's SendSource/RecvSink adapters and the
-// scatter/gather helpers, plus end-to-end coverage of the
-// generic_pipeline custom-type lowering (including the inorder flag).
+// Unit tests for the transport's SendSource/RecvSink adapters, plus
+// end-to-end coverage of the generic_pipeline custom-type lowering
+// (including the inorder flag). The region walker they copy through,
+// ucx::copy_regions, is tested against a bytewise reference in
+// test_property.cpp.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,50 +15,16 @@
 namespace mpicd::ucx {
 namespace {
 
-TEST(ScatterGather, GatherAcrossRegions) {
-    ByteVec a = test::pattern_bytes(10, 1), b = test::pattern_bytes(20, 2);
-    const ConstIovEntry regions[] = {{a.data(), 10}, {b.data(), 20}};
-    ByteVec out(12);
-    Count used = 0;
-    // Read 12 bytes starting at offset 5: 5 from a, 7 from b.
-    ASSERT_EQ(gather_from_regions(regions, 5, out, &used), Status::success);
-    EXPECT_EQ(used, 12);
-    EXPECT_EQ(std::memcmp(out.data(), a.data() + 5, 5), 0);
-    EXPECT_EQ(std::memcmp(out.data() + 5, b.data(), 7), 0);
-}
-
-TEST(ScatterGather, GatherShortAtEnd) {
-    ByteVec a = test::pattern_bytes(8);
-    const ConstIovEntry regions[] = {{a.data(), 8}};
-    ByteVec out(100);
-    Count used = 0;
-    ASSERT_EQ(gather_from_regions(regions, 6, out, &used), Status::success);
-    EXPECT_EQ(used, 2);
-}
-
-TEST(ScatterGather, ScatterAcrossRegions) {
-    ByteVec a(10, std::byte{0}), b(20, std::byte{0});
-    const IovEntry regions[] = {{a.data(), 10}, {b.data(), 20}};
-    const ByteVec src = test::pattern_bytes(15, 3);
-    ASSERT_EQ(scatter_into_regions(regions, 8, src), Status::success);
-    EXPECT_EQ(std::memcmp(a.data() + 8, src.data(), 2), 0);
-    EXPECT_EQ(std::memcmp(b.data(), src.data() + 2, 13), 0);
-    EXPECT_EQ(a[0], std::byte{0}); // untouched prefix
-}
-
-TEST(ScatterGather, ScatterOverrunIsTruncate) {
-    ByteVec a(4, std::byte{0});
-    const IovEntry regions[] = {{a.data(), 4}};
-    const ByteVec src = test::pattern_bytes(10);
-    EXPECT_EQ(scatter_into_regions(regions, 0, src), Status::err_truncate);
-}
-
 TEST(SendSourceTest, ContigExposesOneRegion) {
     const ByteVec data = test::pattern_bytes(100);
     const BufferDesc desc = make_contig_send(data.data(), 100);
     SendSource src(desc);
     EXPECT_TRUE(src.exposes_memory());
     EXPECT_EQ(src.sg_entries(), 1);
+    // A view of the descriptor's one region, not a copy.
+    ASSERT_EQ(src.regions().size(), 1u);
+    EXPECT_EQ(src.regions().data(), &std::get<ContigDesc>(desc).region);
+    EXPECT_EQ(src.regions()[0].base, data.data());
     EXPECT_TRUE(src.allows_out_of_order());
     Count total = 0;
     SimTime cost = 0;
@@ -84,7 +52,9 @@ TEST(RecvSinkTest, CapacitySumsIovEntries) {
     RecvSink sink(desc);
     EXPECT_EQ(sink.capacity(), 80);
     EXPECT_TRUE(sink.exposes_memory());
-    EXPECT_EQ(sink.sg_entries(), 2);
+    // A view of the descriptor's entries, not a copy.
+    EXPECT_EQ(sink.regions().data(), std::get<IovDesc>(desc).entries.data());
+    EXPECT_EQ(sink.regions().size(), 2u);
 }
 
 TEST(RecvSinkTest, WriteScattersAtOffset) {

@@ -1,9 +1,9 @@
 // Deterministic fault-schedule harness: table-driven fault injection
 // against every protocol path (eager, rendezvous zero-copy, rendezvous
-// pipelined, IOV scatter-gather), asserting that the reliable-delivery
-// protocol recovers — or surfaces Status::timeout when recovery is
-// impossible — with exact, reproducible schedules ("drop the 3rd packet
-// on link 0->1", "corrupt byte 7 of the RTS").
+// pipelined, IOV scatter-gather eager and zero-copy), asserting that the
+// reliable-delivery protocol recovers — or surfaces Status::timeout when
+// recovery is impossible — with exact, reproducible schedules ("drop the
+// 3rd packet on link 0->1", "corrupt byte 7 of the RTS").
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -79,8 +79,16 @@ struct PathResult {
     Status send_status = Status::success;
     Status recv_status = Status::success;
     bool payload_ok = false;
-    std::uint64_t corruption_detected = 0; // CRC mismatches at the receiver
+    std::uint64_t corruption_detected = 0; // CRC mismatches on either rank
+    netsim::FaultCounters faults;          // the faults that fired
 };
+
+// The counters every driver reports once its transfer is done.
+void observe(Universe& uni, PathResult& out) {
+    out.corruption_detected = uni.worker(0).stats().corruption_detected +
+                              uni.worker(1).stats().corruption_detected;
+    out.faults = uni.fabric().faults().counters();
+}
 
 // --- Per-path drivers. Each runs rank 0 -> rank 1 with the given fault
 // schedule installed before traffic and drives progress to completion.
@@ -96,7 +104,7 @@ PathResult run_eager(const std::vector<ScheduledFault>& faults) {
     out.send_status = rs.wait().status;
     if (ok(out.send_status)) out.recv_status = rr.wait().status;
     out.payload_ok = dst == src;
-    out.corruption_detected = uni.worker(1).stats().corruption_detected;
+    observe(uni, out);
     return out;
 }
 
@@ -112,7 +120,7 @@ PathResult run_rdma(const std::vector<ScheduledFault>& faults) {
     out.send_status = rs.wait().status;
     out.recv_status = rr.wait().status;
     out.payload_ok = dst == src;
-    out.corruption_detected = uni.worker(1).stats().corruption_detected;
+    observe(uni, out);
     EXPECT_EQ(uni.worker(0).stats().rndv_rdma, 1u);
     return out;
 }
@@ -135,7 +143,7 @@ PathResult run_pipeline(const std::vector<ScheduledFault>& faults) {
     for (std::size_t i = 0; i < src.size(); i += 2) {
         if (dst[i] != src[i]) out.payload_ok = false;
     }
-    out.corruption_detected = uni.worker(1).stats().corruption_detected;
+    observe(uni, out);
     EXPECT_EQ(uni.worker(0).stats().rndv_pipeline, 1u);
     return out;
 }
@@ -158,8 +166,39 @@ PathResult run_iov(const std::vector<ScheduledFault>& faults) {
     out.recv_status = uni.worker(1).take_completion(rid).status;
     out.payload_ok = std::equal(a.begin(), a.end(), dst.begin()) &&
                      std::equal(b.begin(), b.end(), dst.begin() + 600);
-    out.corruption_detected = uni.worker(1).stats().corruption_detected;
+    observe(uni, out);
     EXPECT_EQ(uni.worker(0).stats().eager_sends, 1u);
+    return out;
+}
+
+PathResult run_iov_rdma(const std::vector<ScheduledFault>& faults) {
+    // Scatter-gather rendezvous, split differently on each side: the CTS
+    // carries a three-entry region table and the DMA crosses entry
+    // boundaries in every fragment.
+    auto params = fault_params(256);
+    params.iov_eager_threshold = 256;
+    Universe uni(2, params, FaultConfig{});
+    for (const auto& f : faults) uni.fabric().faults().schedule(f);
+    ByteVec a = test::pattern_bytes(1200, 55);
+    ByteVec b = test::pattern_bytes(1800, 66);
+    ByteVec c(900), d(1500), e(600);
+    auto rid = uni.worker(1).tag_recv(
+        7, ~ucx::Tag{0},
+        ucx::make_iov({{c.data(), 900}, {d.data(), 1500}, {e.data(), 600}}));
+    auto sid = uni.worker(0).tag_send(
+        1, 7, ucx::make_iov({{a.data(), 1200}, {b.data(), 1800}}));
+    while (!uni.worker(0).is_complete(sid) || !uni.worker(1).is_complete(rid))
+        uni.progress_all();
+    PathResult out;
+    out.send_status = uni.worker(0).take_completion(sid).status;
+    out.recv_status = uni.worker(1).take_completion(rid).status;
+    ByteVec sent = a, got = c;
+    append_bytes(sent, b);
+    append_bytes(got, d);
+    append_bytes(got, e);
+    out.payload_ok = got == sent;
+    observe(uni, out);
+    EXPECT_EQ(uni.worker(0).stats().rndv_rdma, 1u);
     return out;
 }
 
@@ -178,6 +217,7 @@ const PathCase kPaths[] = {
     {"rdma", run_rdma, ucx::wire::kRts},
     {"pipeline", run_pipeline, ucx::wire::kFrag},
     {"iov", run_iov, ucx::wire::kEager},
+    {"iov_rdma", run_iov_rdma, ucx::wire::kRts},
 };
 
 const FaultAction kActions[] = {FaultAction::drop, FaultAction::duplicate,
@@ -188,7 +228,9 @@ const FaultAction kActions[] = {FaultAction::drop, FaultAction::duplicate,
 // three bytes in turn: byte 7, in the protocol header; byte 200, past every
 // data header (at most 32 bytes) and at least 168 bytes into the payload,
 // inside the 16-byte body the CRC's folding kernel checksums on CPUs that
-// have it; and the payload's last byte. Each corruption is detected once.
+// have it; and the payload's last byte. Each corruption is detected once,
+// and every scheduled fault fires exactly once, so a schedule that stops
+// matching its path fails here instead of passing vacuously.
 TEST(Faults, EveryClassOnEveryPath) {
     const std::uint64_t kLastByte = ~std::uint64_t{0}; // clamped to the last
     for (const auto& path : kPaths) {
@@ -204,6 +246,7 @@ TEST(Faults, EveryClassOnEveryPath) {
                 EXPECT_EQ(r.send_status, Status::success);
                 EXPECT_EQ(r.recv_status, Status::success);
                 EXPECT_TRUE(r.payload_ok);
+                EXPECT_EQ(fault_count(r.faults, action), 1u);
                 if (action == FaultAction::corrupt) {
                     EXPECT_EQ(r.corruption_detected, 1u);
                 }
@@ -212,17 +255,33 @@ TEST(Faults, EveryClassOnEveryPath) {
     }
 }
 
-// Faults against the reverse-direction control packet (CTS on 1->0).
+// Faults against the reverse-direction control packet (CTS on 1->0). A
+// zero-copy CTS carries the receiver's region table from byte 24 on (after
+// the 24-byte fixed part), and the sender DMAs through it where it lies:
+// a flipped bit in the first base pointer must be caught by the CRC, or the
+// sender would write through a wrong address.
 TEST(Faults, CtsFaultsRecovered) {
+    constexpr std::uint64_t kFirstBase = 24;
     for (const FaultAction action :
          {FaultAction::drop, FaultAction::corrupt, FaultAction::duplicate}) {
         SCOPED_TRACE(action_name(action));
-        for (const auto* path : {&kPaths[1], &kPaths[2]}) {
+        for (const auto* path : {&kPaths[1], &kPaths[2], &kPaths[4]}) {
             SCOPED_TRACE(path->name);
-            const auto r = path->run({make_fault(action, ucx::wire::kCts, 1, 0, 1)});
-            EXPECT_EQ(r.send_status, Status::success);
-            EXPECT_EQ(r.recv_status, Status::success);
-            EXPECT_TRUE(r.payload_ok);
+            std::vector<std::uint64_t> bytes = {7};
+            if (action == FaultAction::corrupt && path->data_kind == ucx::wire::kRts)
+                bytes = {7, kFirstBase};
+            for (const std::uint64_t byte : bytes) {
+                SCOPED_TRACE("byte " + std::to_string(byte));
+                const auto r =
+                    path->run({make_fault(action, ucx::wire::kCts, 1, 0, 1, byte)});
+                EXPECT_EQ(r.send_status, Status::success);
+                EXPECT_EQ(r.recv_status, Status::success);
+                EXPECT_TRUE(r.payload_ok);
+                EXPECT_EQ(fault_count(r.faults, action), 1u);
+                if (action == FaultAction::corrupt) {
+                    EXPECT_EQ(r.corruption_detected, 1u);
+                }
+            }
         }
     }
 }

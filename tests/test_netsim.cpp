@@ -250,15 +250,6 @@ TEST(Fabric, ControlPacketsAreLatencyOnly) {
     EXPECT_DOUBLE_EQ(t, 4.0);
 }
 
-TEST(Fabric, RdmaWriteMovesDataAndCharges) {
-    Fabric f(2, simple_params());
-    const ByteVec src = test::pattern_bytes(500);
-    ByteVec dst(500);
-    const SimTime t = f.rdma_write(0, 1, src.data(), dst.data(), 500, 0.0);
-    EXPECT_EQ(src, dst);
-    EXPECT_DOUBLE_EQ(t, 0.5 + 1.0);
-}
-
 TEST(Fabric, RdmaSharesLinkWithPackets) {
     Fabric f(2, simple_params());
     Packet a;

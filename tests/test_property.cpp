@@ -1,11 +1,14 @@
 // Property-style tests: randomized datatype trees, fragment-size sweeps,
-// random Python-object graphs, and corrupt-input fuzzing. Seeds are fixed
-// per test-case index, so failures reproduce deterministically.
+// random Python-object graphs, corrupt-input fuzzing, and the transport's
+// region walker against a bytewise reference. Seeds are fixed per
+// test-case index, so failures reproduce deterministically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <deque>
+#include <numeric>
 #include <random>
 #include <set>
 #include <string>
@@ -13,12 +16,12 @@
 
 #include "base/crc32.hpp"
 #include "dt/convertor.hpp"
-#include "dt/iovec.hpp"
 #include "dt/signature.hpp"
 #include "core/builtin_serialize.hpp"
 #include "p2p/universe.hpp"
 #include "pysim/pickle.hpp"
 #include "test_util.hpp"
+#include "ucx/engine.hpp"
 #include "ucx/seq_window.hpp"
 
 namespace mpicd {
@@ -150,19 +153,6 @@ TEST_P(RandomTypeRoundTrip, SignatureSizeConsistency) {
         sig_bytes += run.count * static_cast<Count>(dt::predef_size(run.kind));
     }
     EXPECT_EQ(sig_bytes, type->size());
-}
-
-TEST_P(RandomTypeRoundTrip, RegionExtractionCoversSize) {
-    std::mt19937 rng(static_cast<unsigned>(GetParam()) * 57u + 3u);
-    auto type = random_type(rng, 3);
-    ASSERT_EQ(type->commit(), Status::success);
-    ByteVec buf(static_cast<std::size_t>(type->extent() * 4 + type->true_extent() + 64));
-    const Count anchor = std::max<Count>(0, -type->true_lb());
-    std::vector<ConstIovEntry> regions;
-    ASSERT_EQ(dt::extract_regions(type, buf.data() + anchor, 4, regions),
-              Status::success);
-    EXPECT_EQ(iov_total(std::span<const ConstIovEntry>(regions)), type->size() * 4);
-    EXPECT_EQ(static_cast<Count>(regions.size()), dt::region_count(type, 4));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTypeRoundTrip, ::testing::Range(0, 24));
@@ -565,6 +555,201 @@ TEST(SeqWindowProperty, MatchesSetReferenceOnLossyStreams) {
         window.apply_floor(n + 1);
         EXPECT_EQ(window.watermark(), n);
         EXPECT_EQ(window.out_of_order(), 0u);
+    }
+}
+
+
+// --- The region walker (ucx::copy_regions) -----------------------------------
+
+// A region list over an arena of its own. Every entry has its own stretch
+// of the arena with kGuard guard bytes before it, and the arena ends in
+// kGuard more, so a write outside every entry lands on a guard. Empty
+// entries have a null base: the walker must never touch them.
+struct RegionList {
+    static constexpr std::size_t kGuard = 8;
+    static constexpr std::byte kGuardByte{0xA5};
+
+    RegionList(const std::vector<Count>& lens, std::uint32_t seed) {
+        std::size_t size = kGuard;
+        for (const Count len : lens) size += static_cast<std::size_t>(len) + kGuard;
+        arena = test::pattern_bytes(size, seed);
+        std::size_t at = 0;
+        for (const Count len : lens) {
+            guards.push_back(at);
+            at += kGuard;
+            entries.push_back({len == 0 ? nullptr : arena.data() + at, len});
+            at += static_cast<std::size_t>(len);
+        }
+        guards.push_back(at);
+        for (const std::size_t g : guards)
+            std::fill_n(arena.begin() + static_cast<std::ptrdiff_t>(g), kGuard, kGuardByte);
+    }
+
+    // The list's bytes in stream order.
+    [[nodiscard]] ByteVec stream() const {
+        ByteVec out;
+        for (const auto& e : entries)
+            if (e.len > 0)
+                append_bytes(out, as_bytes_of(e.base, static_cast<std::size_t>(e.len)));
+        return out;
+    }
+
+    [[nodiscard]] bool guards_intact() const {
+        for (const std::size_t g : guards)
+            for (std::size_t i = 0; i < kGuard; ++i)
+                if (arena[g + i] != kGuardByte) return false;
+        return true;
+    }
+
+    ByteVec arena;
+    std::vector<IovEntry> entries;
+    std::vector<std::size_t> guards; // arena offsets of the guard runs
+};
+
+// One walk against the reference: flatten both lists, copy between the two
+// streams with memcpy, and compare the moved count, the status, every
+// destination byte and guard, and the untouched source.
+void check_walk(const RegionList& src, RegionList& dst, Count src_off, Count dst_off,
+                Count len) {
+    const ByteVec s = src.stream();
+    ByteVec expect = dst.stream();
+    const ByteVec src_before = src.arena;
+    const Count want = std::min(len, std::max<Count>(0, static_cast<Count>(s.size()) - src_off));
+    const Count room = std::max<Count>(0, static_cast<Count>(expect.size()) - dst_off);
+    const Count n = std::min(want, room);
+    if (n > 0)
+        std::memcpy(expect.data() + dst_off, s.data() + src_off, static_cast<std::size_t>(n));
+
+    Count moved = -1;
+    const Status st = ucx::copy_regions(src.entries, src_off, dst.entries, dst_off, len, &moved);
+    EXPECT_EQ(moved, n);
+    EXPECT_EQ(st, room < want ? Status::err_truncate : Status::success);
+    EXPECT_EQ(dst.stream(), expect);
+    EXPECT_TRUE(dst.guards_intact());
+    EXPECT_EQ(src.arena, src_before);
+}
+
+// Random lists on both sides (1-64 entries of 0-300 B, about one in six
+// empty), split independently or, for half the list-to-list walks, as two
+// splits of one byte count (half of those at equal offsets, so both lists
+// end together), at random offsets and lengths that reach past either end.
+// The three shapes are the transport's calls: a gather into one entry
+// (SendSource::read), a scatter from one entry (RecvSink::write and the
+// rendezvous bounce) and list to list (the zero-copy rendezvous). A third
+// of the one-entry walks use the adapters' exact call: offset 0 on the
+// one-entry side, len its length.
+TEST(RegionWalker, MatchesFlattenedReference) {
+    enum Shape { gather, scatter, lists };
+    std::mt19937_64 rng(0x9E1F);
+    const auto upto = [&](Count hi) {
+        return static_cast<Count>(rng() % static_cast<std::uint64_t>(hi + 1));
+    };
+    const auto random_lens = [&] {
+        std::vector<Count> lens(static_cast<std::size_t>(1 + upto(63)));
+        for (auto& len : lens) len = upto(5) == 0 ? 0 : 1 + upto(299);
+        return lens;
+    };
+    const auto total = [](const std::vector<Count>& lens) {
+        return std::accumulate(lens.begin(), lens.end(), Count{0});
+    };
+    // The same byte count split another way (empty entries included), so
+    // the two lists often end together.
+    const auto resplit = [&](Count bytes) {
+        std::vector<Count> cuts(static_cast<std::size_t>(upto(63)));
+        for (auto& c : cuts) c = upto(bytes);
+        cuts.push_back(0);
+        cuts.push_back(bytes);
+        std::sort(cuts.begin(), cuts.end());
+        std::vector<Count> lens;
+        for (std::size_t i = 1; i < cuts.size(); ++i) {
+            lens.push_back(cuts[i] - cuts[i - 1]);
+            if (upto(5) == 0) lens.push_back(0);
+        }
+        return lens;
+    };
+    for (const Shape shape : {gather, scatter, lists}) {
+        for (std::uint32_t iter = 0; iter < 600 && !HasFailure(); ++iter) {
+            SCOPED_TRACE("shape " + std::to_string(shape) + " iter " + std::to_string(iter));
+            std::vector<Count> src_lens = random_lens(), dst_lens = random_lens();
+            const bool same_bytes = shape == lists && iter % 2 == 0;
+            if (same_bytes) dst_lens = resplit(total(src_lens));
+            if (shape == gather) dst_lens = {upto(total(src_lens) + 64)};
+            if (shape == scatter) src_lens = {upto(total(dst_lens) + 64)};
+            const RegionList src(src_lens, 2 * iter + 1);
+            RegionList dst(dst_lens, 2 * iter + 2);
+            const Count stotal = total(src_lens), dtotal = total(dst_lens);
+            Count src_off = upto(stotal + 16), dst_off = upto(dtotal + 16);
+            Count len = upto(std::max(stotal, dtotal) + 16);
+            if (same_bytes && upto(1) == 0) dst_off = src_off; // both lists end together
+            if (shape == gather && upto(2) == 0) {
+                dst_off = 0;
+                len = dtotal;
+            }
+            if (shape == scatter && upto(2) == 0) {
+                src_off = 0;
+                len = stotal;
+            }
+            check_walk(src, dst, src_off, dst_off, len);
+        }
+    }
+}
+
+// Fixed cases of the gather and scatter shapes, and of the end of a
+// source whose last entries are empty.
+TEST(RegionWalker, FixedCases) {
+    Count moved = 0;
+    {
+        // Gather 12 bytes at offset 5 from {10, 20}: 5 from a, 7 from b.
+        ByteVec a = test::pattern_bytes(10, 1), b = test::pattern_bytes(20, 2);
+        const IovEntry src[] = {{a.data(), 10}, {b.data(), 20}};
+        ByteVec out(12);
+        const IovEntry dst{out.data(), 12};
+        ASSERT_EQ(ucx::copy_regions(src, 5, {&dst, 1}, 0, 12, &moved), Status::success);
+        EXPECT_EQ(moved, 12);
+        EXPECT_EQ(std::memcmp(out.data(), a.data() + 5, 5), 0);
+        EXPECT_EQ(std::memcmp(out.data() + 5, b.data(), 7), 0);
+    }
+    {
+        // A gather short at the end of the source moves what is left.
+        ByteVec a = test::pattern_bytes(8);
+        const IovEntry src{a.data(), 8};
+        ByteVec out(100);
+        const IovEntry dst{out.data(), 100};
+        ASSERT_EQ(ucx::copy_regions({&src, 1}, 6, {&dst, 1}, 0, 100, &moved),
+                  Status::success);
+        EXPECT_EQ(moved, 2);
+    }
+    {
+        // Scatter 15 bytes at offset 8 across {10, 20}.
+        ByteVec a(10, std::byte{0}), b(20, std::byte{0});
+        const IovEntry dst[] = {{a.data(), 10}, {b.data(), 20}};
+        ByteVec in = test::pattern_bytes(15, 3);
+        const IovEntry src{in.data(), 15};
+        ASSERT_EQ(ucx::copy_regions({&src, 1}, 0, dst, 8, 15, &moved), Status::success);
+        EXPECT_EQ(moved, 15);
+        EXPECT_EQ(std::memcmp(a.data() + 8, in.data(), 2), 0);
+        EXPECT_EQ(std::memcmp(b.data(), in.data() + 2, 13), 0);
+        EXPECT_EQ(a[0], std::byte{0}); // untouched prefix
+    }
+    {
+        // Empty source entries left after the destination is full are not a
+        // truncation: the source has no bytes left.
+        ByteVec a = test::pattern_bytes(8), out(8);
+        const IovEntry src[] = {{a.data(), 8}, {nullptr, 0}};
+        const IovEntry dst{out.data(), 8};
+        EXPECT_EQ(ucx::copy_regions(src, 0, {&dst, 1}, 0, 100, &moved), Status::success);
+        EXPECT_EQ(moved, 8);
+        EXPECT_EQ(out, a);
+    }
+    {
+        // A scatter that overruns the destination fills it and truncates.
+        ByteVec a(4, std::byte{0});
+        const IovEntry dst{a.data(), 4};
+        ByteVec in = test::pattern_bytes(10);
+        const IovEntry src{in.data(), 10};
+        EXPECT_EQ(ucx::copy_regions({&src, 1}, 0, {&dst, 1}, 0, 10, &moved),
+                  Status::err_truncate);
+        EXPECT_EQ(moved, 4);
     }
 }
 

@@ -146,7 +146,8 @@ TEST(Traits, CachedDatatypeIsSingleton) {
 }
 
 TEST(Traits, LargeCountRendezvous) {
-    p2p::Universe uni(2, test::test_params());
+    // The lowering emits an IOV, so the IOV eager range decides the path.
+    p2p::Universe uni(2, test::iov_rndv_params());
     const auto& type = custom_datatype_of<StructSimple>();
     const int n = 4096; // 4096 * 20 B = 80 KiB packed > eager threshold
     std::vector<StructSimple> send(n), recv(n);
@@ -160,6 +161,7 @@ TEST(Traits, LargeCountRendezvous) {
         EXPECT_EQ(recv[static_cast<std::size_t>(i)].b, i ^ 0x55);
         EXPECT_DOUBLE_EQ(recv[static_cast<std::size_t>(i)].d, i * 0.125);
     }
+    EXPECT_EQ(uni.worker(0).stats().rndv_rdma, 1u);
 }
 
 // ---------------------------------------------------------------------------

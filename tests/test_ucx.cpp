@@ -4,8 +4,10 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "base/pool.hpp"
 #include "netsim/fault.hpp"
 #include "test_util.hpp"
 #include "ucx/worker.hpp"
@@ -15,8 +17,10 @@ namespace {
 
 using netsim::Fabric;
 
-struct UcxPair : ::testing::Test {
-    UcxPair() : fabric(2, test::test_params()), w0(fabric, 0), w1(fabric, 1) {}
+// Two workers on one fabric, driven by hand (no Universe).
+struct WorkerPair {
+    explicit WorkerPair(const netsim::WireParams& params = test::test_params())
+        : fabric(2, params), w0(fabric, 0), w1(fabric, 1) {}
 
     // One progress step over both workers. When neither finds work and a
     // timer is pending (retransmit / dup-ack / watchdog — armed whenever
@@ -56,6 +60,8 @@ struct UcxPair : ::testing::Test {
     Fabric fabric;
     Worker w0, w1;
 };
+
+struct UcxPair : ::testing::Test, WorkerPair {};
 
 TEST_F(UcxPair, EagerContigRoundTrip) {
     const ByteVec src = test::pattern_bytes(1000);
@@ -118,22 +124,6 @@ TEST_F(UcxPair, IovGatherScatter) {
     (void)take(w0, sid);
 }
 
-TEST_F(UcxPair, IovRendezvousZeroCopy) {
-    const std::size_t n = 64 * 1024;
-    ByteVec a = test::pattern_bytes(n, 1), b = test::pattern_bytes(n, 2);
-    ByteVec c(n), d(n);
-    const auto rid = w1.tag_recv(
-        5, ~Tag{0}, make_iov({{c.data(), Count(n)}, {d.data(), Count(n)}}));
-    const auto sid = w0.tag_send(
-        1, 5, make_iov({{a.data(), Count(n)}, {b.data(), Count(n)}}));
-    progress_until(rid, w1);
-    EXPECT_EQ(a, c);
-    EXPECT_EQ(b, d);
-    (void)take(w1, rid);
-    progress_until(sid, w0);
-    (void)take(w0, sid);
-}
-
 // A generic datatype that "packs" by XORing every byte with a key, so the
 // test detects whether pack/unpack callbacks actually ran.
 struct XorCtx {
@@ -188,6 +178,152 @@ GenericDesc xor_desc(XorCtx& ctx) {
     g.ops.finish = xor_finish;
     g.ops.ctx = &ctx;
     return g;
+}
+
+TEST(UcxRendezvous, IovZeroCopy) {
+    // 128 KiB over two regions: rendezvous only below the default 1 MiB
+    // IOV eager range.
+    WorkerPair p(test::iov_rndv_params());
+    const std::size_t n = 64 * 1024;
+    ByteVec a = test::pattern_bytes(n, 1), b = test::pattern_bytes(n, 2);
+    ByteVec c(n), d(n);
+    const auto rid = p.w1.tag_recv(
+        5, ~Tag{0}, make_iov({{c.data(), Count(n)}, {d.data(), Count(n)}}));
+    const auto sid = p.w0.tag_send(
+        1, 5, make_iov({{a.data(), Count(n)}, {b.data(), Count(n)}}));
+    p.progress_until(rid, p.w1);
+    EXPECT_EQ(a, c);
+    EXPECT_EQ(b, d);
+    (void)p.take(p.w1, rid);
+    p.progress_until(sid, p.w0);
+    (void)p.take(p.w0, sid);
+    EXPECT_EQ(p.w0.stats().rndv_rdma, 1u);
+    EXPECT_EQ(p.w0.stats().eager_sends, 0u);
+}
+
+// The region matrix: every kind of source into every memory sink, eager and
+// rendezvous. The payload is 8,000 B, split differently on each side; the
+// 1,000 x 8 B lists leave 8 B gaps that must stay untouched, and their CTS
+// carries a 1,000-entry region table. A generic source into a memory sink
+// takes the rendezvous bounce path. Each case asserts the delivered bytes,
+// the protocol path and the datapath counters the path books: gather +
+// scatter (eager) and pack + scatter (bounce) are host copies, the
+// zero-copy rendezvous is DMA.
+TEST(UcxRegions, EverySourceIntoEverySink) {
+    constexpr std::size_t kBytes = 8000;
+    enum class Src { contig, iov3, iov1000, generic };
+    enum class Sink { contig, iov_split, iov1000 };
+    constexpr std::byte kGap{0xEE};
+    const ByteVec payload = test::pattern_bytes(kBytes, 77);
+
+    // 1,000 entries of 8 B at a 16 B stride, starting `skew` bytes in.
+    const auto strided = [&](ByteVec& arena, std::size_t skew) {
+        arena.assign(2 * kBytes + skew, kGap);
+        std::vector<IovEntry> e;
+        for (std::size_t i = 0; i < kBytes / 8; ++i)
+            e.push_back({arena.data() + skew + 16 * i, 8});
+        return e;
+    };
+
+    for (const bool rndv : {false, true}) {
+        for (const Src src : {Src::contig, Src::iov3, Src::iov1000, Src::generic}) {
+            for (const Sink sink : {Sink::contig, Sink::iov_split, Sink::iov1000}) {
+                SCOPED_TRACE("rndv " + std::to_string(rndv) + " src " +
+                             std::to_string(static_cast<int>(src)) + " sink " +
+                             std::to_string(static_cast<int>(sink)));
+                // Rendezvous: every size goes rendezvous, in 1,000 B
+                // fragments that cut entries mid-way.
+                netsim::WireParams params = test::test_params();
+                if (rndv) {
+                    params.eager_threshold = 1024;
+                    params.iov_eager_threshold = 1024;
+                    params.rndv_frag_size = 1000;
+                }
+                WorkerPair p(params);
+
+                ByteVec src_arena;
+                std::vector<IovEntry> src_entries;
+                XorCtx identity{std::byte{0x00}};
+                BufferDesc send;
+                switch (src) {
+                    case Src::contig:
+                        send = make_contig_send(payload.data(), Count(kBytes));
+                        break;
+                    case Src::iov3:
+                        src_arena = payload;
+                        send = make_iov({{src_arena.data(), 1000},
+                                         {src_arena.data() + 1000, 4000},
+                                         {src_arena.data() + 5000, 3000}});
+                        break;
+                    case Src::iov1000:
+                        src_entries = strided(src_arena, 0);
+                        for (std::size_t i = 0; i < src_entries.size(); ++i)
+                            std::memcpy(src_entries[i].base, payload.data() + 8 * i, 8);
+                        send = make_iov(src_entries);
+                        break;
+                    case Src::generic: {
+                        GenericDesc g = xor_desc(identity);
+                        g.send_buf = payload.data();
+                        g.count = Count(kBytes);
+                        send = g;
+                        break;
+                    }
+                }
+
+                ByteVec dst_arena;
+                std::vector<IovEntry> dst_entries;
+                switch (sink) {
+                    case Sink::contig:
+                        dst_arena.assign(kBytes, kGap);
+                        dst_entries = {{dst_arena.data(), Count(kBytes)}};
+                        break;
+                    case Sink::iov_split:
+                        dst_arena.assign(kBytes, kGap);
+                        dst_entries = {{dst_arena.data() + 5500, 2500},
+                                       {dst_arena.data() + 5000, 500},
+                                       {dst_arena.data(), 5000}};
+                        break;
+                    case Sink::iov1000:
+                        dst_entries = strided(dst_arena, 8);
+                        break;
+                }
+                const BufferDesc recv = sink == Sink::contig
+                                            ? make_contig_recv(dst_arena.data(), Count(kBytes))
+                                            : make_iov(dst_entries);
+
+                const auto copied0 = datapath::bytes_copied().load();
+                const auto dma0 = datapath::bytes_dma().load();
+                const auto rid = p.w1.tag_recv(4, ~Tag{0}, recv);
+                const auto sid = p.w0.tag_send(1, 4, send);
+                const auto rc = p.take(p.w1, rid);
+                const auto sc = p.take(p.w0, sid);
+                EXPECT_EQ(rc.status, Status::success);
+                EXPECT_EQ(sc.status, Status::success);
+                EXPECT_EQ(rc.received_len, Count(kBytes));
+
+                ByteVec got;
+                for (const auto& e : dst_entries)
+                    append_bytes(got, as_bytes_of(e.base, static_cast<std::size_t>(e.len)));
+                EXPECT_EQ(got, payload);
+                if (sink == Sink::iov1000) {
+                    for (std::size_t i = 0; i < dst_arena.size(); ++i) {
+                        const bool in_entry = i >= 8 && (i - 8) % 16 < 8;
+                        if (!in_entry) {
+                            ASSERT_EQ(dst_arena[i], kGap) << "gap byte " << i;
+                        }
+                    }
+                }
+
+                const WorkerStats st = p.w0.stats();
+                EXPECT_EQ(st.eager_sends, rndv ? 0u : 1u);
+                EXPECT_EQ(st.rndv_rdma, rndv ? 1u : 0u);
+                EXPECT_EQ(st.rndv_pipeline, 0u);
+                const bool dma = rndv && src != Src::generic;
+                EXPECT_EQ(datapath::bytes_dma().load() - dma0, dma ? kBytes : 0u);
+                EXPECT_EQ(datapath::bytes_copied().load() - copied0, dma ? 0u : 2 * kBytes);
+            }
+        }
+    }
 }
 
 TEST_F(UcxPair, GenericEagerCallbacksRun) {

@@ -46,4 +46,12 @@ inline netsim::WireParams rndv_params(Count threshold = 256) {
     return p;
 }
 
+// IOV sends (the custom-datatype lowering's descriptors) go rendezvous from
+// `threshold` bytes; the default IOV eager range reaches 1 MiB.
+inline netsim::WireParams iov_rndv_params(Count threshold = 32 * 1024) {
+    netsim::WireParams p;
+    p.iov_eager_threshold = threshold;
+    return p;
+}
+
 } // namespace mpicd::test

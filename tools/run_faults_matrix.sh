@@ -47,7 +47,14 @@
 # post into buffers the op owns (leader staging, reduction partners), so a
 # step outliving its op would be a use-after-free. test_p2p rides along:
 # every send opens a trace::MsgScope, whose thread-local message id UBSan
-# once reported as a null load. MPICD_SKIP_ASAN=1 skips it.
+# once reported as a null load. test_traits and test_custom ride along
+# for the region path: their custom-type and fast-path transfers go
+# rendezvous through adapters that view the request's descriptor, a sender
+# that walks the CTS region table where it lies in the packet header, and
+# multi-entry DMA. test_ucx's region matrix (bounce path included) and
+# test_property's walker reference cover the rest; test_engine stays out
+# of this leg for the timing comparisons named above. MPICD_SKIP_ASAN=1
+# skips it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
 # matcher-heavy tests — test_matcher's randomized differential sweeps, the
@@ -119,7 +126,7 @@ done
 
 if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
     ASAN_DIR=${BUILD_DIR}-asan
-    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor|test_ddtbench|test_collectives|test_coll_faults|test_p2p'
+    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor|test_ddtbench|test_collectives|test_coll_faults|test_p2p|test_traits|test_custom'
     echo "=== asan leg: configuring $ASAN_DIR ==="
     cmake -B "$ASAN_DIR" -S . \
           -DMPICD_SANITIZE="address;undefined" \
@@ -128,7 +135,7 @@ if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
     cmake --build "$ASAN_DIR" -j "$JOBS" --target \
           test_base test_ucx test_faults test_reliability_soak test_property \
           test_pack_plan test_convertor test_ddtbench test_collectives \
-          test_coll_faults test_p2p
+          test_coll_faults test_p2p test_traits test_custom
     echo "=== asan leg: lossy datapath and collective tests under ASan + UBSan ==="
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     MPICD_FAULT_SEED=42 \
