@@ -156,25 +156,28 @@ void Fabric::flush_limbo_locked(int ep) {
     }
 }
 
+SimTime Fabric::reserve_locked(int src, int dst, Count bytes, Count sg_entries,
+                               SimTime ready, int rail) {
+    auto& free_at = link_free_slot(src, dst, rail);
+    const SimTime avail = ready + params_.sg_overhead(sg_entries);
+    const SimTime start = std::max(avail, free_at);
+    free_at = start + params_.serialize_time_on(bytes, src, dst);
+    if (params_.cross_node(src, dst)) record_uplink_wait(start - avail, start, bytes);
+    return free_at + params_.link_latency(src, dst);
+}
+
 SimTime Fabric::transmit(Packet&& pkt, SimTime ready, Count wire_bytes,
                          Count sg_entries, int rail) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto& free_at = link_free_slot(pkt.src, pkt.dst, rail);
-    const SimTime avail = ready + params_.sg_overhead(sg_entries);
-    const SimTime start = std::max(avail, free_at);
-    const SimTime end = start + params_.serialize_time_on(wire_bytes, pkt.src, pkt.dst);
-    free_at = end;
-    pkt.arrival = end + params_.link_latency(pkt.src, pkt.dst);
-    pkt.seq = next_seq_++;
-    const SimTime arrival = pkt.arrival;
-    // Attribute this packet's events (tx + any fault instants from
-    // deliver_locked) to the owning message, including retransmits fired
-    // from timer context where no caller scope is open. Unattributed
-    // packets keep whatever scope the caller holds.
+    // Attribute this packet's events (uplink wait, tx, and any fault
+    // instants from deliver_locked) to the owning message, including
+    // retransmits fired from timer context where no caller scope is open.
+    // Unattributed packets keep whatever scope the caller holds.
     const trace::MsgScope msg_scope(
         pkt.msg_id != 0 ? pkt.msg_id : trace::current_msg());
-    if (params_.cross_node(pkt.src, pkt.dst))
-        record_uplink_wait(start - avail, start, wire_bytes);
+    pkt.arrival = reserve_locked(pkt.src, pkt.dst, wire_bytes, sg_entries, ready, rail);
+    pkt.seq = next_seq_++;
+    const SimTime arrival = pkt.arrival;
     trace::instant("net", "tx", arrival, "kind", pkt.kind, "bytes",
                    static_cast<std::uint64_t>(wire_bytes));
     deliver_locked(std::move(pkt));
@@ -218,16 +221,9 @@ bool Fabric::inbox_empty(int ep) {
 SimTime Fabric::rdma_cost(int src_ep, int dst_ep, Count bytes, Count sg_entries,
                           SimTime ready, int rail) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto& free_at = link_free_slot(src_ep, dst_ep, rail);
-    const SimTime avail = ready + params_.sg_overhead(sg_entries);
-    const SimTime start = std::max(avail, free_at);
-    const SimTime end = start + params_.serialize_time_on(bytes, src_ep, dst_ep);
-    free_at = end;
     // rdma_cost runs synchronously under the caller's MsgScope, so the
     // uplink-wait instant is attributed to the rendezvous message.
-    if (params_.cross_node(src_ep, dst_ep))
-        record_uplink_wait(start - avail, start, bytes);
-    return end + params_.link_latency(src_ep, dst_ep);
+    return reserve_locked(src_ep, dst_ep, bytes, sg_entries, ready, rail);
 }
 
 void Fabric::reset_time() {

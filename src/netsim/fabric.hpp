@@ -141,6 +141,15 @@ private:
     // duplicate / released reorder-limbo packet). Caller holds mutex_.
     void deliver_locked(Packet&& pkt);
     void push_locked(Packet&& pkt);
+    // The one link reservation, for packets and RDMA alike: occupy the
+    // serializer of src -> dst on `rail` (link_free_slot) for `bytes`,
+    // starting at `ready` plus the scatter-gather overhead or when the link
+    // frees up, whichever is later. A high-water mark: a transfer queues
+    // behind every earlier reservation, whatever its ready time. Records
+    // the uplink wait of a cross-node transfer and returns the arrival
+    // time at dst. Caller holds mutex_.
+    SimTime reserve_locked(int src, int dst, Count bytes, Count sg_entries,
+                           SimTime ready, int rail);
     // Release any reorder-limbo packet destined to `ep`. Caller holds
     // mutex_. Guarantees a held packet is delayed by at most one poll
     // round even when no further traffic crosses its link.

@@ -113,6 +113,21 @@ struct AckHeader {
     return c;
 }
 
+// The fixed header part each kind's decoder reads; 0 for a kind no handler
+// decodes. progress() drops a packet whose header is shorter, so no decoder
+// reads past the end of a header.
+[[nodiscard]] std::size_t header_size(std::uint16_t kind) {
+    switch (kind) {
+        case kEager: return sizeof(EagerHeader);
+        case kRts: return sizeof(RtsHeader);
+        case kCts: return sizeof(CtsHeader);
+        case kFin: return sizeof(FinHeader);
+        case kFrag: return sizeof(FragHeader);
+        case kAck: return sizeof(AckHeader);
+        default: return 0;
+    }
+}
+
 template <typename H>
 ByteVec encode_header(const H& h) {
     ByteVec out(sizeof(H));
@@ -122,7 +137,7 @@ ByteVec encode_header(const H& h) {
 
 template <typename H>
 H decode_header(const ByteVec& bytes) {
-    assert(bytes.size() >= sizeof(H));
+    assert(bytes.size() >= sizeof(H)); // header_size(), checked in progress()
     H h;
     std::memcpy(&h, bytes.data(), sizeof(H));
     return h;
@@ -176,20 +191,11 @@ Worker::Worker(netsim::Fabric& fabric, int endpoint)
     : fabric_(fabric), params_(fabric.params()), ep_(endpoint),
       tx_(static_cast<std::size_t>(fabric.size())),
       shards_(static_cast<std::size_t>(fabric.size())) {
-    // Dump source for the post-mortem flight recorder. The callback is
-    // invoked by *other* triggers, so it must try_lock: if this worker is
-    // busy (or is itself mid-trigger) its state is reported as busy rather
-    // than deadlocking.
+    // Dump source for the post-mortem flight recorder.
     char name[32];
     std::snprintf(name, sizeof(name), "ucx.worker%d", ep_);
-    flight_token_ = flight::register_source(name, [this](std::FILE* out) {
-        const std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
-        if (!lock.owns_lock()) {
-            std::fprintf(out, "<busy: worker mutex held>\n");
-            return;
-        }
-        dump_state_locked(out);
-    });
+    flight_token_ = flight::register_source(
+        name, [this](std::FILE* out) { dump_state(out); });
 }
 
 Worker::~Worker() {
@@ -198,10 +204,7 @@ Worker::~Worker() {
     // so metrics snapshots (and the BENCH_*.json artifacts) aggregate every
     // worker that ever lived, not just the ones still alive at dump time.
     MetricsRegistry& m = metrics();
-    WorkerStats s = stats_;
-    s.duplicates_suppressed += adm_dups_.load(std::memory_order_relaxed);
-    s.corruption_detected += adm_corruption_.load(std::memory_order_relaxed);
-    s.acks_sent += adm_acks_sent_.load(std::memory_order_relaxed);
+    const WorkerStats s = stats_locked();
     m.add("worker", "eager_sends", s.eager_sends);
     m.add("worker", "rndv_sends", s.rndv_sends);
     m.add("worker", "rndv_rdma", s.rndv_rdma);
@@ -228,7 +231,15 @@ void Worker::advance_time(SimTime dt) {
     clock_.advance(dt);
 }
 
-RequestId Worker::alloc_request_locked() { return next_id_++; }
+Worker::Request& Worker::new_request_locked(Tag tag, Tag mask, BufferDesc desc) {
+    auto rq = std::make_unique<Request>();
+    const RequestId id = next_id_++;
+    rq->id = id;
+    rq->tag = tag;
+    rq->mask = mask;
+    rq->desc = std::move(desc);
+    return *requests_.emplace(id, std::move(rq)).first->second;
+}
 
 void Worker::complete_locked(Request& rq, Status st, Count len, Tag sender_tag) {
     if (rq.kind == Request::Kind::recv) {
@@ -288,16 +299,33 @@ void Worker::refresh_reliable_locked() {
     if (!reliable_ && fabric_.reliable()) reliable_ = true;
 }
 
+netsim::Packet Worker::packet(int dst, std::uint16_t kind, ByteVec header,
+                              std::uint64_t msg_id, SimTime post_vtime,
+                              PooledBuf payload) const {
+    netsim::Packet pkt;
+    pkt.src = ep_;
+    pkt.dst = dst;
+    pkt.kind = kind;
+    pkt.header = std::move(header);
+    pkt.payload = std::move(payload);
+    pkt.msg_id = msg_id;
+    pkt.post_vtime = post_vtime;
+    return pkt;
+}
+
+SimTime Worker::transmit(netsim::Packet&& pkt, SimTime ready, Count wire_bytes,
+                         Count sg_entries, int rail, bool control) {
+    return control ? fabric_.transmit_control(std::move(pkt), ready)
+                   : fabric_.transmit(std::move(pkt), ready, wire_bytes, sg_entries,
+                                      rail);
+}
+
 void Worker::send_packet_locked(netsim::Packet&& pkt, SimTime ready,
                                 Count wire_bytes, Count sg_entries, int rail,
                                 bool control, Request* owner) {
     refresh_reliable_locked();
     if (!reliable_) {
-        if (control) {
-            fabric_.transmit_control(std::move(pkt), ready);
-        } else {
-            fabric_.transmit(std::move(pkt), ready, wire_bytes, sg_entries, rail);
-        }
+        transmit(std::move(pkt), ready, wire_bytes, sg_entries, rail, control);
         return;
     }
     TxLink& link = tx_[static_cast<std::size_t>(pkt.dst)];
@@ -321,9 +349,7 @@ void Worker::send_packet_locked(netsim::Packet&& pkt, SimTime ready,
     }
     const std::uint64_t seq = pkt.link_seq;
     const SimTime arrival =
-        control ? fabric_.transmit_control(std::move(pkt), ready)
-                : fabric_.transmit(std::move(pkt), ready, wire_bytes, sg_entries,
-                                   rail);
+        transmit(std::move(pkt), ready, wire_bytes, sg_entries, rail, control);
     // Time the first retransmit from the expected ack arrival (the packet's
     // own arrival includes link queueing) rather than from the send, so
     // back-to-back fragment bursts do not trigger spurious retransmits.
@@ -336,8 +362,8 @@ Worker::TxTable::iterator Worker::retire(TxLink& link, TxTable::iterator it) {
     return link.pending.erase(it);
 }
 
-bool Worker::admit_data_packet(netsim::Packet& pkt) {
-    if (pkt.link_seq == 0) return true; // unnumbered: reliability off
+bool Worker::admit_packet(netsim::Packet& pkt) {
+    if (pkt.link_seq == 0) return true; // unnumbered: an ack, or reliability off
     // Admission context holds no lock but the per-peer shard's: CRC
     // verification (the expensive part — it walks the whole payload) and
     // duplicate suppression must not stall senders/completion-checkers
@@ -349,17 +375,8 @@ bool Worker::admit_data_packet(netsim::Packet& pkt) {
         adm_corruption_.fetch_add(1, std::memory_order_relaxed);
         trace::instant("ucx", "crc_drop", pkt.arrival, "seq", pkt.link_seq);
         if (flight::enabled()) {
-            flight::trigger("crc_failure", pkt.msg_id, pkt.arrival,
-                            flight_token_, [this](std::FILE* out) {
-                                const std::unique_lock<std::mutex> lock(
-                                    mutex_, std::try_to_lock);
-                                if (!lock.owns_lock()) {
-                                    std::fprintf(out,
-                                                 "<busy: worker mutex held>\n");
-                                    return;
-                                }
-                                dump_state_locked(out);
-                            });
+            flight::trigger("crc_failure", pkt.msg_id, pkt.arrival, flight_token_,
+                            [this](std::FILE* out) { dump_state(out); });
         }
         return false;
     }
@@ -378,39 +395,20 @@ bool Worker::admit_data_packet(netsim::Packet& pkt) {
         // lost): suppress, but re-ack so the sender stops retrying.
         adm_dups_.fetch_add(1, std::memory_order_relaxed);
         trace::instant("ucx", "dup_drop", pkt.arrival, "seq", pkt.link_seq);
-        send_dup_ack(pkt);
+        send_ack(pkt, pkt.arrival);
         return false;
     }
     return true;
 }
 
-void Worker::send_ack_locked(const netsim::Packet& pkt) {
-    netsim::Packet ack;
-    ack.src = ep_;
-    ack.dst = pkt.src;
-    ack.kind = kAck;
-    ack.header = encode_header(AckHeader{pkt.link_seq});
-    ack.msg_id = pkt.msg_id; // attribute the ack to the message it serves
+void Worker::send_ack(const netsim::Packet& pkt, SimTime at) {
+    // Attributed to the message the acked packet serves.
+    netsim::Packet ack =
+        packet(pkt.src, kAck, encode_header(AckHeader{pkt.link_seq}), pkt.msg_id);
     ack.crc = packet_crc(ack); // acks are CRC'd too, but never acked
-    ++stats_.acks_sent;
-    trace::instant("ucx", "ack_send", clock_.now(), "seq", pkt.link_seq);
-    fabric_.transmit_control(std::move(ack), clock_.now());
-}
-
-void Worker::send_dup_ack(const netsim::Packet& pkt) {
-    // Admission context: no protocol lock, so the ack is timed off the
-    // duplicate's arrival (the instant the receiver saw it) instead of the
-    // clock, which is not readable here.
-    netsim::Packet ack;
-    ack.src = ep_;
-    ack.dst = pkt.src;
-    ack.kind = kAck;
-    ack.header = encode_header(AckHeader{pkt.link_seq});
-    ack.msg_id = pkt.msg_id;
-    ack.crc = packet_crc(ack);
-    adm_acks_sent_.fetch_add(1, std::memory_order_relaxed);
-    trace::instant("ucx", "ack_send", pkt.arrival, "seq", pkt.link_seq);
-    fabric_.transmit_control(std::move(ack), pkt.arrival);
+    acks_sent_.fetch_add(1, std::memory_order_relaxed);
+    trace::instant("ucx", "ack_send", at, "seq", pkt.link_seq);
+    fabric_.transmit_control(std::move(ack), at);
 }
 
 void Worker::handle_ack_locked(const netsim::Packet& pkt) {
@@ -492,10 +490,8 @@ bool Worker::fire_timers_locked() {
         ptx.rto *= 2.0; // exponential backoff in virtual time
         netsim::Packet copy = ptx.pkt;
         copy.link_floor = link.floor(); // the floor may have risen since
-        const SimTime arrival =
-            ptx.control ? fabric_.transmit_control(std::move(copy), now)
-                        : fabric_.transmit(std::move(copy), now, ptx.wire_bytes,
-                                           ptx.sg_entries, ptx.rail);
+        const SimTime arrival = transmit(std::move(copy), now, ptx.wire_bytes,
+                                         ptx.sg_entries, ptx.rail, ptx.control);
         ptx.next_retry = arrival + params_.latency_us + ptx.rto;
         fired = true;
     }
@@ -564,28 +560,45 @@ SimTime Worker::next_timer_locked() const {
 // ---------------------------------------------------------------------------
 // Send path
 
+void Worker::finish_send_locked(Request& rq, Status st, Count len) {
+    if (reliable_ && rq.unacked > 0) {
+        // Reliable mode: the send completes when its last packet is
+        // acknowledged (or fails with Status::timeout).
+        rq.finish_on_ack = true;
+        rq.fin_status = st;
+        rq.fin_len = len;
+        return;
+    }
+    complete_locked(rq, st, len, 0);
+}
+
+Status Worker::read_source_locked(Request& rq, Count offset, MutBytes dst,
+                                  Count& used) {
+    used = 0;
+    SimTime pack_cost = 0.0;
+    Status st = rq.source->read(offset, dst, &used, pack_cost);
+    clock_.advance(pack_cost);
+    record_pack_throughput(used, pack_cost);
+    if (ok(st) && used == 0 && !dst.empty()) st = Status::err_pack; // no progress
+    return st;
+}
+
 RequestId Worker::tag_send(int dst, Tag tag, BufferDesc desc) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const RequestId id = alloc_request_locked();
-    auto rq = std::make_unique<Request>();
-    rq->kind = Request::Kind::send;
-    rq->id = id;
-    rq->tag = tag;
-    rq->peer = dst;
-    rq->desc = std::move(desc);
+    Request& rq = new_request_locked(tag, ~Tag{0}, std::move(desc));
+    rq.kind = Request::Kind::send;
+    rq.peer = dst;
     // Adopt the caller's message scope when one is open (the p2p layer
     // opens it before custom-type lowering so the pack/lowering events and
     // the wire share one id); direct worker users get a fresh id here.
-    rq->msg_id = trace::current_msg();
-    if (rq->msg_id == 0) rq->msg_id = trace::next_msg_id();
-    rq->post_vtime = clock_.now();
-    requests_.emplace(id, std::move(rq));
-    Request& req = *requests_.at(id);
-    const trace::MsgScope msg_scope(req.msg_id);
-    trace::instant("ucx", "send_post", req.post_vtime, "dst",
+    rq.msg_id = trace::current_msg();
+    if (rq.msg_id == 0) rq.msg_id = trace::next_msg_id();
+    rq.post_vtime = clock_.now();
+    const trace::MsgScope msg_scope(rq.msg_id);
+    trace::instant("ucx", "send_post", rq.post_vtime, "dst",
                    static_cast<std::uint64_t>(dst), "tag", tag);
-    start_send_locked(req);
-    return id;
+    start_send_locked(rq);
+    return rq.id;
 }
 
 void Worker::start_send_locked(Request& rq) {
@@ -614,23 +627,15 @@ void Worker::start_send_locked(Request& rq) {
     if (total < eager_limit) {
         PooledBuf payload = PooledBuf::make(static_cast<std::size_t>(total));
         Count used = 0;
-        SimTime pack_cost = 0.0;
-        const Status rst = rq.source->read(0, payload.span(), &used, pack_cost);
-        clock_.advance(pack_cost);
-        record_pack_throughput(used, pack_cost);
+        const Status rst = read_source_locked(rq, 0, payload.span(), used);
         if (!ok(rst) || used != total) {
             complete_locked(rq, ok(rst) ? Status::err_pack : rst, 0, 0);
             return;
         }
         frag_bytes_hist().record(static_cast<std::uint64_t>(total));
-        netsim::Packet pkt;
-        pkt.src = ep_;
-        pkt.dst = rq.peer;
-        pkt.kind = kEager;
-        pkt.header = encode_header(EagerHeader{rq.tag, total});
-        pkt.payload = std::move(payload);
-        pkt.msg_id = rq.msg_id;
-        pkt.post_vtime = rq.post_vtime;
+        netsim::Packet pkt =
+            packet(rq.peer, kEager, encode_header(EagerHeader{rq.tag, total}),
+                   rq.msg_id, rq.post_vtime, std::move(payload));
         trace::instant("ucx", "eager_send", clock_.now(), "bytes",
                        static_cast<std::uint64_t>(total), "tag",
                        static_cast<std::uint64_t>(rq.tag));
@@ -639,15 +644,7 @@ void Worker::start_send_locked(Request& rq) {
                            /*control=*/false, &rq);
         ++stats_.eager_sends;
         stats_.bytes_sent += static_cast<std::uint64_t>(total);
-        if (reliable_) {
-            // Reliable mode: the send completes when the packet is
-            // acknowledged (or fails with Status::timeout).
-            rq.finish_on_ack = true;
-            rq.fin_status = Status::success;
-            rq.fin_len = total;
-        } else {
-            complete_locked(rq, Status::success, total, 0);
-        }
+        finish_send_locked(rq, Status::success, total);
         return;
     }
 
@@ -657,13 +654,9 @@ void Worker::start_send_locked(Request& rq) {
     ++stats_.rndv_sends;
     stats_.bytes_sent += static_cast<std::uint64_t>(total);
     rndv_sends_.emplace(rq.op_id, rq.id);
-    netsim::Packet pkt;
-    pkt.src = ep_;
-    pkt.dst = rq.peer;
-    pkt.kind = kRts;
-    pkt.header = encode_header(RtsHeader{rq.tag, rq.op_id, total});
-    pkt.msg_id = rq.msg_id;
-    pkt.post_vtime = rq.post_vtime;
+    netsim::Packet pkt =
+        packet(rq.peer, kRts, encode_header(RtsHeader{rq.tag, rq.op_id, total}),
+               rq.msg_id, rq.post_vtime);
     trace::instant("ucx", "rndv_rts", clock_.now(), "bytes",
                    static_cast<std::uint64_t>(total), "op", rq.op_id);
     send_packet_locked(std::move(pkt), clock_.now() + params_.rndv_ctrl_us,
@@ -676,31 +669,15 @@ void Worker::start_send_locked(Request& rq) {
 
 RequestId Worker::tag_recv(Tag tag, Tag mask, BufferDesc desc) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const RequestId id = alloc_request_locked();
-    auto rq_owner = std::make_unique<Request>();
-    Request& rq = *rq_owner;
-    rq.kind = Request::Kind::recv;
-    rq.id = id;
-    rq.tag = tag;
-    rq.mask = mask;
-    rq.desc = std::move(desc);
-    requests_.emplace(id, std::move(rq_owner));
-
+    Request& rq = new_request_locked(tag, mask, std::move(desc));
     // Earliest-arrived unexpected message accepted by (tag, mask), if any.
     if (auto u = matcher_.take_unexpected(tag, mask)) {
         note_unexpected_dwell_locked(*u);
-        rq.msg_id = u->msg_id;
-        rq.post_vtime = u->post_vtime;
-        if (u->kind == UnexpectedMsg::Kind::eager) {
-            match_eager_locked(rq, u->tag, std::move(u->payload), u->arrival);
-        } else {
-            match_rts_locked(rq, u->tag, u->src, u->total, u->sender_op,
-                             u->arrival);
-        }
-        return id;
+        match_locked(rq, std::move(*u));
+    } else {
+        matcher_.post_recv(rq.id, tag, mask);
     }
-    matcher_.post_recv(id, tag, mask);
-    return id;
+    return rq.id;
 }
 
 void Worker::note_unexpected_dwell_locked(const UnexpectedMsg& u) {
@@ -709,101 +686,77 @@ void Worker::note_unexpected_dwell_locked(const UnexpectedMsg& u) {
     unexpected_dwell_hist().record(static_cast<std::uint64_t>(dwell_us * 1000.0));
 }
 
-void Worker::match_eager_locked(Request& rq, Tag sender_tag, PooledBuf&& payload,
-                                SimTime arrival) {
-    // Unpack (sink->write) and completion happen on the sender's message.
-    const trace::MsgScope msg_scope(rq.msg_id);
-    clock_.observe(arrival);
-    rq.sink.emplace(rq.desc);
-    if (!ok(rq.sink->init_error())) {
-        complete_locked(rq, rq.sink->init_error(), 0, sender_tag);
-        return;
-    }
-    const Count len = static_cast<Count>(payload.size());
-    const Count deliver = std::min(len, rq.sink->capacity());
+Status Worker::write_sink_locked(Request& rq, Count offset, ConstBytes bytes) {
     SimTime host_cost = 0.0;
-    const Status st =
-        rq.sink->write(0, ConstBytes(payload.data(), static_cast<std::size_t>(deliver)),
-                       host_cost);
-    if (rq.sink->exposes_memory()) {
-        // Bounce-buffer copy performed by the receiving CPU: modeled cost.
-        clock_.advance(params_.host_copy_time(deliver));
-    } else {
-        clock_.advance(host_cost); // measured unpack-callback time
-    }
-    if (!ok(st)) {
-        complete_locked(rq, st, deliver, sender_tag);
-        return;
-    }
-    complete_locked(rq, len > rq.sink->capacity() ? Status::err_truncate : Status::success,
-                    deliver, sender_tag);
+    const Status st = rq.sink->write(offset, bytes, host_cost);
+    // A memory sink's scatter is a copy by the receiving CPU (modeled); a
+    // generic sink's unpack callback was measured.
+    clock_.advance(rq.sink->exposes_memory()
+                       ? params_.host_copy_time(static_cast<Count>(bytes.size()))
+                       : host_cost);
+    return st;
 }
 
-void Worker::match_rts_locked(Request& rq, Tag sender_tag, int src, Count total_len,
-                              std::uint64_t sender_op, SimTime arrival) {
+void Worker::match_locked(Request& rq, UnexpectedMsg&& u) {
+    rq.msg_id = u.msg_id;
+    rq.post_vtime = u.post_vtime;
+    // Unpack, the CTS and completion happen on the sender's message.
     const trace::MsgScope msg_scope(rq.msg_id);
-    clock_.observe(arrival);
+    clock_.observe(u.arrival);
     rq.sink.emplace(rq.desc);
-    rq.peer = src;
-    rq.comp.sender_tag = sender_tag;
-    if (!ok(rq.sink->init_error())) {
-        complete_locked(rq, rq.sink->init_error(), 0, sender_tag);
+    if (u.kind == UnexpectedMsg::Kind::eager) {
+        if (!ok(rq.sink->init_error())) {
+            complete_locked(rq, rq.sink->init_error(), 0, u.tag);
+            return;
+        }
+        const Count len = static_cast<Count>(u.payload.size());
+        const Count deliver = std::min(len, rq.sink->capacity());
+        Status st = write_sink_locked(
+            rq, 0, ConstBytes(u.payload.data(), static_cast<std::size_t>(deliver)));
+        if (ok(st) && len > deliver) st = Status::err_truncate;
+        complete_locked(rq, st, deliver, u.tag);
+        return;
+    }
+    rq.peer = u.src;
+    rq.comp.sender_tag = u.tag;
+    Status refused = rq.sink->init_error();
+    if (ok(refused) && u.total > rq.sink->capacity()) refused = Status::err_truncate;
+    if (!ok(refused)) {
+        complete_locked(rq, refused, 0, u.tag);
         // Tell the sender to abort so its request does not hang.
-        netsim::Packet pkt;
-        pkt.src = ep_;
-        pkt.dst = src;
-        pkt.kind = kCts;
-        pkt.header = encode_header(CtsHeader{sender_op, 0, CtsMode::abort, 0});
-        pkt.msg_id = rq.msg_id;
-        send_packet_locked(std::move(pkt), clock_.now(), 0, 1, 0,
-                           /*control=*/true, nullptr);
+        send_packet_locked(
+            packet(u.src, kCts,
+                   encode_header(CtsHeader{u.sender_op, 0, CtsMode::abort, 0}),
+                   rq.msg_id),
+            clock_.now(), 0, 1, 0, /*control=*/true, nullptr);
         return;
     }
-    if (total_len > rq.sink->capacity()) {
-        complete_locked(rq, Status::err_truncate, 0, sender_tag);
-        netsim::Packet pkt;
-        pkt.src = ep_;
-        pkt.dst = src;
-        pkt.kind = kCts;
-        pkt.header = encode_header(CtsHeader{sender_op, 0, CtsMode::abort, 0});
-        pkt.msg_id = rq.msg_id;
-        send_packet_locked(std::move(pkt), clock_.now(), 0, 1, 0,
-                           /*control=*/true, nullptr);
-        return;
-    }
-
     rq.op_id = next_op_id_++;
-    rq.expected_total = total_len;
+    rq.expected_total = u.total;
     rndv_recvs_.emplace(rq.op_id, rq.id);
-    send_cts_locked(rq, src, sender_op);
+    send_cts_locked(rq, u.src, u.sender_op);
 }
 
 void Worker::send_cts_locked(Request& rq, int src, std::uint64_t sender_op) {
-    netsim::Packet pkt;
-    pkt.src = ep_;
-    pkt.dst = src;
-    pkt.kind = kCts;
-    pkt.msg_id = rq.msg_id;
-    pkt.post_vtime = rq.post_vtime;
+    ByteVec header;
     if (rq.sink->exposes_memory()) {
         const auto regions = rq.sink->regions();
-        CtsHeader h{sender_op, rq.op_id, CtsMode::rdma,
-                    static_cast<std::uint32_t>(regions.size())};
-        pkt.header = encode_header(h);
-        const std::size_t old = pkt.header.size();
-        pkt.header.resize(old + regions.size() * sizeof(IovEntry));
-        std::memcpy(pkt.header.data() + old, regions.data(),
+        header = encode_header(CtsHeader{sender_op, rq.op_id, CtsMode::rdma,
+                                         static_cast<std::uint32_t>(regions.size())});
+        const std::size_t old = header.size();
+        header.resize(old + regions.size() * sizeof(IovEntry));
+        std::memcpy(header.data() + old, regions.data(),
                     regions.size() * sizeof(IovEntry));
     } else {
         // Pipeline mode: reuse the nregions field as a flag telling the
         // sender whether the sink tolerates out-of-order fragments.
         const std::uint32_t ooo_ok = rq.sink->allows_out_of_order() ? 1u : 0u;
-        pkt.header =
-            encode_header(CtsHeader{sender_op, rq.op_id, CtsMode::pipeline, ooo_ok});
+        header = encode_header(CtsHeader{sender_op, rq.op_id, CtsMode::pipeline, ooo_ok});
     }
     trace::instant("ucx", "rndv_cts", clock_.now(), "op", rq.op_id, "rdma",
                    rq.sink->exposes_memory() ? 1 : 0);
-    send_packet_locked(std::move(pkt), clock_.now() + params_.rndv_ctrl_us, 0, 1, 0,
+    send_packet_locked(packet(src, kCts, std::move(header), rq.msg_id, rq.post_vtime),
+                       clock_.now() + params_.rndv_ctrl_us, 0, 1, 0,
                        /*control=*/true, &rq);
     if (reliable_) {
         // Receiver-side watchdog: if the sender goes silent past the whole
@@ -824,26 +777,25 @@ bool Worker::progress() {
                                                 std::memory_order_acquire))
         return false;
     bool did_work = false;
-    while (true) {
-        auto pkt = fabric_.poll(ep_);
-        if (!pkt) break;
+    while (auto pkt = fabric_.poll(ep_)) {
         did_work = true;
-        if (pkt->kind == kAck) {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            const trace::MsgScope msg_scope(pkt->msg_id);
-            handle_ack_locked(*pkt);
+        // No decoder may read past a header: one shorter than its kind's
+        // fixed part is dropped here, like an unknown kind, acks included.
+        if (pkt->header.size() < header_size(pkt->kind)) {
+            MPICD_LOG_ERROR("dropped packet kind " << pkt->kind << ": header of "
+                            << pkt->header.size() << " bytes");
             continue;
         }
-        // The reliability filter may consume the packet (duplicate / CRC
-        // failure) before it reaches the protocol state machines — without
-        // touching the protocol mutex.
-        if (!admit_data_packet(*pkt)) continue;
+        // The reliability filter may consume a numbered packet (duplicate /
+        // CRC failure) before it reaches the protocol state machines —
+        // without touching the protocol mutex.
+        if (!admit_packet(*pkt)) continue;
         const std::lock_guard<std::mutex> lock(mutex_);
         const trace::MsgScope msg_scope(pkt->msg_id);
         if (pkt->link_seq != 0) {
             refresh_reliable_locked();
             clock_.observe(pkt->arrival);
-            if (pkt->needs_ack) send_ack_locked(*pkt);
+            if (pkt->needs_ack) send_ack(*pkt, clock_.now());
         }
         handle_packet_locked(std::move(*pkt));
     }
@@ -899,61 +851,40 @@ bool Worker::run_hooks() {
 
 void Worker::handle_packet_locked(netsim::Packet&& pkt) {
     switch (pkt.kind) {
-        case kEager: handle_eager_locked(std::move(pkt)); break;
-        case kRts: handle_rts_locked(std::move(pkt)); break;
+        case kEager:
+        case kRts: handle_arrival_locked(std::move(pkt)); break;
         case kCts: handle_cts_locked(std::move(pkt)); break;
         case kFin: handle_fin_locked(std::move(pkt)); break;
         case kFrag: handle_frag_locked(std::move(pkt)); break;
+        case kAck: handle_ack_locked(pkt); break;
         default:
             MPICD_LOG_ERROR("unknown packet kind " << pkt.kind);
             break;
     }
 }
 
-Worker::Request* Worker::find_posted_locked(Tag tag) {
-    const auto id = matcher_.match_posted(tag);
-    if (!id) return nullptr;
-    return requests_.at(*id).get();
-}
-
-void Worker::handle_eager_locked(netsim::Packet&& pkt) {
-    const auto h = decode_header<EagerHeader>(pkt.header);
-    if (Request* rq = find_posted_locked(h.tag)) {
-        rq->msg_id = pkt.msg_id;
-        rq->post_vtime = pkt.post_vtime;
-        match_eager_locked(*rq, h.tag, std::move(pkt.payload), pkt.arrival);
-        return;
-    }
+void Worker::handle_arrival_locked(netsim::Packet&& pkt) {
     UnexpectedMsg u;
-    u.kind = UnexpectedMsg::Kind::eager;
-    u.tag = h.tag;
     u.src = pkt.src;
-    u.total = h.total;
-    u.payload = std::move(pkt.payload);
     u.arrival = pkt.arrival;
     u.msg_id = pkt.msg_id;
     u.post_vtime = pkt.post_vtime;
-    ++stats_.unexpected_msgs;
-    matcher_.add_unexpected(std::move(u));
-}
-
-void Worker::handle_rts_locked(netsim::Packet&& pkt) {
-    const auto h = decode_header<RtsHeader>(pkt.header);
-    if (Request* rq = find_posted_locked(h.tag)) {
-        rq->msg_id = pkt.msg_id;
-        rq->post_vtime = pkt.post_vtime;
-        match_rts_locked(*rq, h.tag, pkt.src, h.total, h.sender_op, pkt.arrival);
+    if (pkt.kind == kEager) {
+        const auto h = decode_header<EagerHeader>(pkt.header);
+        u.tag = h.tag;
+        u.total = h.total;
+        u.payload = std::move(pkt.payload);
+    } else {
+        const auto h = decode_header<RtsHeader>(pkt.header);
+        u.kind = UnexpectedMsg::Kind::rts;
+        u.tag = h.tag;
+        u.total = h.total;
+        u.sender_op = h.sender_op;
+    }
+    if (const auto id = matcher_.match_posted(u.tag)) {
+        match_locked(*requests_.at(*id), std::move(u));
         return;
     }
-    UnexpectedMsg u;
-    u.kind = UnexpectedMsg::Kind::rts;
-    u.tag = h.tag;
-    u.src = pkt.src;
-    u.total = h.total;
-    u.sender_op = h.sender_op;
-    u.arrival = pkt.arrival;
-    u.msg_id = pkt.msg_id;
-    u.post_vtime = pkt.post_vtime;
     ++stats_.unexpected_msgs;
     matcher_.add_unexpected(std::move(u));
 }
@@ -968,15 +899,12 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
         // rendezvous watchdog.
         if (h.mode == CtsMode::abort) return;
         trace::instant("ucx", "cts_unknown_op", clock_.now(), "op", h.sender_op);
-        netsim::Packet fin;
-        fin.src = ep_;
-        fin.dst = pkt.src;
-        fin.kind = kFin;
-        fin.header = encode_header(FinHeader{h.recv_op, clock_.now(), 0,
-                                             static_cast<std::int32_t>(Status::timeout)});
-        fin.msg_id = pkt.msg_id;
-        send_packet_locked(std::move(fin), clock_.now(), 0, 1, 0, /*control=*/true,
-                           nullptr);
+        send_packet_locked(
+            packet(pkt.src, kFin,
+                   encode_header(FinHeader{h.recv_op, clock_.now(), 0,
+                                           static_cast<std::int32_t>(Status::timeout)}),
+                   pkt.msg_id),
+            clock_.now(), 0, 1, 0, /*control=*/true, nullptr);
         return;
     }
     Request& rq = *requests_.at(it->second);
@@ -993,6 +921,7 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
     const Count total = rq.expected_total;
     const Count frag_size = params_.rndv_frag_size;
     Status st = Status::success;
+    Count offset = 0;
 
     if (h.mode == CtsMode::rdma) {
         // Zero-copy path: write straight into the receiver's exposed
@@ -1014,36 +943,35 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
         // Memory-backed sources transfer region-to-region like a real NIC's
         // scatter-gather DMA — no bounce buffer, no host copy (the moved
         // bytes land in datapath/bytes_dma, keeping copy_amp honest for the
-        // zero-serialization fast path). Generic sources still pack through
-        // a bounce fragment, whose scatter is a host copy.
+        // zero-serialization fast path): one walk over both lists moves the
+        // whole message, and each fragment below only charges wire time.
+        // Generic sources still pack through a bounce fragment, whose
+        // scatter is a host copy.
         const bool direct = rq.source->exposes_memory();
         PooledBuf bounce;
-        if (!direct)
+        Count held = 0; // direct: the bytes the table took
+        if (direct) {
+            st = copy_regions(rq.source->regions(), 0, table, 0, total, &held);
+        } else {
             bounce = PooledBuf::make(
                 static_cast<std::size_t>(std::min(total, frag_size)));
-        Count offset = 0;
+        }
         SimTime data_done = clock_.now();
         const Count sg =
             std::max(rq.source->sg_entries(), static_cast<Count>(h.nregions));
-        bool first = true;
-        while (offset < total && ok(st)) {
+        while (offset < total) {
             const Count want = std::min(frag_size, total - offset);
-            Count used = 0;
+            Count used = want;
             if (direct) {
-                st = copy_regions(rq.source->regions(), offset, table, offset, want,
-                                  &used);
-                if (ok(st) && used == 0) st = Status::err_pack;
-                if (!ok(st)) break;
+                // The table ran out inside this fragment: st is the walk's
+                // err_truncate.
+                if (offset + want > held) break;
                 datapath::add_dma(used);
                 frag_bytes_hist().record(static_cast<std::uint64_t>(used));
             } else {
-                SimTime pack_cost = 0.0;
-                st = rq.source->read(offset,
-                                     MutBytes(bounce.data(), static_cast<std::size_t>(want)),
-                                     &used, pack_cost);
-                clock_.advance(pack_cost);
-                record_pack_throughput(used, pack_cost);
-                if (ok(st) && used == 0) st = Status::err_pack;
+                st = read_source_locked(
+                    rq, offset, MutBytes(bounce.data(), static_cast<std::size_t>(want)),
+                    used);
                 if (!ok(st)) break;
                 frag_bytes_hist().record(static_cast<std::uint64_t>(used));
                 const IovEntry staged{bounce.data(), used};
@@ -1052,34 +980,23 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
                 datapath::add_copied(scattered);
                 if (!ok(st)) break;
             }
-            data_done = fabric_.rdma_cost(ep_, rq.peer, used, first ? sg : 1,
+            data_done = fabric_.rdma_cost(ep_, rq.peer, used, offset == 0 ? sg : 1,
                                           clock_.now() + params_.frag_overhead_us);
             trace::instant("ucx", "rdma_frag", data_done, "offset",
                            static_cast<std::uint64_t>(offset), "bytes",
                            static_cast<std::uint64_t>(used));
             offset += used;
-            first = false;
         }
         trace::instant("ucx", "rndv_rdma", data_done, "bytes",
                        static_cast<std::uint64_t>(offset), "op", h.recv_op);
-        netsim::Packet fin;
-        fin.src = ep_;
-        fin.dst = rq.peer;
-        fin.kind = kFin;
-        fin.header = encode_header(
-            FinHeader{h.recv_op, data_done, offset, static_cast<std::int32_t>(st)});
-        fin.msg_id = rq.msg_id;
-        fin.post_vtime = rq.post_vtime;
-        send_packet_locked(std::move(fin), data_done, 0, 1, 0, /*control=*/true,
-                           &rq);
+        send_packet_locked(
+            packet(rq.peer, kFin,
+                   encode_header(FinHeader{h.recv_op, data_done, offset,
+                                           static_cast<std::int32_t>(st)}),
+                   rq.msg_id, rq.post_vtime),
+            data_done, 0, 1, 0, /*control=*/true, &rq);
         ++stats_.rndv_rdma;
-        if (reliable_) {
-            rq.finish_on_ack = true;
-            rq.fin_status = st;
-            rq.fin_len = offset;
-        } else {
-            complete_locked(rq, st, offset, 0);
-        }
+        finish_send_locked(rq, st, offset);
         return;
     }
 
@@ -1089,17 +1006,12 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
     // paper's inorder flag would inhibit (Listing 2 discussion).
     const bool stripe = rq.source->allows_out_of_order() && h.nregions != 0 &&
                         params_.rails > 1;
-    Count offset = 0;
     int frag_idx = 0;
-    while (offset < total && ok(st)) {
+    while (offset < total) {
         const Count want = std::min(frag_size, total - offset);
         PooledBuf frag = PooledBuf::make(static_cast<std::size_t>(want));
         Count used = 0;
-        SimTime pack_cost = 0.0;
-        st = rq.source->read(offset, frag.span(), &used, pack_cost);
-        clock_.advance(pack_cost);
-        record_pack_throughput(used, pack_cost);
-        if (ok(st) && used == 0) st = Status::err_pack;
+        st = read_source_locked(rq, offset, frag.span(), used);
         if (!ok(st)) break;
         frag_bytes_hist().record(static_cast<std::uint64_t>(used));
         // A short custom-type read must not pin the full `want`-sized slab
@@ -1107,14 +1019,10 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
         // when at least a whole smaller size class is freed.
         frag.shrink_to(static_cast<std::size_t>(used));
         const bool last = offset + used >= total;
-        netsim::Packet fp;
-        fp.src = ep_;
-        fp.dst = rq.peer;
-        fp.kind = kFrag;
-        fp.header = encode_header(FragHeader{h.recv_op, offset, total, last ? 1u : 0u});
-        fp.payload = std::move(frag);
-        fp.msg_id = rq.msg_id;
-        fp.post_vtime = rq.post_vtime;
+        netsim::Packet fp =
+            packet(rq.peer, kFrag,
+                   encode_header(FragHeader{h.recv_op, offset, total, last ? 1u : 0u}),
+                   rq.msg_id, rq.post_vtime, std::move(frag));
         trace::instant("ucx", "frag_send", clock_.now(), "offset",
                        static_cast<std::uint64_t>(offset), "bytes",
                        static_cast<std::uint64_t>(used));
@@ -1125,29 +1033,19 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
         offset += used;
         ++frag_idx;
     }
-    if (!ok(st)) {
-        // Tell the receiver the stream is broken.
-        netsim::Packet fp;
-        fp.src = ep_;
-        fp.dst = rq.peer;
-        fp.kind = kFin;
-        fp.header = encode_header(
-            FinHeader{h.recv_op, clock_.now(), offset, static_cast<std::int32_t>(st)});
-        fp.msg_id = rq.msg_id;
-        fp.post_vtime = rq.post_vtime;
-        send_packet_locked(std::move(fp), clock_.now(), 0, 1, 0, /*control=*/true,
-                           nullptr);
-    }
     ++stats_.rndv_pipeline;
-    if (ok(st) && reliable_ && rq.unacked > 0) {
-        // Reliable mode: the pipelined send completes when every fragment
-        // is acknowledged (or fails with Status::timeout).
-        rq.finish_on_ack = true;
-        rq.fin_status = st;
-        rq.fin_len = offset;
-    } else {
-        complete_locked(rq, st, offset, 0);
+    if (ok(st)) {
+        finish_send_locked(rq, st, offset);
+        return;
     }
+    // Tell the receiver the stream is broken; the send fails at once.
+    send_packet_locked(
+        packet(rq.peer, kFin,
+               encode_header(FinHeader{h.recv_op, clock_.now(), offset,
+                                       static_cast<std::int32_t>(st)}),
+               rq.msg_id, rq.post_vtime),
+        clock_.now(), 0, 1, 0, /*control=*/true, nullptr);
+    complete_locked(rq, st, offset, 0);
 }
 
 void Worker::handle_fin_locked(netsim::Packet&& pkt) {
@@ -1196,13 +1094,7 @@ void Worker::handle_frag_locked(netsim::Packet&& pkt) {
     }
 
     const auto apply = [&](Count offset, ConstBytes bytes) {
-        SimTime host_cost = 0.0;
-        const Status wst = rq.sink->write(offset, bytes, host_cost);
-        if (rq.sink->exposes_memory()) {
-            clock_.advance(params_.host_copy_time(static_cast<Count>(bytes.size())));
-        } else {
-            clock_.advance(host_cost);
-        }
+        const Status wst = write_sink_locked(rq, offset, bytes);
         rq.bytes_received += static_cast<Count>(bytes.size());
         return wst;
     };
@@ -1308,32 +1200,22 @@ RequestId Worker::imrecv(const MessageHandle& handle, BufferDesc desc) {
     if (it == mprobed_.end()) return kInvalidRequest;
     UnexpectedMsg u = std::move(it->second);
     mprobed_.erase(it);
-
-    const RequestId id = alloc_request_locked();
-    auto rq_owner = std::make_unique<Request>();
-    Request& rq = *rq_owner;
-    rq.kind = Request::Kind::recv;
-    rq.id = id;
-    rq.tag = u.tag;
-    rq.desc = std::move(desc);
-    rq.msg_id = u.msg_id;
-    rq.post_vtime = u.post_vtime;
-    requests_.emplace(id, std::move(rq_owner));
-    if (u.kind == UnexpectedMsg::Kind::eager) {
-        match_eager_locked(rq, u.tag, std::move(u.payload), u.arrival);
-    } else {
-        match_rts_locked(rq, u.tag, u.src, u.total, u.sender_op, u.arrival);
-    }
-    return id;
+    Request& rq = new_request_locked(u.tag, ~Tag{0}, std::move(desc));
+    match_locked(rq, std::move(u));
+    return rq.id;
 }
 
 WorkerStats Worker::stats() {
     const std::lock_guard<std::mutex> lock(mutex_);
+    return stats_locked();
+}
+
+WorkerStats Worker::stats_locked() const {
     WorkerStats s = stats_;
     // Admission-context counters live outside the protocol mutex.
     s.duplicates_suppressed += adm_dups_.load(std::memory_order_relaxed);
     s.corruption_detected += adm_corruption_.load(std::memory_order_relaxed);
-    s.acks_sent += adm_acks_sent_.load(std::memory_order_relaxed);
+    s.acks_sent = acks_sent_.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -1363,6 +1245,18 @@ LinkState Worker::link_state_locked(int peer) const {
     s.watermark = shard.window.watermark();
     s.out_of_order = shard.window.out_of_order();
     return s;
+}
+
+void Worker::dump_state(std::FILE* out) {
+    // Other sources' triggers call this too, so it must try_lock: a busy
+    // worker (or one that is itself mid-trigger) is reported as busy
+    // rather than deadlocking.
+    const std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
+    if (!lock.owns_lock()) {
+        std::fprintf(out, "<busy: worker mutex held>\n");
+        return;
+    }
+    dump_state_locked(out);
 }
 
 void Worker::dump_state_locked(std::FILE* out) const {
@@ -1415,21 +1309,16 @@ void Worker::dump_state_locked(std::FILE* out) const {
                      static_cast<unsigned long long>(l.watermark),
                      l.out_of_order);
     }
+    const WorkerStats s = stats_locked();
     std::fprintf(out,
                  "stats: retransmits=%llu dups=%llu crc=%llu acks=%llu/%llu "
                  "timeouts=%llu\n",
-                 static_cast<unsigned long long>(stats_.retransmits),
-                 static_cast<unsigned long long>(
-                     stats_.duplicates_suppressed +
-                     adm_dups_.load(std::memory_order_relaxed)),
-                 static_cast<unsigned long long>(
-                     stats_.corruption_detected +
-                     adm_corruption_.load(std::memory_order_relaxed)),
-                 static_cast<unsigned long long>(
-                     stats_.acks_sent +
-                     adm_acks_sent_.load(std::memory_order_relaxed)),
-                 static_cast<unsigned long long>(stats_.acks_received),
-                 static_cast<unsigned long long>(stats_.timeouts));
+                 static_cast<unsigned long long>(s.retransmits),
+                 static_cast<unsigned long long>(s.duplicates_suppressed),
+                 static_cast<unsigned long long>(s.corruption_detected),
+                 static_cast<unsigned long long>(s.acks_sent),
+                 static_cast<unsigned long long>(s.acks_received),
+                 static_cast<unsigned long long>(s.timeouts));
 }
 
 } // namespace mpicd::ucx

@@ -214,15 +214,33 @@ public:
 
 private:
     struct Request;
-    struct PendingSend;
 
-    RequestId alloc_request_locked();
+    // A receive request (tag_send makes it a send), registered under a
+    // fresh id.
+    Request& new_request_locked(Tag tag, Tag mask, BufferDesc desc);
     void complete_locked(Request& rq, Status st, Count len, Tag sender_tag);
+    // Complete a send now, or under the reliable protocol, while any of its
+    // packets are unacked, on its last ack.
+    void finish_send_locked(Request& rq, Status st, Count len);
+
+    // The one packet builder: from this endpoint to `dst`.
+    [[nodiscard]] netsim::Packet packet(int dst, std::uint16_t kind, ByteVec header,
+                                        std::uint64_t msg_id,
+                                        SimTime post_vtime = -1.0,
+                                        PooledBuf payload = {}) const;
+    // Read source bytes at `offset` and charge the measured pack time (a
+    // memory source's gather costs nothing here); takes the pack-throughput
+    // sample. A read that makes no progress is err_pack.
+    Status read_source_locked(Request& rq, Count offset, MutBytes dst, Count& used);
+    // Write bytes into the sink at `offset` and charge the measured unpack
+    // time, or the modeled host copy for a memory sink.
+    Status write_sink_locked(Request& rq, Count offset, ConstBytes bytes);
 
     void start_send_locked(Request& rq);
     void handle_packet_locked(netsim::Packet&& pkt);
-    void handle_eager_locked(netsim::Packet&& pkt);
-    void handle_rts_locked(netsim::Packet&& pkt);
+    // An eager or RTS packet: match a posted receive or park it as
+    // unexpected.
+    void handle_arrival_locked(netsim::Packet&& pkt);
     void handle_cts_locked(netsim::Packet&& pkt);
     void handle_fin_locked(netsim::Packet&& pkt);
     void handle_frag_locked(netsim::Packet&& pkt);
@@ -234,15 +252,19 @@ private:
     void send_packet_locked(netsim::Packet&& pkt, SimTime ready, Count wire_bytes,
                             Count sg_entries, int rail, bool control,
                             Request* owner);
-    // Inbound filter for numbered data packets: verifies CRC and
-    // suppresses duplicates against the per-peer shard — WITHOUT taking
-    // the protocol mutex. Returns false when the packet was consumed.
-    bool admit_data_packet(netsim::Packet& pkt);
+    // Hand a packet to the fabric: a latency-only control packet, or data
+    // that occupies its link. Returns the arrival time.
+    SimTime transmit(netsim::Packet&& pkt, SimTime ready, Count wire_bytes,
+                     Count sg_entries, int rail, bool control);
+    // Inbound filter for numbered packets: verifies CRC and suppresses
+    // duplicates against the per-peer shard — WITHOUT taking the protocol
+    // mutex. Returns false when the packet was consumed.
+    bool admit_packet(netsim::Packet& pkt);
     void handle_ack_locked(const netsim::Packet& pkt);
-    void send_ack_locked(const netsim::Packet& pkt);
-    // Re-ack a suppressed duplicate from admission context (no protocol
-    // lock held; the ack is timed off the duplicate's arrival).
-    void send_dup_ack(const netsim::Packet& pkt);
+    // Acknowledge `pkt`, timed at `at`. Needs no protocol lock: admission
+    // re-acks a suppressed duplicate at its arrival, progress() acks an
+    // admitted packet at the clock.
+    void send_ack(const netsim::Packet& pkt, SimTime at);
     // Fire due retransmit timers and operation watchdogs; returns true if
     // anything fired.
     bool fire_timers_locked();
@@ -254,13 +276,10 @@ private:
     void release_locked(Request& rq);
     void refresh_reliable_locked();
 
-    // Deliver a matched eager payload / RTS to a posted receive request.
-    void match_eager_locked(Request& rq, Tag sender_tag, PooledBuf&& payload,
-                            SimTime arrival);
-    void match_rts_locked(Request& rq, Tag sender_tag, int src, Count total_len,
-                          std::uint64_t sender_op, SimTime arrival);
-
-    Request* find_posted_locked(Tag tag);
+    // Deliver a matched eager payload, or answer a matched RTS, for a
+    // receive request (tag_recv, imrecv, or an arrival that found it
+    // posted).
+    void match_locked(Request& rq, UnexpectedMsg&& u);
     void send_cts_locked(Request& rq, int src, std::uint64_t sender_op);
     // Record how long an unexpected message waited for its receive.
     void note_unexpected_dwell_locked(const UnexpectedMsg& u);
@@ -269,6 +288,11 @@ private:
     // request table, retransmit queue, per-peer link state).
     // Caller must hold (or be unable to ever share) mutex_.
     void dump_state_locked(std::FILE* out) const;
+    // The same dump from any context: try-locks mutex_ and reports a busy
+    // worker instead of waiting.
+    void dump_state(std::FILE* out);
+    // Protocol counters plus the admission-context ones.
+    [[nodiscard]] WorkerStats stats_locked() const;
     [[nodiscard]] LinkState link_state_locked(int peer) const;
 
     netsim::Fabric& fabric_;
@@ -344,10 +368,11 @@ private:
     };
     std::deque<PeerShard> shards_; // by source endpoint
     // Admission-context counters (outside the protocol mutex); folded into
-    // stats() snapshots.
+    // stats() snapshots. acks_sent_ counts every ack, whichever context
+    // sent it (stats_.acks_sent stays 0).
     std::atomic<std::uint64_t> adm_dups_{0};
     std::atomic<std::uint64_t> adm_corruption_{0};
-    std::atomic<std::uint64_t> adm_acks_sent_{0};
+    std::atomic<std::uint64_t> acks_sent_{0};
 
     // Completion registry: done requests by id. comp_mutex_ is only ever
     // acquired after (or without) mutex_, never before it.

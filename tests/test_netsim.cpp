@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 
+#include "base/metrics.hpp"
 #include "netsim/fabric.hpp"
 #include "netsim/wire_model.hpp"
 #include "test_util.hpp"
@@ -258,6 +259,39 @@ TEST(Fabric, RdmaSharesLinkWithPackets) {
     (void)f.transmit(std::move(a), 0.0, 1000); // link busy until t=1.0
     const SimTime t = f.rdma_cost(0, 1, 1000, 1, 0.0);
     EXPECT_DOUBLE_EQ(t, 1.0 + 1.0 + 1.0); // starts after the packet
+}
+
+// Packets and RDMA between two nodes share the node pair's one uplink, in
+// whichever order they reach the fabric: a transmit 0->2 and an rdma_cost
+// 1->3, ready at the same time, serialize one after the other. Every
+// cross-node transfer lands in wire/uplink_wait_ns, the first as a zero.
+TEST(Fabric, TransmitAndRdmaShareNodeUplink) {
+    WireParams p = simple_params();
+    p.ranks_per_node = 2; // endpoints 0,1 on node 0; 2,3 on node 1
+    p.inter_latency_us = 5.0;
+    p.inter_bandwidth_Bpus = 100.0; // 1000 B take 10 us on the uplink
+    Histogram& waits = metrics().histogram("wire", "uplink_wait_ns");
+    for (const bool packet_first : {true, false}) {
+        SCOPED_TRACE(packet_first ? "transmit, then rdma_cost" : "rdma_cost, then transmit");
+        Fabric f(4, p);
+        const Histogram::Snapshot before = waits.snapshot();
+        const auto transmit = [&] {
+            Packet a;
+            a.src = 0;
+            a.dst = 2;
+            return f.transmit(std::move(a), 0.0, 1000);
+        };
+        const auto rdma = [&] { return f.rdma_cost(1, 3, 1000, 1, 0.0); };
+        const SimTime first = packet_first ? transmit() : rdma();
+        const SimTime second = packet_first ? rdma() : transmit();
+        EXPECT_DOUBLE_EQ(first, 10.0 + 5.0);
+        EXPECT_DOUBLE_EQ(second, 10.0 + 10.0 + 5.0); // starts when the first ends
+        const Histogram::Snapshot after = waits.snapshot();
+        EXPECT_EQ(after.count - before.count, 2u);
+        EXPECT_EQ(after.buckets[0] - before.buckets[0], 1u); // the first waited 0
+        EXPECT_EQ(after.sum - before.sum, 10'000u);          // the second 10 us
+        (void)f.poll(2);
+    }
 }
 
 TEST(Fabric, FifoOrderPerLink) {

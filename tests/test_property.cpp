@@ -485,7 +485,7 @@ TEST(CrcProperty, KnownAnswer) {
 // numbers are retransmitted, lost acks cause retransmits of numbers the
 // receiver already has, and some numbers are abandoned outright. The
 // receiver applies each copy's floor and then admits its number, exactly
-// as Worker::admit_data_packet does. Every admit must equal the reference
+// as Worker::admit_packet does. Every admit must equal the reference
 // set's insert().second, where a number below an applied floor counts as
 // seen; the window never holds `bound` or more out-of-order numbers.
 TEST(SeqWindowProperty, MatchesSetReferenceOnLossyStreams) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "base/metrics.hpp"
 #include "base/pool.hpp"
 #include "netsim/fault.hpp"
 #include "test_util.hpp"
@@ -19,8 +20,9 @@ using netsim::Fabric;
 
 // Two workers on one fabric, driven by hand (no Universe).
 struct WorkerPair {
-    explicit WorkerPair(const netsim::WireParams& params = test::test_params())
-        : fabric(2, params), w0(fabric, 0), w1(fabric, 1) {}
+    explicit WorkerPair(const netsim::WireParams& params = test::test_params(),
+                        const netsim::FaultConfig& faults = netsim::FaultConfig::from_env())
+        : fabric(2, params, faults), w0(fabric, 0), w1(fabric, 1) {}
 
     // One progress step over both workers. When neither finds work and a
     // timer is pending (retransmit / dup-ack / watchdog — armed whenever
@@ -326,6 +328,76 @@ TEST(UcxRegions, EverySourceIntoEverySink) {
     }
 }
 
+// A zero-copy rendezvous whose CTS region table holds less than the message
+// (the sink's own table always holds it all, so the CTS is forged here):
+// the sender moves what fits, charges wire time for every whole fragment
+// the table held, and stops at the first it could not hold, failing the
+// send and its FIN with err_truncate and the bytes of those fragments.
+TEST(UcxRegions, ShortRegionTableEndsDirectRendezvous) {
+    constexpr Count kTotal = 20'000, kTable = 10'000, kFrag = 4096;
+    netsim::WireParams params = test::test_params();
+    params.eager_threshold = kFrag;
+    params.rndv_frag_size = kFrag;
+    netsim::FaultConfig lossless;
+    WorkerPair p(params, lossless);
+    const ByteVec src = test::pattern_bytes(kTotal, 21);
+    const auto sid = p.w0.tag_send(1, 3, make_contig_send(src.data(), kTotal));
+
+    // The RTS, taken off the wire before worker 1 sees it: tag, sender op,
+    // total.
+    auto rts = p.fabric.poll(1);
+    ASSERT_TRUE(rts.has_value());
+    ASSERT_EQ(rts->kind, wire::kRts);
+    std::uint64_t sender_op = 0;
+    std::memcpy(&sender_op, rts->header.data() + 8, sizeof(sender_op));
+
+    // An rdma CTS: sender op, receiver op, mode 1 (rdma), one region, then
+    // the region table.
+    ByteVec dst(kTotal, std::byte{0xEE});
+    const struct {
+        std::uint64_t sender_op, recv_op;
+        std::uint32_t mode, nregions;
+        IovEntry region;
+    } cts{sender_op, 77, 1, 1, {dst.data(), kTable}};
+    netsim::Packet pkt;
+    pkt.src = 1;
+    pkt.dst = 0;
+    pkt.kind = wire::kCts;
+    pkt.header = ByteVec(sizeof(cts));
+    std::memcpy(pkt.header.data(), &cts, sizeof(cts));
+    (void)p.fabric.transmit_control(std::move(pkt), 0.0);
+
+    Histogram& frag_bytes = metrics().histogram("wire", "frag_bytes");
+    const auto frags0 = frag_bytes.snapshot().count;
+    const auto dma0 = datapath::bytes_dma().load();
+    ASSERT_TRUE(p.w0.progress());
+    ASSERT_TRUE(p.w0.is_complete(sid));
+    const Completion sc = p.w0.take_completion(sid);
+    EXPECT_EQ(sc.status, Status::err_truncate);
+    EXPECT_EQ(sc.received_len, 2 * kFrag);
+    EXPECT_EQ(datapath::bytes_dma().load() - dma0, std::uint64_t{2 * kFrag});
+    EXPECT_EQ(frag_bytes.snapshot().count - frags0, 2u);
+    EXPECT_EQ(p.w0.stats().rndv_rdma, 1u);
+    // Every byte the table holds arrived; nothing past it was written.
+    EXPECT_EQ(std::memcmp(dst.data(), src.data(), kTable), 0);
+    EXPECT_EQ(dst[kTable], std::byte{0xEE});
+
+    // The FIN: receiver op, data time, total, status.
+    auto fin = p.fabric.poll(1);
+    ASSERT_TRUE(fin.has_value());
+    ASSERT_EQ(fin->kind, wire::kFin);
+    std::uint64_t recv_op = 0;
+    Count fin_total = 0;
+    std::int32_t fin_status = 0;
+    std::memcpy(&recv_op, fin->header.data(), 8);
+    std::memcpy(&fin_total, fin->header.data() + 16, 8);
+    std::memcpy(&fin_status, fin->header.data() + 24, 4);
+    EXPECT_EQ(recv_op, 77u);
+    EXPECT_EQ(fin_total, 2 * kFrag);
+    EXPECT_EQ(static_cast<Status>(fin_status), Status::err_truncate);
+    EXPECT_TRUE(p.w0.idle());
+}
+
 TEST_F(UcxPair, GenericEagerCallbacksRun) {
     XorCtx key{std::byte{0x5A}};
     const ByteVec src = test::pattern_bytes(500);
@@ -491,6 +563,37 @@ TEST_F(UcxPair, CancelUnmatchedRecv) {
     const auto rid = w1.tag_recv(99, ~Tag{0}, make_contig_recv(dst.data(), 16));
     EXPECT_TRUE(w1.cancel_recv(rid));
     EXPECT_FALSE(w1.cancel_recv(rid)); // already gone
+}
+
+// Every packet kind's decoder reads a fixed header part. A header shorter
+// than its kind's must be dropped before any decoder runs, not read past its
+// end; the worker then carries on as if it never arrived. The packets are
+// unnumbered, so no reliability check stands in front of the decoders.
+TEST_F(UcxPair, ShortHeaderOfEveryKindIsDropped) {
+    for (const std::uint16_t kind : {wire::kEager, wire::kRts, wire::kCts, wire::kFin,
+                                     wire::kFrag, wire::kAck}) {
+        netsim::Packet pkt;
+        pkt.src = 0;
+        pkt.dst = 1;
+        pkt.kind = kind;
+        pkt.header = ByteVec(3, std::byte{0x5A});
+        (void)fabric.transmit_control(std::move(pkt), 0.0);
+    }
+    for (int i = 0; i < 4; ++i) drive();
+    EXPECT_FALSE(w1.probe(0, Tag{0}).has_value()) << "a short header was parked";
+
+    const ByteVec src = test::pattern_bytes(200, 11);
+    ByteVec dst(200);
+    const auto rid = w1.tag_recv(0, Tag{0}, make_contig_recv(dst.data(), 200));
+    const auto sid = w0.tag_send(1, 12, make_contig_send(src.data(), 200));
+    const auto rc = take(w1, rid);
+    EXPECT_EQ(rc.status, Status::success);
+    EXPECT_EQ(rc.sender_tag, 12u);
+    EXPECT_EQ(dst, src);
+    EXPECT_EQ(take(w0, sid).status, Status::success);
+    for (int i = 0; i < 100'000 && !(w0.idle() && w1.idle()); ++i) drive();
+    EXPECT_TRUE(w0.idle());
+    EXPECT_TRUE(w1.idle());
 }
 
 // ---------------------------------------------------------------------------
@@ -705,6 +808,247 @@ TEST_F(UcxPair, VirtualTimeAdvancesWithTransfer) {
     EXPECT_GT(rc.vtime, before);
     // At least one wire latency must have elapsed.
     EXPECT_GE(rc.vtime, test::test_params().latency_us);
+}
+
+// ---------------------------------------------------------------------------
+// Error exits with generic descriptors. Each case runs twice: lossless, and
+// under the reliable protocol with no faults (explicit FaultConfigs, so the
+// fault matrix's environment does not apply). Both modes report the same.
+
+// A plain-buffer generic datatype whose callbacks fail on request.
+struct FaultyCtx {
+    bool fail_start_unpack = false;
+    Count fail_pack_at = -1;   // pack fails from this offset on (-1: never)
+    Count fail_unpack_at = -1; // unpack likewise
+};
+struct FaultyState {
+    const FaultyCtx* ctx;
+    const std::byte* src;
+    std::byte* dst;
+    Count len;
+};
+
+Status faulty_start_pack(void* ctx, const void* buf, Count count, void** state) {
+    *state = new FaultyState{static_cast<const FaultyCtx*>(ctx),
+                             static_cast<const std::byte*>(buf), nullptr, count};
+    return Status::success;
+}
+Status faulty_start_unpack(void* ctx, void* buf, Count count, void** state) {
+    const auto* c = static_cast<const FaultyCtx*>(ctx);
+    if (c->fail_start_unpack) return Status::err_unpack;
+    *state = new FaultyState{c, nullptr, static_cast<std::byte*>(buf), count};
+    return Status::success;
+}
+Status faulty_packed_size(void* state, Count* size) {
+    *size = static_cast<FaultyState*>(state)->len;
+    return Status::success;
+}
+Status faulty_pack(void* state, Count offset, void* dst, Count dst_size, Count* used) {
+    const auto* st = static_cast<FaultyState*>(state);
+    if (st->ctx->fail_pack_at >= 0 && offset >= st->ctx->fail_pack_at)
+        return Status::err_pack;
+    const Count n = std::min(dst_size, st->len - offset);
+    std::memcpy(dst, st->src + offset, static_cast<std::size_t>(n));
+    *used = n;
+    return Status::success;
+}
+Status faulty_unpack(void* state, Count offset, const void* src, Count src_size) {
+    const auto* st = static_cast<FaultyState*>(state);
+    if ((st->ctx->fail_unpack_at >= 0 && offset >= st->ctx->fail_unpack_at) ||
+        offset + src_size > st->len)
+        return Status::err_unpack;
+    std::memcpy(st->dst + offset, src, static_cast<std::size_t>(src_size));
+    return Status::success;
+}
+void faulty_finish(void* state) { delete static_cast<FaultyState*>(state); }
+
+GenericDesc faulty_desc(const FaultyCtx& ctx) {
+    GenericDesc g;
+    g.ops.start_pack = faulty_start_pack;
+    g.ops.start_unpack = faulty_start_unpack;
+    g.ops.packed_size = faulty_packed_size;
+    g.ops.pack = faulty_pack;
+    g.ops.unpack = faulty_unpack;
+    g.ops.finish = faulty_finish;
+    g.ops.ctx = const_cast<FaultyCtx*>(&ctx);
+    return g;
+}
+
+constexpr Count kEagerBytes = 500;
+constexpr Count kRndvBytes = 20'000;
+
+struct ErrorOutcome {
+    Completion send, recv;
+    bool recv_cancelled = false; // the receive never matched and was cancelled
+    WorkerStats sender;
+    bool idle = false; // both workers idle once both operations are gone
+};
+
+// One message from worker 0 to worker 1 with 4 KiB eager threshold and
+// rendezvous fragments.
+ErrorOutcome exchange(bool reliable, BufferDesc send, BufferDesc recv) {
+    netsim::WireParams params = test::test_params();
+    params.eager_threshold = 4096;
+    params.rndv_frag_size = 4096;
+    netsim::FaultConfig faults;
+    faults.force_reliable = reliable;
+    WorkerPair p(params, faults);
+    ErrorOutcome o;
+    const auto rid = p.w1.tag_recv(6, ~Tag{0}, std::move(recv));
+    const auto sid = p.w0.tag_send(1, 6, std::move(send));
+    o.send = p.take(p.w0, sid);
+    for (int i = 0; i < 10'000 && !p.w1.is_complete(rid); ++i) p.drive();
+    if (p.w1.is_complete(rid)) {
+        o.recv = p.w1.take_completion(rid);
+    } else {
+        o.recv_cancelled = p.w1.cancel_recv(rid);
+    }
+    for (int i = 0; i < 100'000 && !(p.w0.idle() && p.w1.idle()); ++i) p.drive();
+    o.sender = p.w0.stats();
+    o.idle = p.w0.idle() && p.w1.idle();
+    return o;
+}
+
+GenericDesc faulty_send(const FaultyCtx& ctx, const ByteVec& src) {
+    GenericDesc g = faulty_desc(ctx);
+    g.send_buf = src.data();
+    g.count = Count(src.size());
+    return g;
+}
+
+GenericDesc faulty_recv(const FaultyCtx& ctx, ByteVec& dst) {
+    GenericDesc g = faulty_desc(ctx);
+    g.recv_buf = dst.data();
+    g.count = Count(dst.size());
+    return g;
+}
+
+TEST(UcxErrors, EagerPackFailsSendsNothing) {
+    for (const bool reliable : {false, true}) {
+        SCOPED_TRACE(reliable ? "reliable" : "lossless");
+        const ByteVec src = test::pattern_bytes(kEagerBytes);
+        ByteVec dst(kEagerBytes);
+        const FaultyCtx ctx{.fail_pack_at = 0};
+        const auto o = exchange(reliable, faulty_send(ctx, src),
+                                make_contig_recv(dst.data(), kEagerBytes));
+        EXPECT_EQ(o.send.status, Status::err_pack);
+        EXPECT_EQ(o.send.received_len, 0);
+        EXPECT_EQ(o.sender.eager_sends, 0u);
+        EXPECT_EQ(o.sender.bytes_sent, 0u);
+        EXPECT_TRUE(o.recv_cancelled) << "the receive matched a message never sent";
+        EXPECT_TRUE(o.idle);
+    }
+}
+
+TEST(UcxErrors, PipelinePackFailsAtStart) {
+    for (const bool reliable : {false, true}) {
+        SCOPED_TRACE(reliable ? "reliable" : "lossless");
+        const ByteVec src = test::pattern_bytes(kRndvBytes);
+        ByteVec dst(kRndvBytes);
+        const FaultyCtx tx{.fail_pack_at = 0}, rx{};
+        const auto o = exchange(reliable, faulty_send(tx, src), faulty_recv(rx, dst));
+        EXPECT_EQ(o.send.status, Status::err_pack);
+        EXPECT_EQ(o.send.received_len, 0);
+        EXPECT_EQ(o.recv.status, Status::err_pack); // the error FIN
+        EXPECT_EQ(o.recv.received_len, 0);
+        EXPECT_EQ(o.sender.rndv_pipeline, 1u);
+        EXPECT_TRUE(o.idle);
+    }
+}
+
+TEST(UcxErrors, PipelinePackFailsMidStream) {
+    for (const bool reliable : {false, true}) {
+        SCOPED_TRACE(reliable ? "reliable" : "lossless");
+        const ByteVec src = test::pattern_bytes(kRndvBytes);
+        ByteVec dst(kRndvBytes);
+        const FaultyCtx tx{.fail_pack_at = 8192}, rx{};
+        const auto o = exchange(reliable, faulty_send(tx, src), faulty_recv(rx, dst));
+        EXPECT_EQ(o.send.status, Status::err_pack);
+        EXPECT_EQ(o.send.received_len, 8192);
+        EXPECT_EQ(o.recv.status, Status::err_pack);
+        EXPECT_EQ(o.recv.received_len, 8192);
+        EXPECT_EQ(o.sender.rndv_pipeline, 1u);
+        EXPECT_TRUE(o.idle);
+    }
+}
+
+TEST(UcxErrors, BouncePackFailsMidStream) {
+    for (const bool reliable : {false, true}) {
+        SCOPED_TRACE(reliable ? "reliable" : "lossless");
+        const ByteVec src = test::pattern_bytes(kRndvBytes);
+        ByteVec dst(kRndvBytes);
+        const FaultyCtx tx{.fail_pack_at = 8192};
+        const auto o = exchange(reliable, faulty_send(tx, src),
+                                make_contig_recv(dst.data(), kRndvBytes));
+        EXPECT_EQ(o.send.status, Status::err_pack);
+        EXPECT_EQ(o.send.received_len, 8192);
+        EXPECT_EQ(o.recv.status, Status::err_pack);
+        EXPECT_EQ(o.recv.received_len, 8192);
+        EXPECT_EQ(o.sender.rndv_rdma, 1u);
+        EXPECT_TRUE(o.idle);
+    }
+}
+
+TEST(UcxErrors, EagerStartUnpackFails) {
+    for (const bool reliable : {false, true}) {
+        SCOPED_TRACE(reliable ? "reliable" : "lossless");
+        const ByteVec src = test::pattern_bytes(kEagerBytes);
+        ByteVec dst(kEagerBytes);
+        const FaultyCtx rx{.fail_start_unpack = true};
+        const auto o = exchange(reliable, make_contig_send(src.data(), kEagerBytes),
+                                faulty_recv(rx, dst));
+        EXPECT_EQ(o.send.status, Status::success);
+        EXPECT_EQ(o.recv.status, Status::err_unpack);
+        EXPECT_EQ(o.recv.received_len, 0);
+        EXPECT_EQ(o.sender.eager_sends, 1u);
+        EXPECT_TRUE(o.idle);
+    }
+}
+
+TEST(UcxErrors, RendezvousStartUnpackFailsAbortsSender) {
+    for (const bool reliable : {false, true}) {
+        SCOPED_TRACE(reliable ? "reliable" : "lossless");
+        const ByteVec src = test::pattern_bytes(kRndvBytes);
+        ByteVec dst(kRndvBytes);
+        const FaultyCtx rx{.fail_start_unpack = true};
+        const auto o = exchange(reliable, make_contig_send(src.data(), kRndvBytes),
+                                faulty_recv(rx, dst));
+        EXPECT_EQ(o.send.status, Status::err_truncate); // the abort CTS
+        EXPECT_EQ(o.recv.status, Status::err_unpack);
+        EXPECT_EQ(o.recv.received_len, 0);
+        EXPECT_EQ(o.sender.rndv_sends, 1u);
+        EXPECT_EQ(o.sender.rndv_rdma, 0u);
+        EXPECT_EQ(o.sender.rndv_pipeline, 0u);
+        EXPECT_TRUE(o.idle);
+    }
+}
+
+TEST(UcxErrors, PipelineUnpackFailsMidStream) {
+    for (const bool reliable : {false, true}) {
+        SCOPED_TRACE(reliable ? "reliable" : "lossless");
+        const ByteVec src = test::pattern_bytes(kRndvBytes);
+        ByteVec dst(kRndvBytes);
+        const FaultyCtx tx{}, rx{.fail_unpack_at = 8192};
+        const auto o = exchange(reliable, faulty_send(tx, src), faulty_recv(rx, dst));
+        EXPECT_EQ(o.send.status, Status::success);
+        EXPECT_EQ(o.recv.status, Status::err_unpack);
+        EXPECT_EQ(o.sender.rndv_pipeline, 1u);
+        EXPECT_TRUE(o.idle);
+    }
+}
+
+TEST(UcxErrors, EagerUnpackFails) {
+    for (const bool reliable : {false, true}) {
+        SCOPED_TRACE(reliable ? "reliable" : "lossless");
+        const ByteVec src = test::pattern_bytes(kEagerBytes);
+        ByteVec dst(kEagerBytes);
+        const FaultyCtx tx{}, rx{.fail_unpack_at = 0};
+        const auto o = exchange(reliable, faulty_send(tx, src), faulty_recv(rx, dst));
+        EXPECT_EQ(o.send.status, Status::success);
+        EXPECT_EQ(o.recv.status, Status::err_unpack);
+        EXPECT_EQ(o.sender.eager_sends, 1u);
+        EXPECT_TRUE(o.idle);
+    }
 }
 
 } // namespace
