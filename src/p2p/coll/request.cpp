@@ -188,12 +188,11 @@ void CollOp::post(const Step& st) {
         coll_counters().leader_bytes.fetch_add(
             static_cast<std::uint64_t>(st.len), std::memory_order_relaxed);
     const auto post_now = [&] {
-        if (st.post) return st.post(comm_, st.peer, ctag);
-        return st.send ? comm_.coll_isend_bytes(st.buf, st.len, st.peer, ctag)
-                       : comm_.coll_irecv_bytes(st.buf, st.len, st.peer, ctag);
+        track_step(comm_.coll_post(st.send, st.peer, ctag, st.payload), st.peer,
+                   st.send);
     };
     if (!trace::enabled()) {
-        track_step(post_now(), st.peer, st.send);
+        post_now();
         return;
     }
     const trace::MsgScope scope(trace::next_msg_id());
@@ -201,7 +200,7 @@ void CollOp::post(const Step& st) {
                    "op", op_id_, "rank",
                    static_cast<std::uint64_t>(sched_.topo.rank), "peer",
                    static_cast<std::uint64_t>(st.peer), "sub", st.sub);
-    track_step(post_now(), st.peer, st.send);
+    post_now();
 }
 
 void CollOp::track_step(Request rq, int peer, bool is_send) {

@@ -4,7 +4,7 @@
 // algorithm and builds a Schedule (coll/schedule.hpp); launch() hands the
 // schedule to a CollOp, the single executor. Round k runs phase k: its
 // local actions, then its point-to-point steps on the communicator's
-// reserved collective tag plane (Communicator::coll_*). The next round
+// reserved collective tag plane (Communicator::coll_post). The next round
 // starts once every posted step completed. After the last phase one more
 // round, the completion round, runs the local actions still queued and
 // completes the op, so an op runs phases + 1 rounds. The executor is
@@ -17,7 +17,7 @@
 //    rank blocked only on the collective still pumps the fabric.
 //
 // Advancing is serialized by the op's own mutex; inside it only
-// non-progressing completion polls (Request::poll) and new coll_* posts
+// non-progressing completion polls (Request::poll) and new coll_post calls
 // happen, so it is safe in hook context (worker busy flag held, protocol
 // mutex released).
 //

@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,21 +27,17 @@
 namespace mpicd::p2p::coll {
 
 // One point-to-point step, posted on subtag `sub` of the op's reserved tag
-// block. Byte steps are plain data: the executor posts coll_isend_bytes /
-// coll_irecv_bytes on (buf, len). Derived and custom payloads carry a
-// poster instead, called with the step's peer and collective tag.
+// block through Communicator::coll_post. Every step is plain data: its
+// payload is raw bytes, a committed derived datatype or a custom datatype.
 struct Step {
-    using Poster =
-        std::function<Request(Communicator&, int peer, std::uint32_t ctag)>;
     bool send = false;
     int peer = -1;
     std::uint32_t sub = 0;
-    void* buf = nullptr;
     // Payload bytes; what a hierarchical algorithm accounts as leader
     // bytes when the send crosses nodes (0 for custom payloads, whose
     // packed size only the sender's query callback knows).
     Count len = 0;
-    Poster post;
+    CollPayload payload;
 };
 
 // A local action: fn(dst, src, n) copies n bytes or folds n elements of
@@ -59,34 +54,22 @@ struct Phase {
     std::vector<Step> steps;  // then posted, in order
 
     void send(int peer, std::uint32_t sub, const void* p, Count n) {
-        steps.push_back({true, peer, sub, const_cast<void*>(p), n, {}});
+        steps.push_back({true, peer, sub, n, {const_cast<void*>(p), n, {}, nullptr}});
     }
     void recv(int peer, std::uint32_t sub, void* p, Count n) {
-        steps.push_back({false, peer, sub, p, n, {}});
+        steps.push_back({false, peer, sub, n, {p, n, {}, nullptr}});
     }
     // `count` elements of a committed derived datatype at `buf`.
     void typed(bool is_send, int peer, std::uint32_t sub, const void* buf,
                Count count, const dt::TypeRef& type) {
-        void* p = const_cast<void*>(buf);
-        steps.push_back(
-            {is_send, peer, sub, nullptr, type->size() * count,
-             [is_send, p, count, type](Communicator& c, int to,
-                                       std::uint32_t ctag) {
-                 return is_send ? c.coll_isend(p, count, type, to, ctag)
-                                : c.coll_irecv(p, count, type, to, ctag);
-             }});
+        steps.push_back({is_send, peer, sub, type->size() * count,
+                         {const_cast<void*>(buf), count, type}});
     }
     // `count` custom-datatype elements at `buf`; `type` must outlive the op.
     void custom(bool is_send, int peer, std::uint32_t sub, const void* buf,
                 Count count, const core::CustomDatatype& type) {
-        void* p = const_cast<void*>(buf);
-        const core::CustomDatatype* t = &type;
         steps.push_back(
-            {is_send, peer, sub, nullptr, 0,
-             [is_send, p, count, t](Communicator& c, int to, std::uint32_t ctag) {
-                 return is_send ? c.coll_isend_custom(p, count, *t, to, ctag)
-                                : c.coll_irecv_custom(p, count, *t, to, ctag);
-             }});
+            {is_send, peer, sub, 0, {const_cast<void*>(buf), count, nullptr, &type}});
     }
 };
 

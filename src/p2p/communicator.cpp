@@ -19,6 +19,41 @@ constexpr ucx::Tag kUserMask = 0xFFFFFFFFull;
 constexpr ucx::Tag kSrcMask = 0xFFFFull << kSrcShift;
 constexpr ucx::Tag kCtxMask = 0xFFFFull << kCtxShift;
 
+// The one encoder of that layout, for both tag planes.
+ucx::Tag wire_tag(std::uint16_t ctx, int src, std::uint32_t user) {
+    return (static_cast<ucx::Tag>(ctx) << kCtxShift) |
+           (static_cast<ucx::Tag>(static_cast<std::uint16_t>(src)) << kSrcShift) |
+           static_cast<ucx::Tag>(user);
+}
+
+constexpr Count kSizedHeaderBytes =
+    static_cast<Count>(sizeof(std::uint64_t));
+
+// The sized fast path's two-entry IOV: the 8-byte length header staged in
+// `hdr`, then the payload, which borrows the user buffer (zero copies).
+ucx::IovDesc sized_iov(std::shared_ptr<ByteVec> hdr, void* payload, Count n) {
+    ucx::IovDesc iov;
+    iov.backing = std::move(hdr);
+    iov.entries.push_back({iov.backing->data(), kSizedHeaderBytes});
+    if (n > 0) iov.entries.push_back({payload, n});
+    return iov;
+}
+
+void note_fastpath(core::WireClass cls, Count payload_bytes, bool send) {
+    auto& fp = core::fastpath_counters();
+    if (cls == core::WireClass::trivially_wireable)
+        fp.hits_trivial.fetch_add(1, std::memory_order_relaxed);
+    else
+        fp.hits_resizable.fetch_add(1, std::memory_order_relaxed);
+    fp.bytes_bypassed.fetch_add(static_cast<std::uint64_t>(payload_bytes),
+                                std::memory_order_relaxed);
+    // One lowering (state/query/pack plan work) skipped per operation.
+    fp.plan_compiles_avoided.fetch_add(1, std::memory_order_relaxed);
+    trace::instant("p2p", send ? "fastpath_send" : "fastpath_recv", -1.0, "class",
+                   static_cast<std::uint64_t>(cls), "bytes",
+                   static_cast<std::uint64_t>(payload_bytes));
+}
+
 ProbeResult probe_result(const ucx::ProbeInfo& info) {
     return ProbeResult{decode_tag_source(info.tag), decode_tag_user(info.tag),
                        info.total_len};
@@ -112,8 +147,8 @@ Communicator::Communicator(Universe& uni, ucx::Worker& worker, int rank, int siz
     : uni_(uni), worker_(worker), rank_(rank), size_(size), context_(context),
       pack_mode_(pack_mode) {
     // The 16-bit source field addresses ranks 0..65535; a wider world (or a
-    // negative/out-of-world rank) would alias through the mask in
-    // encode_send_tag. Mark the communicator invalid instead.
+    // negative/out-of-world rank) would alias through the wire tag's
+    // source field. Mark the communicator invalid instead.
     if (rank < 0 || size <= 0 || rank >= size || size > kMaxWorldSize)
         ctor_status_ = Status::err_arg;
     // The top context bit selects the collective plane; a user context
@@ -122,131 +157,90 @@ Communicator::Communicator(Universe& uni, ucx::Worker& worker, int rank, int siz
     if ((context & kCollContextBit) != 0) ctor_status_ = Status::err_arg;
 }
 
-Status Communicator::check_send(int dst, int tag) const {
-    if (!ok(ctor_status_)) return ctor_status_;
-    if (dst < 0 || dst >= size_) return Status::err_arg;
-    // A negative user tag would alias a large positive one through the
-    // 32-bit user field (kAnyTag is only meaningful on the receive side).
-    if (tag < 0) return Status::err_arg;
-    return Status::success;
+Communicator::Route Communicator::route(bool send, int peer, int tag) const {
+    // Wildcards select on receives only; a negative send tag would alias a
+    // large positive one through the 32-bit user field.
+    const bool any_src = !send && peer == kAnySource;
+    const bool any_tag = !send && tag == kAnyTag;
+    Route r{send, peer,
+            wire_tag(context_, send ? rank_ : any_src ? 0 : peer,
+                     any_tag ? 0 : static_cast<std::uint32_t>(tag)),
+            kCtxMask | (any_src ? 0 : kSrcMask) | (any_tag ? 0 : kUserMask),
+            ctor_status_};
+    if (ok(r.status) &&
+        ((!any_src && (peer < 0 || peer >= size_)) || (!any_tag && tag < 0)))
+        r.status = Status::err_arg;
+    return r;
 }
 
-Status Communicator::check_recv(int src, int tag) const {
-    if (!ok(ctor_status_)) return ctor_status_;
-    if (src != kAnySource && (src < 0 || src >= size_)) return Status::err_arg;
-    if (tag != kAnyTag && tag < 0) return Status::err_arg;
-    return Status::success;
-}
-
-ucx::Tag Communicator::encode_send_tag(int tag) const {
-    return (static_cast<ucx::Tag>(context_) << kCtxShift) |
-           (static_cast<ucx::Tag>(static_cast<std::uint16_t>(rank_)) << kSrcShift) |
-           (static_cast<ucx::Tag>(static_cast<std::uint32_t>(tag)) & kUserMask);
-}
-
-void Communicator::encode_recv_tag(int src, int tag, ucx::Tag* t, ucx::Tag* mask) const {
-    ucx::Tag m = kCtxMask;
-    ucx::Tag v = static_cast<ucx::Tag>(context_) << kCtxShift;
-    if (src != kAnySource) {
-        m |= kSrcMask;
-        v |= static_cast<ucx::Tag>(static_cast<std::uint16_t>(src)) << kSrcShift;
-    }
-    if (tag != kAnyTag) {
-        m |= kUserMask;
-        v |= static_cast<ucx::Tag>(static_cast<std::uint32_t>(tag)) & kUserMask;
-    }
-    *t = v;
-    *mask = m;
-}
-
-ucx::Tag Communicator::encode_coll_send_tag(std::uint32_t ctag) const {
-    const auto ctx = static_cast<std::uint16_t>(context_ | kCollContextBit);
-    return (static_cast<ucx::Tag>(ctx) << kCtxShift) |
-           (static_cast<ucx::Tag>(static_cast<std::uint16_t>(rank_)) << kSrcShift) |
-           static_cast<ucx::Tag>(ctag);
-}
-
-void Communicator::encode_coll_recv_tag(int src, std::uint32_t ctag, ucx::Tag* t,
-                                        ucx::Tag* mask) const {
+Communicator::Route Communicator::coll_route(bool send, int peer,
+                                             std::uint32_t ctag) const {
     // Collective receives are always fully pinned: known source, known
     // collective tag — wildcards have no business on this plane.
-    const auto ctx = static_cast<std::uint16_t>(context_ | kCollContextBit);
-    *t = (static_cast<ucx::Tag>(ctx) << kCtxShift) |
-         (static_cast<ucx::Tag>(static_cast<std::uint16_t>(src)) << kSrcShift) |
-         static_cast<ucx::Tag>(ctag);
-    *mask = kCtxMask | kSrcMask | kUserMask;
+    Route r{send, peer,
+            wire_tag(static_cast<std::uint16_t>(context_ | kCollContextBit),
+                     send ? rank_ : peer, ctag),
+            kCtxMask | kSrcMask | kUserMask, ctor_status_};
+    if (ok(r.status) && (peer < 0 || peer >= size_)) r.status = Status::err_arg;
+    return r;
 }
 
-Status Communicator::check_coll_peer(int peer) const {
-    if (!ok(ctor_status_)) return ctor_status_;
-    if (peer < 0 || peer >= size_) return Status::err_arg;
-    return Status::success;
+Request Communicator::post(const Route& r, ucx::BufferDesc desc) {
+    if (!ok(r.status)) return make_error_request(r.status);
+    return make_request(r.send ? worker_.tag_send(r.peer, r.tag, std::move(desc))
+                               : worker_.tag_recv(r.tag, r.mask, std::move(desc)));
+}
+
+Request Communicator::post_bytes(const Route& r, void* p, Count n) {
+    if (n < 0) return make_error_request(Status::err_arg);
+    return post(r, ucx::ContigDesc{{p, n}});
+}
+
+Request Communicator::post_derived(const Route& r, void* buf, Count count,
+                                   const dt::TypeRef& type) {
+    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
+    if (!ok(r.status)) return make_error_request(r.status);
+    if (!type->committed()) return make_error_request(Status::err_not_committed);
+    return post(r, r.send ? dt_send_desc(type, buf, count, pack_mode_)
+                          : dt_recv_desc(type, buf, count, pack_mode_));
+}
+
+Request Communicator::post_custom(const Route& r, void* buf, Count count,
+                                  const core::CustomDatatype& type,
+                                  core::CustomLowering lowering) {
+    if (!ok(r.status)) return make_error_request(r.status);
+    if (r.send) {
+        // Allocate the message id before lowering so the engine's
+        // pack/lowering spans and the transport's wire events all carry one
+        // id (tag_send adopts an open scope instead of allocating its own).
+        const trace::MsgScope msg_scope(trace::next_msg_id());
+        ucx::BufferDesc desc;
+        const Status st =
+            core::lower_custom_send(type, buf, count, worker_, &desc, lowering);
+        return ok(st) ? post(r, std::move(desc)) : make_error_request(st);
+    }
+    auto op = std::make_shared<core::CustomRecvOp>();
+    const Status st =
+        core::lower_custom_recv(type, buf, count, worker_, op.get(), lowering);
+    if (!ok(st)) return make_error_request(st);
+    Request rq = post(r, std::move(op->desc()));
+    rq.custom_ = std::move(op);
+    return rq;
 }
 
 std::uint32_t Communicator::coll_reserve_tags(std::uint32_t n) {
     return coll_epoch_.fetch_add(n, std::memory_order_relaxed);
 }
 
-Request Communicator::coll_isend_bytes(const void* p, Count n, int dst,
-                                       std::uint32_t ctag) {
-    if (n < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_coll_peer(dst); !ok(st))
-        return make_error_request(st);
-    return make_request(worker_.tag_send(dst, encode_coll_send_tag(ctag),
-                                         ucx::make_contig_send(p, n)));
-}
-
-Request Communicator::coll_irecv_bytes(void* p, Count n, int src,
-                                       std::uint32_t ctag) {
-    if (n < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_coll_peer(src); !ok(st))
-        return make_error_request(st);
-    ucx::Tag t = 0, mask = 0;
-    encode_coll_recv_tag(src, ctag, &t, &mask);
-    return make_request(worker_.tag_recv(t, mask, ucx::make_contig_recv(p, n)));
-}
-
-Request Communicator::coll_isend(const void* buf, Count count,
-                                 const dt::TypeRef& type, int dst,
-                                 std::uint32_t ctag) {
-    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_coll_peer(dst); !ok(st))
-        return make_error_request(st);
-    if (!type->committed()) return make_error_request(Status::err_not_committed);
-    return make_request(worker_.tag_send(dst, encode_coll_send_tag(ctag),
-                                         dt_send_desc(type, buf, count, pack_mode_)));
-}
-
-Request Communicator::coll_irecv(void* buf, Count count, const dt::TypeRef& type,
-                                 int src, std::uint32_t ctag) {
-    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_coll_peer(src); !ok(st))
-        return make_error_request(st);
-    if (!type->committed()) return make_error_request(Status::err_not_committed);
-    ucx::Tag t = 0, mask = 0;
-    encode_coll_recv_tag(src, ctag, &t, &mask);
-    return make_request(
-        worker_.tag_recv(t, mask, dt_recv_desc(type, buf, count, pack_mode_)));
-}
-
-Request Communicator::coll_isend_custom(const void* buf, Count count,
-                                        const core::CustomDatatype& type, int dst,
-                                        std::uint32_t ctag) {
-    if (const Status st = check_coll_peer(dst); !ok(st))
-        return make_error_request(st);
-    return isend_custom_wiretag(buf, count, type, dst, encode_coll_send_tag(ctag),
-                                core::CustomLowering::iov);
-}
-
-Request Communicator::coll_irecv_custom(void* buf, Count count,
-                                        const core::CustomDatatype& type, int src,
-                                        std::uint32_t ctag) {
-    if (const Status st = check_coll_peer(src); !ok(st))
-        return make_error_request(st);
-    ucx::Tag t = 0, mask = 0;
-    encode_coll_recv_tag(src, ctag, &t, &mask);
-    return irecv_custom_wiretag(buf, count, type, t, mask,
-                                core::CustomLowering::iov);
+Request Communicator::coll_post(bool send, int peer, std::uint32_t ctag,
+                                const CollPayload& payload) {
+    const Route r = coll_route(send, peer, ctag);
+    if (payload.custom != nullptr)
+        return post_custom(r, payload.buf, payload.count, *payload.custom,
+                           core::CustomLowering::iov);
+    if (payload.type != nullptr)
+        return post_derived(r, payload.buf, payload.count, payload.type);
+    return post_bytes(r, payload.buf, payload.count);
 }
 
 Request Communicator::make_request(ucx::RequestId id) {
@@ -266,167 +260,75 @@ Request Communicator::make_error_request(Status st) {
 }
 
 Request Communicator::isend_bytes(const void* p, Count n, int dst, int tag) {
-    if (n < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    return make_request(
-        worker_.tag_send(dst, encode_send_tag(tag), ucx::make_contig_send(p, n)));
+    return post_bytes(route(true, dst, tag), const_cast<void*>(p), n);
 }
 
 Request Communicator::irecv_bytes(void* p, Count n, int src, int tag) {
-    if (n < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return make_request(worker_.tag_recv(t, mask, ucx::make_contig_recv(p, n)));
+    return post_bytes(route(false, src, tag), p, n);
 }
 
 // ---------------------------------------------------------------------------
-// Zero-serialization fast path (see docs/API.md §7).
-
-namespace {
-
-constexpr Count kSizedHeaderBytes =
-    static_cast<Count>(sizeof(std::uint64_t));
-
-void note_fastpath(core::WireClass cls, Count payload_bytes, bool send) {
-    auto& fp = core::fastpath_counters();
-    if (cls == core::WireClass::trivially_wireable)
-        fp.hits_trivial.fetch_add(1, std::memory_order_relaxed);
-    else
-        fp.hits_resizable.fetch_add(1, std::memory_order_relaxed);
-    fp.bytes_bypassed.fetch_add(static_cast<std::uint64_t>(payload_bytes),
-                                std::memory_order_relaxed);
-    // One lowering (state/query/pack plan work) skipped per operation.
-    fp.plan_compiles_avoided.fetch_add(1, std::memory_order_relaxed);
-    trace::instant("p2p", send ? "fastpath_send" : "fastpath_recv", -1.0, "class",
-                   static_cast<std::uint64_t>(cls), "bytes",
-                   static_cast<std::uint64_t>(payload_bytes));
-}
-
-} // namespace
+// Zero-serialization fast path (see docs/API.md §7). Each entry point checks
+// its own arguments, then counts the bypass only once the route accepted.
 
 Request Communicator::isend_wire(const void* p, Count n, int dst, int tag) {
     if (n < 0 || (n > 0 && p == nullptr)) return make_error_request(Status::err_arg);
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    note_fastpath(core::WireClass::trivially_wireable, n, /*send=*/true);
-    return make_request(
-        worker_.tag_send(dst, encode_send_tag(tag), ucx::make_contig_send(p, n)));
+    const Route r = route(true, dst, tag);
+    if (ok(r.status)) note_fastpath(core::WireClass::trivially_wireable, n, true);
+    return post(r, ucx::make_contig_send(p, n));
 }
 
 Request Communicator::irecv_wire(void* p, Count n, int src, int tag) {
     if (n < 0 || (n > 0 && p == nullptr)) return make_error_request(Status::err_arg);
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    note_fastpath(core::WireClass::trivially_wireable, n, /*send=*/false);
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return make_request(worker_.tag_recv(t, mask, ucx::make_contig_recv(p, n)));
+    const Route r = route(false, src, tag);
+    if (ok(r.status)) note_fastpath(core::WireClass::trivially_wireable, n, false);
+    return post(r, ucx::make_contig_recv(p, n));
 }
 
 Request Communicator::isend_sized(const void* payload, Count n, int dst, int tag) {
     if (n < 0 || (n > 0 && payload == nullptr))
         return make_error_request(Status::err_arg);
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
+    const Route r = route(true, dst, tag);
+    if (!ok(r.status)) return make_error_request(r.status);
     note_fastpath(core::WireClass::contiguous_resizable, n, /*send=*/true);
-    ucx::IovDesc iov;
-    iov.backing =
-        std::make_shared<ByteVec>(static_cast<std::size_t>(kSizedHeaderBytes));
+    auto hdr = std::make_shared<ByteVec>(static_cast<std::size_t>(kSizedHeaderBytes));
     const std::uint64_t len = static_cast<std::uint64_t>(n);
-    std::memcpy(iov.backing->data(), &len, sizeof len);
-    iov.entries.push_back({iov.backing->data(), kSizedHeaderBytes});
-    // The payload entry borrows the user buffer — zero send-side copies.
-    if (n > 0) iov.entries.push_back({const_cast<void*>(payload), n});
-    return make_request(
-        worker_.tag_send(dst, encode_send_tag(tag), std::move(iov)));
+    std::memcpy(hdr->data(), &len, sizeof len);
+    return post(r, sized_iov(std::move(hdr), const_cast<void*>(payload), n));
 }
 
 Request Communicator::irecv_sized(std::shared_ptr<ByteVec> hdr, void* payload,
                                   Count n, int src, int tag) {
     if (hdr == nullptr || n < 0 || (n > 0 && payload == nullptr))
         return make_error_request(Status::err_arg);
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
+    const Route r = route(false, src, tag);
+    if (!ok(r.status)) return make_error_request(r.status);
     note_fastpath(core::WireClass::contiguous_resizable, n, /*send=*/false);
     hdr->resize(static_cast<std::size_t>(kSizedHeaderBytes));
-    ucx::IovDesc iov;
-    iov.backing = std::move(hdr);
-    iov.entries.push_back({iov.backing->data(), kSizedHeaderBytes});
-    if (n > 0) iov.entries.push_back({payload, n});
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return make_request(worker_.tag_recv(t, mask, std::move(iov)));
+    return post(r, sized_iov(std::move(hdr), payload, n));
 }
 
 Request Communicator::isend(const void* buf, Count count, const dt::TypeRef& type,
                             int dst, int tag) {
-    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    if (!type->committed()) return make_error_request(Status::err_not_committed);
-    return make_request(worker_.tag_send(
-        dst, encode_send_tag(tag), dt_send_desc(type, buf, count, pack_mode_)));
+    return post_derived(route(true, dst, tag), const_cast<void*>(buf), count, type);
 }
 
 Request Communicator::irecv(void* buf, Count count, const dt::TypeRef& type, int src,
                             int tag) {
-    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    if (!type->committed()) return make_error_request(Status::err_not_committed);
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return make_request(
-        worker_.tag_recv(t, mask, dt_recv_desc(type, buf, count, pack_mode_)));
-}
-
-Request Communicator::isend_custom_wiretag(const void* buf, Count count,
-                                           const core::CustomDatatype& type,
-                                           int dst, ucx::Tag wire_tag,
-                                           core::CustomLowering lowering) {
-    // Allocate the message id before lowering so the engine's pack/lowering
-    // spans and the transport's wire events all carry one id (tag_send
-    // adopts an open scope instead of allocating its own).
-    const trace::MsgScope msg_scope(trace::next_msg_id());
-    ucx::BufferDesc desc;
-    const Status st = core::lower_custom_send(type, buf, count, worker_, &desc, lowering);
-    if (!ok(st)) return make_error_request(st);
-    return make_request(worker_.tag_send(dst, wire_tag, std::move(desc)));
-}
-
-Request Communicator::irecv_custom_wiretag(void* buf, Count count,
-                                           const core::CustomDatatype& type,
-                                           ucx::Tag t, ucx::Tag mask,
-                                           core::CustomLowering lowering) {
-    auto op = std::make_shared<core::CustomRecvOp>();
-    const Status st =
-        core::lower_custom_recv(type, buf, count, worker_, op.get(), lowering);
-    if (!ok(st)) return make_error_request(st);
-    Request rq = make_request(worker_.tag_recv(t, mask, std::move(op->desc())));
-    rq.custom_ = std::move(op);
-    return rq;
+    return post_derived(route(false, src, tag), buf, count, type);
 }
 
 Request Communicator::isend_custom(const void* buf, Count count,
                                    const core::CustomDatatype& type, int dst, int tag,
                                    core::CustomLowering lowering) {
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    return isend_custom_wiretag(buf, count, type, dst, encode_send_tag(tag),
-                                lowering);
+    return post_custom(route(true, dst, tag), const_cast<void*>(buf), count, type,
+                       lowering);
 }
 
 Request Communicator::irecv_custom(void* buf, Count count,
                                    const core::CustomDatatype& type, int src, int tag,
                                    core::CustomLowering lowering) {
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return irecv_custom_wiretag(buf, count, type, t, mask, lowering);
+    return post_custom(route(false, src, tag), buf, count, type, lowering);
 }
 
 MsgStatus Communicator::send_bytes(const void* p, Count n, int dst, int tag) {
@@ -480,31 +382,29 @@ Status wait_all(std::span<Request> requests) {
 }
 
 std::optional<ProbeResult> Communicator::iprobe(int src, int tag) {
-    if (!ok(check_recv(src, tag))) return std::nullopt;
+    const Route r = route(false, src, tag);
+    if (!ok(r.status)) return std::nullopt;
     uni_.progress(worker_.endpoint());
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    const auto info = worker_.probe(t, mask);
+    const auto info = worker_.probe(r.tag, r.mask);
     if (!info) return std::nullopt;
     return probe_result(*info);
 }
 
 Message Communicator::wait_probe(int src, int tag, bool match) {
     Message msg;
-    msg.info.status = check_recv(src, tag);
+    const Route r = route(false, src, tag);
+    msg.info.status = r.status;
     if (!ok(msg.info.status)) return msg;
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
     const SimTime deadline = now() + uni_.loss_watchdog();
     uni_.wait_until(
         worker_.endpoint(),
         [&] {
             if (match) {
-                if (const auto handle = worker_.mprobe(t, mask)) {
+                if (const auto handle = worker_.mprobe(r.tag, r.mask)) {
                     msg = Message{*handle, probe_result(handle->info)};
                     return true;
                 }
-            } else if (const auto info = worker_.probe(t, mask)) {
+            } else if (const auto info = worker_.probe(r.tag, r.mask)) {
                 msg.info = probe_result(*info);
                 return true;
             }

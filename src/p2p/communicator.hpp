@@ -110,6 +110,17 @@ inline constexpr int kMaxWorldSize = 1 << 16;
 // the bit clear.
 inline constexpr std::uint16_t kCollContextBit = 0x8000;
 
+// The payload of one collective-plane post (Communicator::coll_post):
+// `count` elements at `buf` of the custom datatype `custom` when set (it
+// must outlive the request), else of the committed derived datatype `type`
+// when set, else `count` raw bytes. A send only reads `buf`.
+struct CollPayload {
+    void* buf = nullptr;
+    Count count = 0;
+    dt::TypeRef type;
+    const core::CustomDatatype* custom = nullptr;
+};
+
 class Communicator {
 public:
     // Ranks/sizes outside the wire tag layout's range are rejected: the
@@ -223,49 +234,46 @@ public:
     // the block) and the counter wraps harmlessly at 2^32: concurrent
     // outstanding collectives never span anywhere near 4 billion tags.
     [[nodiscard]] std::uint32_t coll_reserve_tags(std::uint32_t n);
-    [[nodiscard]] Request coll_isend_bytes(const void* p, Count n, int dst,
-                                           std::uint32_t ctag);
-    [[nodiscard]] Request coll_irecv_bytes(void* p, Count n, int src,
-                                           std::uint32_t ctag);
-    [[nodiscard]] Request coll_isend(const void* buf, Count count,
-                                     const dt::TypeRef& type, int dst,
-                                     std::uint32_t ctag);
-    [[nodiscard]] Request coll_irecv(void* buf, Count count,
-                                     const dt::TypeRef& type, int src,
-                                     std::uint32_t ctag);
-    [[nodiscard]] Request coll_isend_custom(const void* buf, Count count,
-                                            const core::CustomDatatype& type,
-                                            int dst, std::uint32_t ctag);
-    [[nodiscard]] Request coll_irecv_custom(void* buf, Count count,
-                                            const core::CustomDatatype& type,
-                                            int src, std::uint32_t ctag);
+    // Post one collective step: a send to, or a receive from, `peer` on
+    // collective tag `ctag`. It refuses as the user plane does, in the same
+    // order: a negative count or null type, an invalid communicator or an
+    // out-of-world peer (err_arg), an uncommitted type (err_not_committed),
+    // then the custom lowering's own checks.
+    [[nodiscard]] Request coll_post(bool send, int peer, std::uint32_t ctag,
+                                    const CollPayload& payload);
 
 private:
     friend class Request;
 
-    [[nodiscard]] ucx::Tag encode_send_tag(int tag) const;
-    void encode_recv_tag(int src, int tag, ucx::Tag* t, ucx::Tag* mask) const;
-    // Collective-plane encoders: context | kCollContextBit, full 32-bit
-    // unsigned collective tag in the user field.
-    [[nodiscard]] ucx::Tag encode_coll_send_tag(std::uint32_t ctag) const;
-    void encode_coll_recv_tag(int src, std::uint32_t ctag, ucx::Tag* t,
-                              ucx::Tag* mask) const;
-    [[nodiscard]] Status check_coll_peer(int peer) const;
-    // Shared custom-datatype lowering used by both tag planes.
-    [[nodiscard]] Request isend_custom_wiretag(const void* buf, Count count,
-                                               const core::CustomDatatype& type,
-                                               int dst, ucx::Tag wire_tag,
-                                               core::CustomLowering lowering);
-    [[nodiscard]] Request irecv_custom_wiretag(void* buf, Count count,
-                                               const core::CustomDatatype& type,
-                                               ucx::Tag t, ucx::Tag mask,
-                                               core::CustomLowering lowering);
-    // Argument validation at tag-encode time (see the constructor note):
-    // negative user tags would alias large positives in the 32-bit user
-    // field, out-of-range peers would alias through the 16-bit source
-    // field.
-    [[nodiscard]] Status check_send(int dst, int tag) const;
-    [[nodiscard]] Status check_recv(int src, int tag) const;
+    // Where a send or receive goes on one tag plane: the peer, the wire tag
+    // and (receives) the match mask, or the status refusing the operation.
+    struct Route {
+        bool send = false;
+        int peer = -1;
+        ucx::Tag tag = 0;
+        ucx::Tag mask = 0;
+        Status status = Status::success;
+    };
+    // The user plane: an invalid communicator, an out-of-world peer or a
+    // negative tag refuses with err_arg (kAnySource / kAnyTag select on
+    // receives only). Negative tags would alias large positives in the
+    // 32-bit user field, out-of-range peers would alias through the 16-bit
+    // source field (see the constructor note).
+    [[nodiscard]] Route route(bool send, int peer, int tag) const;
+    // The collective plane: context | kCollContextBit, the full 32-bit
+    // collective tag in the user field, every receive fully pinned.
+    [[nodiscard]] Route coll_route(bool send, int peer, std::uint32_t ctag) const;
+    // The one post into the worker; the error request when `r` refused.
+    Request post(const Route& r, ucx::BufferDesc desc);
+    // One descriptor builder per payload family, shared by both planes.
+    // Each checks its payload arguments, then the route, then what only
+    // the family can refuse.
+    Request post_bytes(const Route& r, void* p, Count n);
+    Request post_derived(const Route& r, void* buf, Count count,
+                         const dt::TypeRef& type);
+    Request post_custom(const Route& r, void* buf, Count count,
+                        const core::CustomDatatype& type,
+                        core::CustomLowering lowering);
     Request make_request(ucx::RequestId id);
     Request make_error_request(Status st);
     // Blocking probe (`match`: mprobe) bounded by the loss watchdog.

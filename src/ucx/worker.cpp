@@ -93,6 +93,8 @@ struct FragHeader {
     std::uint64_t recv_op;
     Count offset;
     Count msg_total;
+    // 1 on the fragment that brings the sender's offset to the total. The
+    // receiver completes on its byte count and does not read it.
     std::uint32_t last;
 };
 
@@ -714,7 +716,9 @@ void Worker::match_locked(Request& rq, UnexpectedMsg&& u) {
         Status st = write_sink_locked(
             rq, 0, ConstBytes(u.payload.data(), static_cast<std::size_t>(deliver)));
         if (ok(st) && len > deliver) st = Status::err_truncate;
-        complete_locked(rq, st, deliver, u.tag);
+        // A failed write (an unpack callback's error) delivered nothing.
+        complete_locked(rq, st,
+                        ok(st) || st == Status::err_truncate ? deliver : 0, u.tag);
         return;
     }
     rq.peer = u.src;
@@ -1093,9 +1097,11 @@ void Worker::handle_frag_locked(netsim::Packet&& pkt) {
         return;
     }
 
+    // A fragment counts once its write succeeded: a failed unpack reports
+    // only the bytes before it.
     const auto apply = [&](Count offset, ConstBytes bytes) {
         const Status wst = write_sink_locked(rq, offset, bytes);
-        rq.bytes_received += static_cast<Count>(bytes.size());
+        if (ok(wst)) rq.bytes_received += static_cast<Count>(bytes.size());
         return wst;
     };
 
@@ -1113,11 +1119,10 @@ void Worker::handle_frag_locked(netsim::Packet&& pkt) {
         complete_locked(rq, st, rq.bytes_received, rq.comp.sender_tag);
         return;
     }
-    // Reliable mode: fragments may arrive with gaps (a dropped fragment is
-    // retransmitted later), so only the byte count decides completion; the
-    // `last` flag shortcut is valid only on the lossless FIFO fabric.
-    const bool all = rq.bytes_received >= rq.expected_total;
-    if (reliable_ ? all : (h.last != 0 || all)) {
+    // The byte count alone decides completion, in both modes: fragments may
+    // arrive with gaps under loss, and on the lossless fabric the fragment
+    // flagged `last` is the one that completes the count.
+    if (rq.bytes_received >= rq.expected_total) {
         rndv_recvs_.erase(h.recv_op);
         complete_locked(rq, Status::success, rq.bytes_received, rq.comp.sender_tag);
     }

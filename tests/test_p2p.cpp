@@ -358,3 +358,268 @@ TEST(P2PExtras, WaitAllReportsFirstError) {
 
 } // namespace
 } // namespace mpicd::p2p
+
+// ---------------------------------------------------------------------------
+// Refusal table: every user-plane posting entry point, crossed with the
+// communicator, peer, tag and payload cases it can refuse, plus iprobe, the
+// blocking probes and imrecv. Each call refuses in one fixed order: its
+// payload arguments (negative count, null buffer on the wire/sized paths,
+// null header, null type), then the route (communicator status, peer, tag;
+// wildcards on receives only), then err_not_committed, then the custom
+// lowering's own checks. A refused call posts nothing, runs no datatype
+// callback, bumps no fastpath counter and charges no virtual time.
+
+namespace mpicd::p2p {
+namespace {
+
+std::atomic<int> g_custom_callbacks{0};
+
+// An int32-array custom type whose every callback counts itself.
+core::CustomDatatype counting_custom_type() {
+    core::CustomCallbacks cb;
+    cb.state = [](void*, const void*, Count, void** state) {
+        ++g_custom_callbacks;
+        *state = &g_custom_callbacks;
+        return Status::success;
+    };
+    cb.state_free = [](void*) {
+        ++g_custom_callbacks;
+        return Status::success;
+    };
+    cb.query = [](void*, const void*, Count count, Count* packed) {
+        ++g_custom_callbacks;
+        *packed = count * Count(sizeof(std::int32_t));
+        return Status::success;
+    };
+    cb.pack = [](void*, const void* buf, Count, Count offset, void* dst, Count size,
+                 Count* used) {
+        ++g_custom_callbacks;
+        std::memcpy(dst, static_cast<const std::byte*>(buf) + offset,
+                    static_cast<std::size_t>(size));
+        *used = size;
+        return Status::success;
+    };
+    cb.unpack = [](void*, void* buf, Count, Count offset, const void* src,
+                   Count size) {
+        ++g_custom_callbacks;
+        std::memcpy(static_cast<std::byte*>(buf) + offset, src,
+                    static_cast<std::size_t>(size));
+        return Status::success;
+    };
+    core::CustomDatatype t;
+    EXPECT_EQ(core::CustomDatatype::create(cb, &t), Status::success);
+    return t;
+}
+
+enum class Family { bytes, wire, sized, derived, custom };
+enum class Payload {
+    ok, neg_count, null_buf, null_hdr, null_type, uncommitted, bad_custom
+};
+
+struct Case {
+    Family fam;
+    bool send;
+    Payload pay;
+};
+
+std::vector<Case> posting_cases() {
+    std::vector<Case> out;
+    for (const bool send : {true, false}) {
+        for (const Payload p : {Payload::ok, Payload::neg_count}) {
+            out.push_back({Family::bytes, send, p});
+            out.push_back({Family::derived, send, p});
+            out.push_back({Family::custom, send, p});
+        }
+        for (const Payload p : {Payload::ok, Payload::neg_count, Payload::null_buf}) {
+            out.push_back({Family::wire, send, p});
+            out.push_back({Family::sized, send, p});
+        }
+        out.push_back({Family::derived, send, Payload::null_type});
+        out.push_back({Family::derived, send, Payload::uncommitted});
+        out.push_back({Family::custom, send, Payload::bad_custom});
+    }
+    out.push_back({Family::sized, false, Payload::null_hdr});
+    return out;
+}
+
+constexpr int kWorld = 2;
+constexpr Count kInts = 4;
+constexpr int kPeers[] = {1, kAnySource, -2, kWorld};
+constexpr int kTags[] = {5, kAnyTag, -2};
+
+bool route_ok(bool comm_ok, bool send, int peer, int tag) {
+    const bool peer_ok = (peer >= 0 && peer < kWorld) || (!send && peer == kAnySource);
+    const bool tag_ok = tag >= 0 || (!send && tag == kAnyTag);
+    return comm_ok && peer_ok && tag_ok;
+}
+
+Status expected_status(bool comm_ok, const Case& c, int peer, int tag) {
+    const bool arg_refused =
+        c.pay == Payload::null_buf || c.pay == Payload::null_hdr ||
+        c.pay == Payload::null_type ||
+        (c.pay == Payload::neg_count && c.fam != Family::custom);
+    if (arg_refused || !route_ok(comm_ok, c.send, peer, tag)) return Status::err_arg;
+    if (c.pay == Payload::uncommitted) return Status::err_not_committed;
+    if (c.pay == Payload::neg_count || c.pay == Payload::bad_custom)
+        return Status::err_arg; // the custom lowering's own checks
+    return Status::success;
+}
+
+struct Payloads {
+    std::int32_t data[kInts] = {1, 2, 3, 4};
+    dt::TypeRef committed = dt::type_int32();
+    dt::TypeRef uncommitted = dt::Datatype::contiguous(1, dt::type_int32());
+    core::CustomDatatype custom = counting_custom_type();
+    core::CustomDatatype invalid; // no callbacks: not a valid custom type
+};
+
+Request post_case(Communicator& comm, const Case& c, int peer, int tag, Payloads& b) {
+    const Count n = c.pay == Payload::neg_count ? -1 : kInts;
+    const Count bytes = n < 0 ? n : n * Count(sizeof(std::int32_t));
+    std::int32_t* p = c.pay == Payload::null_buf ? nullptr : b.data;
+    switch (c.fam) {
+    case Family::bytes:
+        return c.send ? comm.isend_bytes(p, bytes, peer, tag)
+                      : comm.irecv_bytes(p, bytes, peer, tag);
+    case Family::wire:
+        return c.send ? comm.isend_wire(p, bytes, peer, tag)
+                      : comm.irecv_wire(p, bytes, peer, tag);
+    case Family::sized:
+        if (c.send) return comm.isend_sized(p, bytes, peer, tag);
+        return comm.irecv_sized(c.pay == Payload::null_hdr
+                                    ? nullptr
+                                    : std::make_shared<ByteVec>(),
+                                p, bytes, peer, tag);
+    case Family::derived: {
+        const dt::TypeRef type = c.pay == Payload::null_type     ? nullptr
+                                 : c.pay == Payload::uncommitted ? b.uncommitted
+                                                                 : b.committed;
+        return c.send ? comm.isend(p, n, type, peer, tag)
+                      : comm.irecv(p, n, type, peer, tag);
+    }
+    case Family::custom: {
+        const core::CustomDatatype& type =
+            c.pay == Payload::bad_custom ? b.invalid : b.custom;
+        return c.send ? comm.isend_custom(p, n, type, peer, tag)
+                      : comm.irecv_custom(p, n, type, peer, tag);
+    }
+    }
+    return {};
+}
+
+std::uint64_t fastpath_total() {
+    auto& fp = core::fastpath_counters();
+    return fp.hits_trivial.load() + fp.hits_resizable.load() +
+           fp.bytes_bypassed.load() + fp.plan_compiles_avoided.load();
+}
+
+TEST(P2PRefusals, EveryEntryPointRefusesInOneOrder) {
+    Universe uni(kWorld, test::test_params());
+    Communicator out_of_world(uni, uni.worker(0), /*rank=*/70000, /*size=*/70001, 9);
+    Communicator coll_context(uni, uni.worker(0), 0, kWorld, kCollContextBit | 9);
+    struct CommCase {
+        const char* name;
+        Communicator* comm;
+    };
+    const CommCase comms[] = {{"world", &uni.comm(0)},
+                              {"out-of-world rank", &out_of_world},
+                              {"collective context bit", &coll_context}};
+    Payloads b;
+    int valid_sends = 0, refused = 0;
+    for (const CommCase& cc : comms) {
+        const bool comm_ok = ok(cc.comm->status());
+        for (const Case& c : posting_cases()) {
+            for (const int peer : kPeers) {
+                for (const int tag : kTags) {
+                    SCOPED_TRACE(testing::Message()
+                                 << cc.name << " fam=" << static_cast<int>(c.fam)
+                                 << (c.send ? " send" : " recv")
+                                 << " payload=" << static_cast<int>(c.pay)
+                                 << " peer=" << peer << " tag=" << tag);
+                    const Status want = expected_status(comm_ok, c, peer, tag);
+                    const int callbacks = g_custom_callbacks.load();
+                    const std::uint64_t fastpath = fastpath_total();
+                    const SimTime before = cc.comm->now();
+                    Request rq = post_case(*cc.comm, c, peer, tag, b);
+                    if (ok(want)) {
+                        ASSERT_TRUE(rq.valid());
+                        if (c.send) {
+                            EXPECT_EQ(rq.wait().status, Status::success);
+                            ++valid_sends;
+                        } else {
+                            EXPECT_TRUE(rq.cancel());
+                        }
+                        continue;
+                    }
+                    ++refused;
+                    EXPECT_FALSE(rq.valid());
+                    EXPECT_EQ(g_custom_callbacks.load(), callbacks);
+                    EXPECT_EQ(fastpath_total(), fastpath);
+                    EXPECT_EQ(cc.comm->now(), before);
+                    EXPECT_EQ(rq.wait().status, want);
+                    EXPECT_FALSE(rq.cancel());
+                }
+            }
+        }
+    }
+    EXPECT_EQ(valid_sends, 5); // one eager send per family
+    EXPECT_GT(refused, 0);
+    // Drain the valid sends so the universe ends idle.
+    for (int i = 0; i < valid_sends; ++i) {
+        ByteVec sink(64);
+        EXPECT_EQ(uni.comm(1).recv_bytes(sink.data(), 64, 0, 5).status,
+                  Status::success);
+    }
+}
+
+TEST(P2PRefusals, ProbesAndImrecvRefuseOnTheReceiveRoute) {
+    Universe uni(kWorld, test::test_params());
+    Communicator out_of_world(uni, uni.worker(0), /*rank=*/70000, /*size=*/70001, 9);
+    Communicator coll_context(uni, uni.worker(0), 0, kWorld, kCollContextBit | 9);
+    Communicator* comms[] = {&uni.comm(0), &out_of_world, &coll_context};
+    // One message from rank 1 waits at rank 0, so every valid probe finds it.
+    const std::int32_t v = 77;
+    EXPECT_EQ(uni.comm(1).isend_bytes(&v, 4, 0, 5).wait().status, Status::success);
+    for (Communicator* comm : comms) {
+        const bool comm_ok = ok(comm->status());
+        for (const int peer : kPeers) {
+            for (const int tag : kTags) {
+                SCOPED_TRACE(testing::Message() << "comm ok=" << comm_ok
+                                                << " peer=" << peer << " tag=" << tag);
+                const SimTime before = comm->now();
+                const auto info = comm->iprobe(peer, tag);
+                if (route_ok(comm_ok, /*send=*/false, peer, tag)) {
+                    ASSERT_TRUE(info.has_value());
+                    EXPECT_EQ(info->source, 1);
+                    EXPECT_EQ(info->tag, 5);
+                    EXPECT_EQ(comm->probe(peer, tag).status, Status::success);
+                    continue;
+                }
+                EXPECT_FALSE(info.has_value());
+                EXPECT_EQ(comm->probe(peer, tag).status, Status::err_arg);
+                Message msg = comm->mprobe(peer, tag);
+                EXPECT_FALSE(msg.valid());
+                EXPECT_EQ(msg.info.status, Status::err_arg);
+                EXPECT_EQ(comm->now(), before);
+            }
+        }
+        // imrecv of a message no mprobe matched.
+        for (const Count n : {Count(4), Count(-1)}) {
+            std::int32_t got = 0;
+            Message none;
+            Request rq = comm->imrecv(none, &got, n);
+            EXPECT_FALSE(rq.valid());
+            EXPECT_EQ(rq.wait().status, Status::err_arg);
+        }
+    }
+    Message msg = uni.comm(0).mprobe(1, 5);
+    ASSERT_TRUE(msg.valid());
+    std::int32_t got = 0;
+    EXPECT_EQ(uni.comm(0).imrecv(msg, &got, 4).wait().status, Status::success);
+    EXPECT_EQ(got, 77);
+    // imrecv consumed the handle: a second receive of it is refused.
+    EXPECT_EQ(uni.comm(0).imrecv(msg, &got, 4).wait().status, Status::err_arg);
+}
+
+} // namespace
+} // namespace mpicd::p2p

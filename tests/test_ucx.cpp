@@ -1032,6 +1032,8 @@ TEST(UcxErrors, PipelineUnpackFailsMidStream) {
         const auto o = exchange(reliable, faulty_send(tx, src), faulty_recv(rx, dst));
         EXPECT_EQ(o.send.status, Status::success);
         EXPECT_EQ(o.recv.status, Status::err_unpack);
+        // Only the two fragments before the failing one were unpacked.
+        EXPECT_EQ(o.recv.received_len, 8192);
         EXPECT_EQ(o.sender.rndv_pipeline, 1u);
         EXPECT_TRUE(o.idle);
     }
@@ -1046,6 +1048,7 @@ TEST(UcxErrors, EagerUnpackFails) {
         const auto o = exchange(reliable, faulty_send(tx, src), faulty_recv(rx, dst));
         EXPECT_EQ(o.send.status, Status::success);
         EXPECT_EQ(o.recv.status, Status::err_unpack);
+        EXPECT_EQ(o.recv.received_len, 0); // the one write failed
         EXPECT_EQ(o.sender.eager_sends, 1u);
         EXPECT_TRUE(o.idle);
     }

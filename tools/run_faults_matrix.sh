@@ -59,6 +59,10 @@
 # test_property's walker reference cover the rest. test_engine rides along
 # (without its rail-striping timing comparison, as in the lossy legs) for
 # the generic_pipeline lowering and its out-of-order fragments.
+# test_pysim, test_serial and test_capi ride along for the decoders of
+# serialized streams, which parse input from outside the library: pysim's
+# pickle loads of received bytes, the serial archive decoder, and the C
+# API's trampolines with their per-region datatype conversion.
 # MPICD_SKIP_ASAN=1 skips it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
@@ -135,7 +139,7 @@ done
 
 if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
     ASAN_DIR=${BUILD_DIR}-asan
-    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor|test_ddtbench|test_collectives|test_coll_faults|test_p2p|test_traits|test_custom|test_engine'
+    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak|test_property|test_pack_plan|test_convertor|test_ddtbench|test_collectives|test_coll_faults|test_p2p|test_traits|test_custom|test_engine|test_pysim|test_serial|test_capi'
     echo "=== asan leg: configuring $ASAN_DIR ==="
     cmake -B "$ASAN_DIR" -S . \
           -DMPICD_SANITIZE="address;undefined" \
@@ -144,7 +148,8 @@ if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
     cmake --build "$ASAN_DIR" -j "$JOBS" --target \
           test_base test_ucx test_faults test_reliability_soak test_property \
           test_pack_plan test_convertor test_ddtbench test_collectives \
-          test_coll_faults test_p2p test_traits test_custom test_engine
+          test_coll_faults test_p2p test_traits test_custom test_engine \
+          test_pysim test_serial test_capi
     echo "=== asan leg: lossy datapath and collective tests under ASan + UBSan ==="
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     MPICD_FAULT_SEED=42 \
