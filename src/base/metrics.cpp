@@ -120,6 +120,7 @@ void MetricsRegistry::write_json(std::FILE* out, int indent) const {
     }
     for (const auto& h : hist_snapshot()) {
         const Histogram::Snapshot& s = h.snap;
+        if (s.count == 0) continue; // nothing recorded: no signal to emit
         char buf[256];
         std::snprintf(buf, sizeof(buf),
                       "{\"count\": %llu, \"sum\": %llu, \"max\": %llu, "

@@ -14,7 +14,7 @@
 // snapshot() is cheap and thread-safe; write_json() emits the nested
 // {"group": {"name": value}} object that bench/common.hpp embeds in every
 // BENCH_<name>.json artifact; histogram entries appear inside their group
-// as nested objects.
+// as nested objects, and histograms that recorded nothing are left out.
 #pragma once
 
 #include <atomic>
@@ -73,7 +73,8 @@ public:
 
     // JSON object {"group": {"name": value, ...}, ...}; `indent` spaces
     // prefix every emitted line (write_json emits no leading/trailing
-    // newline around the object itself).
+    // newline around the object itself). Empty histograms (count 0) are
+    // skipped; hist_snapshot() still lists them.
     void write_json(std::FILE* out, int indent = 0) const;
     [[nodiscard]] std::string to_json(int indent = 0) const;
 

@@ -17,6 +17,38 @@ std::span<const IovEntry> regions_of(const BufferDesc& desc) noexcept {
     return {};
 }
 
+// How far down its list a cursor prefetches when it steps onto an entry.
+constexpr std::size_t kPrefetchEntries = 8;
+
+template <std::size_t W>
+inline void copy_fixed(std::byte* d, const std::byte* s) noexcept {
+    std::memcpy(d, s, W);
+}
+
+// Copies n >= 1 bytes between buffers that do not overlap. Up to 64 B,
+// the widths strided region lists are made of, fixed-width moves replace
+// the libc call: two moves that overlap in the middle for 4-16 B, 16 B
+// moves and an overlapping 16 B tail for 17-64 B, and the first, middle
+// and last byte below 4 B.
+inline void copy_bytes(std::byte* d, const std::byte* s, std::size_t n) noexcept {
+    if (n > 64) {
+        std::memcpy(d, s, n);
+    } else if (n > 16) {
+        for (std::size_t i = 0; i + 16 < n; i += 16) copy_fixed<16>(d + i, s + i);
+        copy_fixed<16>(d + n - 16, s + n - 16);
+    } else if (n >= 8) {
+        copy_fixed<8>(d, s);
+        copy_fixed<8>(d + n - 8, s + n - 8);
+    } else if (n >= 4) {
+        copy_fixed<4>(d, s);
+        copy_fixed<4>(d + n - 4, s + n - 4);
+    } else {
+        d[0] = s[0];
+        d[n / 2] = s[n / 2];
+        d[n - 1] = s[n - 1];
+    }
+}
+
 } // namespace
 
 Status copy_regions(std::span<const IovEntry> src, Count src_off,
@@ -27,18 +59,31 @@ Status copy_regions(std::span<const IovEntry> src, Count src_off,
     std::size_t si = 0, di = 0;
     while (si < src.size() && src_off >= src[si].len) src_off -= src[si++].len;
     while (di < dst.size() && dst_off >= dst[di].len) dst_off -= dst[di++].len;
+    // A cursor that steps onto an entry prefetches the base of the entry
+    // kPrefetchEntries further down its list (read intent on the source,
+    // write intent on the destination), so strided entries on cold lines
+    // arrive while the ones before them copy. Only entries that exist are
+    // indexed: a list no longer than the distance prefetches nothing.
+    const auto step_src = [&] {
+        if (++si + kPrefetchEntries < src.size())
+            __builtin_prefetch(src[si + kPrefetchEntries].base, 0);
+    };
+    const auto step_dst = [&] {
+        if (++di + kPrefetchEntries < dst.size())
+            __builtin_prefetch(dst[di + kPrefetchEntries].base, 1);
+    };
     // Walk both lists in lockstep: copy the overlap of the current entries,
     // then step past whichever ran out (both, when they end together). An
     // empty entry is stepped over before anything else (its base may be
     // null), so trailing empty source entries never read as truncation.
-    // The entries and the count live in locals, which memcpy cannot alias,
-    // so nothing is reloaded after each copy.
+    // The entries and the count live in locals, which the copy cannot
+    // alias, so nothing is reloaded after each copy.
     Count remaining = len;
     Status st = Status::success;
     while (remaining > 0 && si < src.size()) {
         const IovEntry s = src[si];
         if (s.len == 0) {
-            ++si;
+            step_src();
             continue;
         }
         if (di == dst.size()) {
@@ -47,23 +92,23 @@ Status copy_regions(std::span<const IovEntry> src, Count src_off,
         }
         const IovEntry d = dst[di];
         if (d.len == 0) {
-            ++di;
+            step_dst();
             continue;
         }
         const Count s_left = s.len - src_off, d_left = d.len - dst_off;
         const Count n = std::min(remaining, std::min(s_left, d_left));
-        std::memcpy(static_cast<std::byte*>(d.base) + dst_off,
-                    static_cast<const std::byte*>(s.base) + src_off,
-                    static_cast<std::size_t>(n));
+        copy_bytes(static_cast<std::byte*>(d.base) + dst_off,
+                   static_cast<const std::byte*>(s.base) + src_off,
+                   static_cast<std::size_t>(n));
         remaining -= n;
         if (n == s_left) {
-            ++si;
+            step_src();
             src_off = 0;
         } else {
             src_off += n;
         }
         if (n == d_left) {
-            ++di;
+            step_dst();
             dst_off = 0;
         } else {
             dst_off += n;

@@ -109,7 +109,12 @@ private:
 // err_truncate when dst runs out first (*moved then holds what fit). It
 // counts nothing: a caller books the bytes as a host copy
 // (datapath::add_copied: gather, scatter, bounce) or as NIC DMA
-// (datapath::add_dma: the zero-copy rendezvous).
+// (datapath::add_dma: the zero-copy rendezvous). Its wall-clock cost is
+// never charged to a clock; the callers model it instead (DESIGN.md §5).
+// Strided lists of short entries on cold lines set that cost, so each
+// cursor prefetches the entry 8 further down its list as it steps, and an
+// overlap of 64 B or less is copied with fixed-width moves rather than a
+// libc memcpy call (docs/PERF.md §13).
 [[nodiscard]] Status copy_regions(std::span<const IovEntry> src, Count src_off,
                                   std::span<const IovEntry> dst, Count dst_off,
                                   Count len, Count* moved);

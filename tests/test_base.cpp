@@ -314,6 +314,8 @@ TEST(Hist, RegistryEmitsPercentilesInJson) {
     EXPECT_NE(json.find("\"p99\""), std::string::npos);
     metrics().reset();
     EXPECT_EQ(metrics().histogram("histgrp", "lat_ns").snapshot().count, 0u);
+    // An empty histogram stays in hist_snapshot() but leaves the JSON.
+    EXPECT_EQ(metrics().to_json().find("\"lat_ns\""), std::string::npos);
 }
 
 // --- Flight recorder (base/flight_recorder.hpp) ---------------------------

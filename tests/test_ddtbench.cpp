@@ -2,6 +2,7 @@
 // strategies must deliver identical data.
 #include <gtest/gtest.h>
 
+#include "base/pool.hpp"
 #include "base/stats.hpp"
 #include "ddtbench/kernel.hpp"
 #include "p2p/universe.hpp"
@@ -132,6 +133,30 @@ TEST_P(KernelTest, CustomRegionTransferWhereSupported) {
     EXPECT_EQ(rr.wait().status, Status::success);
     EXPECT_EQ(rs.wait().status, Status::success);
     EXPECT_TRUE(recv_->verify(*send_));
+}
+
+// The same regions over the zero-copy rendezvous: IOV sends go rendezvous
+// from 32 KiB, so the sender's list is walked into the receiver's region
+// table (12,288 entries for NAS_MG_x) as one DMA, and no byte is copied by
+// the host.
+TEST_P(KernelTest, CustomRegionRendezvousWhereSupported) {
+    if (send_->region_count() == 0) {
+        GTEST_SKIP() << "regions impracticable for " << GetParam();
+    }
+    p2p::Universe uni(2, test::iov_rndv_params());
+    const auto& type = kernel_region_type();
+    const auto rdma0 = uni.worker(0).stats().rndv_rdma;
+    const auto dma0 = datapath::bytes_dma().load();
+    const auto copied0 = datapath::bytes_copied().load();
+    auto rr = uni.comm(1).irecv_custom(recv_.get(), 1, type, 0, 1);
+    auto rs = uni.comm(0).isend_custom(send_.get(), 1, type, 1, 1);
+    EXPECT_EQ(rr.wait().status, Status::success);
+    EXPECT_EQ(rs.wait().status, Status::success);
+    EXPECT_TRUE(recv_->verify(*send_));
+    EXPECT_EQ(uni.worker(0).stats().rndv_rdma, rdma0 + 1);
+    EXPECT_EQ(datapath::bytes_dma().load() - dma0,
+              static_cast<std::uint64_t>(send_->payload_bytes()));
+    EXPECT_EQ(datapath::bytes_copied().load(), copied0);
 }
 
 TEST_P(KernelTest, RegionFlagMatchesTableI) {

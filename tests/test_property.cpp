@@ -8,10 +8,13 @@
 #include <array>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/crc32.hpp"
@@ -562,27 +565,34 @@ TEST(SeqWindowProperty, MatchesSetReferenceOnLossyStreams) {
 // --- The region walker (ucx::copy_regions) -----------------------------------
 
 // A region list over an arena of its own. Every entry has its own stretch
-// of the arena with kGuard guard bytes before it, and the arena ends in
-// kGuard more, so a write outside every entry lands on a guard. Empty
-// entries have a null base: the walker must never touch them.
+// of the arena with at least kGuard guard bytes before it, and the arena
+// ends in kGuard more, so a write outside every entry lands on a guard.
+// With `line` > 1 each entry also starts on a `line`-aligned address, so
+// entries of up to `line` bytes sit on lines of their own, as strided
+// halo entries do. The entries live in a heap array of exactly their
+// count, so reading one past the last is a heap-buffer-overflow under
+// ASan. Empty entries have a null base: the walker must never touch them.
 struct RegionList {
     static constexpr std::size_t kGuard = 8;
     static constexpr std::byte kGuardByte{0xA5};
 
-    RegionList(const std::vector<Count>& lens, std::uint32_t seed) {
-        std::size_t size = kGuard;
-        for (const Count len : lens) size += static_cast<std::size_t>(len) + kGuard;
+    RegionList(const std::vector<Count>& lens, std::uint32_t seed, std::size_t line = 1)
+        : table(std::make_unique<IovEntry[]>(lens.size())), entries(table.get(), lens.size()) {
+        std::size_t size = kGuard + line;
+        for (const Count len : lens) size += static_cast<std::size_t>(len) + kGuard + line - 1;
         arena = test::pattern_bytes(size, seed);
-        std::size_t at = 0;
-        for (const Count len : lens) {
-            guards.push_back(at);
-            at += kGuard;
-            entries.push_back({len == 0 ? nullptr : arena.data() + at, len});
-            at += static_cast<std::size_t>(len);
+        const auto addr = reinterpret_cast<std::uintptr_t>(arena.data());
+        std::size_t at = 0; // the end of the last entry
+        for (std::size_t i = 0; i < lens.size(); ++i) {
+            const std::size_t start = (addr + at + kGuard + line - 1) / line * line - addr;
+            guards.emplace_back(at, start);
+            entries[i] = {lens[i] == 0 ? nullptr : arena.data() + start, lens[i]};
+            at = start + static_cast<std::size_t>(lens[i]);
         }
-        guards.push_back(at);
-        for (const std::size_t g : guards)
-            std::fill_n(arena.begin() + static_cast<std::ptrdiff_t>(g), kGuard, kGuardByte);
+        guards.emplace_back(at, size);
+        for (const auto& [from, to] : guards)
+            std::fill(arena.begin() + static_cast<std::ptrdiff_t>(from),
+                      arena.begin() + static_cast<std::ptrdiff_t>(to), kGuardByte);
     }
 
     // The list's bytes in stream order.
@@ -595,15 +605,16 @@ struct RegionList {
     }
 
     [[nodiscard]] bool guards_intact() const {
-        for (const std::size_t g : guards)
-            for (std::size_t i = 0; i < kGuard; ++i)
-                if (arena[g + i] != kGuardByte) return false;
+        for (const auto& [from, to] : guards)
+            for (std::size_t i = from; i < to; ++i)
+                if (arena[i] != kGuardByte) return false;
         return true;
     }
 
     ByteVec arena;
-    std::vector<IovEntry> entries;
-    std::vector<std::size_t> guards; // arena offsets of the guard runs
+    std::unique_ptr<IovEntry[]> table;
+    std::span<IovEntry> entries;
+    std::vector<std::pair<std::size_t, std::size_t>> guards; // [from, to) arena runs
 };
 
 // One walk against the reference: flatten both lists, copy between the two
@@ -689,6 +700,54 @@ TEST(RegionWalker, MatchesFlattenedReference) {
                 src_off = 0;
                 len = stotal;
             }
+            check_walk(src, dst, src_off, dst_off, len);
+        }
+    }
+}
+
+// Long lists of short entries, each on a cache line of its own: the
+// walker's prefetch ahead and its fixed-width copies. Widths straddle
+// every copy branch (1-3, 4-7, 8-16 and 17-64 B, and longer) and include
+// empty entries. The first 36 walks of each shape pair list lengths of 1,
+// 7, 8, 9, 16 and 17, around the prefetch distance (8 entries); the rest
+// draw 1-3,000 entries. Offsets land anywhere in the stream, mostly inside
+// entries, and a third of the lengths reach past both ends. Shapes and the
+// one-entry side are as in MatchesFlattenedReference.
+TEST(RegionWalker, ShortEntriesOnLongLists) {
+    enum Shape { gather, scatter, lists };
+    static constexpr Count kWidths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,  12, 15,  16,
+                                        17, 24, 31, 32, 33, 40, 48, 63, 64, 65, 100, 300};
+    static constexpr std::size_t kShortLengths[] = {1, 7, 8, 9, 16, 17};
+    constexpr std::size_t kLine = 64;
+    std::mt19937_64 rng(0x5107);
+    const auto upto = [&](Count hi) {
+        return static_cast<Count>(rng() % static_cast<std::uint64_t>(hi + 1));
+    };
+    const auto random_lens = [&](std::size_t n) {
+        std::vector<Count> lens(n);
+        for (auto& len : lens) len = kWidths[rng() % std::size(kWidths)];
+        return lens;
+    };
+    const auto total = [](const std::vector<Count>& lens) {
+        return std::accumulate(lens.begin(), lens.end(), Count{0});
+    };
+    for (const Shape shape : {gather, scatter, lists}) {
+        for (std::uint32_t iter = 0; iter < 100 && !HasFailure(); ++iter) {
+            SCOPED_TRACE("shape " + std::to_string(shape) + " iter " + std::to_string(iter));
+            const auto length = [&](std::size_t pick) {
+                return iter < 36 ? kShortLengths[pick % 6]
+                                 : static_cast<std::size_t>(1 + upto(2999));
+            };
+            std::vector<Count> src_lens = random_lens(length(iter)),
+                               dst_lens = random_lens(length(iter / 6));
+            if (shape == gather) dst_lens = {upto(total(src_lens) + 64)};
+            if (shape == scatter) src_lens = {upto(total(dst_lens) + 64)};
+            const RegionList src(src_lens, 2 * iter + 1, kLine);
+            RegionList dst(dst_lens, 2 * iter + 2, kLine);
+            const Count stotal = total(src_lens), dtotal = total(dst_lens);
+            const Count src_off = upto(stotal + 16), dst_off = upto(dtotal + 16);
+            const Count len = upto(2) == 0 ? std::max(stotal, dtotal) + 16
+                                           : upto(std::max(stotal, dtotal) + 16);
             check_walk(src, dst, src_off, dst_off, len);
         }
     }
