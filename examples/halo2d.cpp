@@ -2,7 +2,9 @@
 // custom API on the same communication pattern — the "existing C code"
 // perspective. Each rank owns an interior block of a global grid; row
 // halos are contiguous, column halos are strided. Column halos are where
-// derived datatypes and the custom region callbacks meet head-on.
+// derived datatypes and the custom region callbacks meet head-on. Exits 1
+// when a transfer fails or a halo column holds wrong values.
+#include <atomic>
 #include <cstdio>
 #include <vector>
 
@@ -24,6 +26,22 @@ struct Grid {
         return cells.data() + row * (kN + 2);
     }
 };
+
+// Interior cell (r, c) of rank `rank`.
+double cell_value(int rank, Count r, Count c) {
+    return rank + 0.001 * static_cast<double>(r * kN + c);
+}
+
+// The left halo column must hold the left neighbour's last interior
+// column; clear it afterwards so the next exchange is checked afresh.
+int check_and_clear_halo(Grid& grid, int left) {
+    int bad = 0;
+    for (Count r = 1; r <= kN; ++r) {
+        if (grid.at(r)[0] != cell_value(left, r, kN)) ++bad;
+        grid.at(r)[0] = 0.0;
+    }
+    return bad;
+}
 
 // Custom datatype exposing a grid column as kN memory regions of one
 // double each — deliberately the fine-grained case, to contrast with the
@@ -77,14 +95,15 @@ int main() {
     using namespace mpicd;
 
     // 1D decomposition over 4 ranks; left/right column halos.
-    p2p::run_world(4, [](p2p::Communicator& comm) {
+    std::atomic<int> failures{0};
+    p2p::run_world(4, [&](p2p::Communicator& comm) {
         const int rank = comm.rank();
         const int right = (rank + 1) % comm.size();
         const int left = (rank + comm.size() - 1) % comm.size();
 
         Grid grid;
         for (Count r = 1; r <= kN; ++r)
-            for (Count c = 1; c <= kN; ++c) grid.at(r)[c] = rank + 0.001 * (r * kN + c);
+            for (Count c = 1; c <= kN; ++c) grid.at(r)[c] = cell_value(rank, r, c);
 
         // Derived datatype for a column: kN doubles with row stride.
         auto col_dt = dt::Datatype::vector(kN, 1, kN + 2, dt::type_double());
@@ -95,8 +114,9 @@ int main() {
             // Classic derived-datatype halo: right edge out, left halo in.
             auto rr = comm.irecv(grid.at(1) + 0, 1, col_dt, left, 10 + it);
             auto rs = comm.isend(grid.at(1) + kN, 1, col_dt, right, 10 + it);
-            (void)rs.wait();
-            (void)rr.wait();
+            const bool sent = ok(rs.wait().status);
+            if (!ok(rr.wait().status) || !sent) ++failures;
+            failures += check_and_clear_halo(grid, left);
         }
         const SimTime t_ddt = comm.now() - t0;
 
@@ -107,8 +127,9 @@ int main() {
             ColumnView in_col{&grid, 0};
             auto rr = comm.irecv_custom(&in_col, 1, column_type(), left, 50 + it);
             auto rs = comm.isend_custom(&out_col, 1, column_type(), right, 50 + it);
-            (void)rs.wait();
-            (void)rr.wait();
+            const bool sent = ok(rs.wait().status);
+            if (!ok(rr.wait().status) || !sent) ++failures;
+            failures += check_and_clear_halo(grid, left);
         }
         const SimTime t_custom = comm.now() - t1;
 
@@ -117,5 +138,9 @@ int main() {
                     "costs — Table I's lesson)\n",
                     rank, kIters, t_ddt, t_custom);
     });
+    if (failures.load() != 0) {
+        std::printf("halo2d: FAILED (%d bad transfers or cells)\n", failures.load());
+        return 1;
+    }
     return 0;
 }

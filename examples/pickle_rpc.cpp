@@ -2,7 +2,9 @@
 // ships a dynamically-typed result object (dict of scalars + NumPy-like
 // arrays) to a "collector" rank under all three transfer strategies and
 // reports the virtual cost of each, showing why out-of-band pickle through
-// the custom datatype engine is the preferred encoding.
+// the custom datatype engine is the preferred encoding. Exits 1 when a
+// transfer fails or the collector's object differs from the driver's.
+#include <atomic>
 #include <cstdio>
 
 #include "p2p/runner.hpp"
@@ -31,6 +33,7 @@ PyValue make_result_object() {
 
 int main() {
     using pysim::PyXfer;
+    std::atomic<int> failures{0};
     const auto object = make_result_object();
     std::printf("result object payload: %lld bytes of array data\n",
                 object.payload_bytes());
@@ -43,28 +46,31 @@ int main() {
                 const SimTime before = comm.now();
                 if (!ok(pysim::send_pyobj(comm, object, 1, 0, opts))) {
                     std::printf("send failed!\n");
-                    return;
+                    ++failures;
                 }
                 // Wait for the collector's ack so the send-side clock covers
-                // the full delivery.
+                // the full delivery; '+' says the object arrived intact.
                 char ackbuf = 0;
-                (void)comm.recv_bytes(&ackbuf, 1, 1, 1);
+                if (!ok(comm.recv_bytes(&ackbuf, 1, 1, 1).status) || ackbuf != '+')
+                    ++failures;
                 std::printf("%-16s delivered in %8.1f us (virtual)\n",
                             to_cstring(method), comm.now() - before);
             } else {
                 PyValue received;
-                if (!ok(pysim::recv_pyobj(comm, &received, 0, 0, opts))) {
-                    std::printf("recv failed!\n");
-                    return;
-                }
-                const char ack = received == object ? '+' : '!';
-                (void)comm.send_bytes(&ack, 1, 0, 1);
-                if (received != object) std::printf("MISMATCH under %s\n",
-                                                    to_cstring(method));
+                const bool got = ok(pysim::recv_pyobj(comm, &received, 0, 0, opts));
+                if (!got) std::printf("recv failed!\n");
+                const char ack = got && received == object ? '+' : '!';
+                if (got && received != object)
+                    std::printf("MISMATCH under %s\n", to_cstring(method));
+                if (!ok(comm.send_bytes(&ack, 1, 0, 1).status)) ++failures;
             }
         });
     }
     std::printf("(oob-cdt uses one header message plus ONE custom-datatype "
                 "message carrying every array as a memory region)\n");
+    if (failures.load() != 0) {
+        std::printf("pickle_rpc: FAILED (%d)\n", failures.load());
+        return 1;
+    }
     return 0;
 }

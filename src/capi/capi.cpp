@@ -6,8 +6,6 @@
 
 #include "core/custom_type.hpp"
 #include "dt/datatype.hpp"
-#include "dt/convertor.hpp"
-#include "p2p/collectives.hpp"
 #include "p2p/runner.hpp"
 
 using mpicd::Count;
@@ -32,9 +30,10 @@ struct CTable {
 
 } // namespace
 
+// A handle is either a custom type (MPI_Type_create_custom) or one of the
+// predefined singletons.
 struct mpicd_datatype_s {
     bool custom = false;
-    bool predefined = false;
     mpicd::dt::TypeRef dt;
     mpicd::core::CustomDatatype ctype;
     CTable ctable;
@@ -46,10 +45,6 @@ struct mpicd_comm_s {
 
 struct mpicd_request_s {
     mpicd::p2p::Request rq;
-};
-
-struct mpicd_message_s {
-    mpicd::p2p::Message msg;
 };
 
 namespace {
@@ -148,8 +143,7 @@ Status tramp_region(void* state, void* buf, Count count, Count region_count,
     for (Count i = 0; i < region_count; ++i) {
         const MPI_Datatype t = types[static_cast<std::size_t>(i)];
         if (t == nullptr) continue; // already bytes
-        if (t->custom || t->dt == nullptr || !t->dt->is_contiguous())
-            return Status::err_region;
+        if (t->custom) return Status::err_region;
         reg_lens[i] *= t->dt->size();
     }
     return Status::success;
@@ -160,7 +154,6 @@ Status tramp_region(void* state, void* buf, Count count, Count region_count,
 MPI_Datatype make_predef_handle(const mpicd::dt::TypeRef& t) {
     auto* h = new mpicd_datatype_s();
     h->dt = t;
-    h->predefined = true;
     return h;
 }
 
@@ -173,8 +166,6 @@ int start_op(MPI_Comm comm, MPI_Datatype type, bool send, void* rbuf, const void
         *out = send ? c.isend_custom(sbuf, count, type->ctype, peer, tag)
                     : c.irecv_custom(rbuf, count, type->ctype, peer, tag);
     } else {
-        if (type->dt == nullptr) return MPI_ERR_TYPE;
-        if (!type->dt->committed()) return MPI_ERR_TYPE;
         *out = send ? c.isend(sbuf, count, type->dt, peer, tag)
                     : c.irecv(rbuf, count, type->dt, peer, tag);
     }
@@ -201,24 +192,8 @@ MPI_Datatype MPIX_Type_byte(void) {
     static MPI_Datatype h = make_predef_handle(mpicd::dt::type_byte());
     return h;
 }
-MPI_Datatype MPIX_Type_char(void) {
-    static MPI_Datatype h = make_predef_handle(mpicd::dt::type_char());
-    return h;
-}
 MPI_Datatype MPIX_Type_int(void) {
     static MPI_Datatype h = make_predef_handle(mpicd::dt::type_int32());
-    return h;
-}
-MPI_Datatype MPIX_Type_int64(void) {
-    static MPI_Datatype h = make_predef_handle(mpicd::dt::type_int64());
-    return h;
-}
-MPI_Datatype MPIX_Type_float(void) {
-    static MPI_Datatype h = make_predef_handle(mpicd::dt::type_float());
-    return h;
-}
-MPI_Datatype MPIX_Type_double(void) {
-    static MPI_Datatype h = make_predef_handle(mpicd::dt::type_double());
     return h;
 }
 
@@ -260,99 +235,10 @@ int MPI_Type_create_custom(MPI_Type_custom_state_function* statefn,
     return MPI_SUCCESS;
 }
 
-// --- Classic derived datatypes ---------------------------------------------------
-
-int MPI_Type_contiguous(MPI_Count count, MPI_Datatype oldtype, MPI_Datatype* newtype) {
-    if (newtype == nullptr || oldtype == nullptr || oldtype->custom) return MPI_ERR_ARG;
-    auto t = mpicd::dt::Datatype::contiguous(count, oldtype->dt);
-    if (t == nullptr) return MPI_ERR_ARG;
-    auto* h = new mpicd_datatype_s();
-    h->dt = std::move(t);
-    *newtype = h;
-    return MPI_SUCCESS;
-}
-
-int MPI_Type_vector(MPI_Count count, MPI_Count blocklength, MPI_Count stride,
-                    MPI_Datatype oldtype, MPI_Datatype* newtype) {
-    if (newtype == nullptr || oldtype == nullptr || oldtype->custom) return MPI_ERR_ARG;
-    auto t = mpicd::dt::Datatype::vector(count, blocklength, stride, oldtype->dt);
-    if (t == nullptr) return MPI_ERR_ARG;
-    auto* h = new mpicd_datatype_s();
-    h->dt = std::move(t);
-    *newtype = h;
-    return MPI_SUCCESS;
-}
-
-int MPI_Type_indexed(MPI_Count count, const MPI_Count blocklengths[],
-                     const MPI_Count displacements[], MPI_Datatype oldtype,
-                     MPI_Datatype* newtype) {
-    if (newtype == nullptr || oldtype == nullptr || oldtype->custom || count < 0)
-        return MPI_ERR_ARG;
-    auto t = mpicd::dt::Datatype::indexed(
-        std::span<const Count>(blocklengths, static_cast<std::size_t>(count)),
-        std::span<const Count>(displacements, static_cast<std::size_t>(count)),
-        oldtype->dt);
-    if (t == nullptr) return MPI_ERR_ARG;
-    auto* h = new mpicd_datatype_s();
-    h->dt = std::move(t);
-    *newtype = h;
-    return MPI_SUCCESS;
-}
-
-int MPI_Type_create_struct(MPI_Count count, const MPI_Count blocklengths[],
-                           const MPI_Count displacements[], const MPI_Datatype types[],
-                           MPI_Datatype* newtype) {
-    if (newtype == nullptr || count < 0) return MPI_ERR_ARG;
-    std::vector<mpicd::dt::TypeRef> refs;
-    refs.reserve(static_cast<std::size_t>(count));
-    for (MPI_Count i = 0; i < count; ++i) {
-        if (types[i] == nullptr || types[i]->custom) return MPI_ERR_ARG;
-        refs.push_back(types[i]->dt);
-    }
-    auto t = mpicd::dt::Datatype::struct_(
-        std::span<const Count>(blocklengths, static_cast<std::size_t>(count)),
-        std::span<const Count>(displacements, static_cast<std::size_t>(count)), refs);
-    if (t == nullptr) return MPI_ERR_ARG;
-    auto* h = new mpicd_datatype_s();
-    h->dt = std::move(t);
-    *newtype = h;
-    return MPI_SUCCESS;
-}
-
-int MPI_Type_create_resized(MPI_Datatype oldtype, MPI_Count lb, MPI_Count extent,
-                            MPI_Datatype* newtype) {
-    if (newtype == nullptr || oldtype == nullptr || oldtype->custom) return MPI_ERR_ARG;
-    auto t = mpicd::dt::Datatype::resized(oldtype->dt, lb, extent);
-    if (t == nullptr) return MPI_ERR_ARG;
-    auto* h = new mpicd_datatype_s();
-    h->dt = std::move(t);
-    *newtype = h;
-    return MPI_SUCCESS;
-}
-
-int MPI_Type_commit(MPI_Datatype* type) {
-    if (type == nullptr || *type == nullptr) return MPI_ERR_ARG;
-    if ((*type)->custom) return MPI_SUCCESS; // custom types are born committed
-    return to_mpi_err((*type)->dt->commit());
-}
-
 int MPI_Type_free(MPI_Datatype* type) {
     if (type == nullptr || *type == nullptr) return MPI_ERR_ARG;
-    if (!(*type)->predefined) delete *type;
+    if ((*type)->custom) delete *type;
     *type = MPI_DATATYPE_NULL;
-    return MPI_SUCCESS;
-}
-
-int MPI_Type_size(MPI_Datatype type, MPI_Count* size) {
-    if (type == nullptr || size == nullptr || type->custom) return MPI_ERR_TYPE;
-    *size = type->dt->size();
-    return MPI_SUCCESS;
-}
-
-int MPI_Type_get_extent(MPI_Datatype type, MPI_Count* lb, MPI_Count* extent) {
-    if (type == nullptr || type->custom) return MPI_ERR_TYPE;
-    if (lb != nullptr) *lb = type->dt->lb();
-    if (extent != nullptr) *extent = type->dt->extent();
     return MPI_SUCCESS;
 }
 
@@ -401,17 +287,6 @@ int MPI_Wait(MPI_Request* request, MPI_Status* status) {
     return to_mpi_err(st.status);
 }
 
-int MPI_Waitall(int count, MPI_Request requests[], MPI_Status statuses[]) {
-    int rc = MPI_SUCCESS;
-    for (int i = 0; i < count; ++i) {
-        MPI_Status* st =
-            statuses == MPI_STATUSES_IGNORE ? MPI_STATUS_IGNORE : &statuses[i];
-        const int r = MPI_Wait(&requests[i], st);
-        if (r != MPI_SUCCESS) rc = r;
-    }
-    return rc;
-}
-
 int MPI_Send(const void* buf, MPI_Count count, MPI_Datatype type, int dest, int tag,
              MPI_Comm comm) {
     MPI_Request rq = MPI_REQUEST_NULL;
@@ -441,154 +316,13 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
     return rc;
 }
 
-int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status) {
-    if (comm == nullptr || comm->comm == nullptr || flag == nullptr)
-        return MPI_ERR_ARG;
-    const auto info = comm->comm->iprobe(source, tag);
-    *flag = info.has_value() ? 1 : 0;
-    if (info && status != MPI_STATUS_IGNORE) {
-        status->MPI_SOURCE = info->source;
-        status->MPI_TAG = info->tag;
-        status->MPI_ERROR = MPI_SUCCESS;
-        status->count_ = info->bytes;
-    }
-    return MPI_SUCCESS;
-}
-
-int MPI_Mprobe(int source, int tag, MPI_Comm comm, MPI_Message* message,
-               MPI_Status* status) {
-    if (comm == nullptr || comm->comm == nullptr || message == nullptr)
-        return MPI_ERR_ARG;
-    auto h = std::make_unique<mpicd_message_s>();
-    h->msg = comm->comm->mprobe(source, tag);
-    const int rc = to_mpi_err(h->msg.info.status);
-    if (status != MPI_STATUS_IGNORE) {
-        status->MPI_SOURCE = h->msg.info.source;
-        status->MPI_TAG = h->msg.info.tag;
-        status->MPI_ERROR = rc;
-        status->count_ = h->msg.info.bytes;
-    }
-    *message = rc == MPI_SUCCESS ? h.release() : nullptr;
-    return rc;
-}
-
-int MPI_Imrecv(void* buf, MPI_Count count, MPI_Datatype type, MPI_Message* message,
-               MPI_Request* request) {
-    if (message == nullptr || *message == nullptr || request == nullptr ||
-        type == nullptr)
-        return MPI_ERR_ARG;
-    // Matched receives deliver raw bytes; the caller sizes the buffer from
-    // the probe status. (Derived/custom imrecv is future work, as in the
-    // paper's discussion of receive-side size limitations.)
-    if (type->custom || !type->dt->is_contiguous()) return MPI_ERR_TYPE;
-    mpicd_comm_s* world = MPIX_Comm_world();
-    if (world->comm == nullptr) return MPI_ERR_ARG;
-    auto h = std::make_unique<mpicd_request_s>();
-    h->rq = world->comm->imrecv((*message)->msg, buf, count * type->dt->size());
-    delete *message;
-    *message = nullptr;
-    *request = h.release();
-    return MPI_SUCCESS;
-}
-
 int MPI_Get_count(const MPI_Status* status, MPI_Datatype type, MPI_Count* count) {
     if (status == nullptr || type == nullptr || count == nullptr) return MPI_ERR_ARG;
     if (type->custom) return MPI_ERR_TYPE; // see paper §VI: needs new API
     const Count size = type->dt->size();
-    if (size == 0) {
-        *count = 0;
-        return MPI_SUCCESS;
-    }
     if (status->count_ % size != 0) return MPI_ERR_TYPE;
     *count = status->count_ / size;
     return MPI_SUCCESS;
-}
-
-int MPI_Sendrecv(const void* sendbuf, MPI_Count sendcount, MPI_Datatype sendtype,
-                 int dest, int sendtag, void* recvbuf, MPI_Count recvcount,
-                 MPI_Datatype recvtype, int source, int recvtag, MPI_Comm comm,
-                 MPI_Status* status) {
-    MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
-    int rc = MPI_Irecv(recvbuf, recvcount, recvtype, source, recvtag, comm, &reqs[0]);
-    if (rc != MPI_SUCCESS) return rc;
-    rc = MPI_Isend(sendbuf, sendcount, sendtype, dest, sendtag, comm, &reqs[1]);
-    if (rc != MPI_SUCCESS) {
-        (void)MPI_Wait(&reqs[0], MPI_STATUS_IGNORE);
-        return rc;
-    }
-    const int rr = MPI_Wait(&reqs[0], status);
-    const int rs = MPI_Wait(&reqs[1], MPI_STATUS_IGNORE);
-    return rr != MPI_SUCCESS ? rr : rs;
-}
-
-int MPI_Pack(const void* inbuf, MPI_Count incount, MPI_Datatype type, void* outbuf,
-             MPI_Count outsize, MPI_Count* position, MPI_Comm /*comm*/) {
-    if (type == nullptr || type->custom || position == nullptr) return MPI_ERR_TYPE;
-    if (!type->dt->committed()) return MPI_ERR_TYPE;
-    const Count need = type->dt->size() * incount;
-    if (*position + need > outsize) return MPI_ERR_TRUNCATE;
-    Count used = 0;
-    const Status st = mpicd::dt::Convertor::pack_all(
-        type->dt, inbuf, incount,
-        mpicd::MutBytes(static_cast<std::byte*>(outbuf) + *position,
-                        static_cast<std::size_t>(need)),
-        &used);
-    if (!ok(st)) return to_mpi_err(st);
-    *position += used;
-    return MPI_SUCCESS;
-}
-
-int MPI_Unpack(const void* inbuf, MPI_Count insize, MPI_Count* position,
-               void* outbuf, MPI_Count outcount, MPI_Datatype type,
-               MPI_Comm /*comm*/) {
-    if (type == nullptr || type->custom || position == nullptr) return MPI_ERR_TYPE;
-    if (!type->dt->committed()) return MPI_ERR_TYPE;
-    const Count need = type->dt->size() * outcount;
-    if (*position + need > insize) return MPI_ERR_TRUNCATE;
-    const Status st = mpicd::dt::Convertor::unpack_all(
-        type->dt, outbuf, outcount,
-        mpicd::ConstBytes(static_cast<const std::byte*>(inbuf) + *position,
-                          static_cast<std::size_t>(need)));
-    if (!ok(st)) return to_mpi_err(st);
-    *position += need;
-    return MPI_SUCCESS;
-}
-
-int MPI_Pack_size(MPI_Count incount, MPI_Datatype type, MPI_Comm /*comm*/,
-                  MPI_Count* size) {
-    if (type == nullptr || type->custom || size == nullptr) return MPI_ERR_TYPE;
-    *size = type->dt->size() * incount;
-    return MPI_SUCCESS;
-}
-
-int MPI_Barrier(MPI_Comm comm) {
-    if (comm == nullptr || comm->comm == nullptr) return MPI_ERR_ARG;
-    return to_mpi_err(mpicd::p2p::barrier(*comm->comm));
-}
-
-int MPI_Bcast(void* buf, MPI_Count count, MPI_Datatype type, int root,
-              MPI_Comm comm) {
-    if (comm == nullptr || comm->comm == nullptr || type == nullptr)
-        return MPI_ERR_ARG;
-    if (type->custom) {
-        return to_mpi_err(
-            mpicd::p2p::bcast_custom(*comm->comm, buf, count, type->ctype, root));
-    }
-    return to_mpi_err(mpicd::p2p::bcast(*comm->comm, buf, count, type->dt, root));
-}
-
-int MPI_Gather(const void* sendbuf, MPI_Count sendcount, MPI_Datatype sendtype,
-               void* recvbuf, MPI_Count recvcount, MPI_Datatype recvtype, int root,
-               MPI_Comm comm) {
-    if (comm == nullptr || comm->comm == nullptr || sendtype == nullptr ||
-        sendtype->custom)
-        return MPI_ERR_ARG;
-    if (!sendtype->dt->is_contiguous()) return MPI_ERR_TYPE; // contiguous only
-    if (recvtype != nullptr && !recvtype->custom && recvtype->dt->is_contiguous() &&
-        recvtype->dt->size() * recvcount != sendtype->dt->size() * sendcount)
-        return MPI_ERR_COUNT;
-    return to_mpi_err(mpicd::p2p::gather_bytes(
-        *comm->comm, sendbuf, sendtype->dt->size() * sendcount, recvbuf, root));
 }
 
 int MPIX_Run_world(int nranks, void (*fn)(void* arg), void* arg) {
@@ -603,10 +337,6 @@ int MPIX_Run_world(int nranks, void (*fn)(void* arg), void* arg) {
 
 double MPIX_Wtime_virtual(void) {
     return tls_world.comm != nullptr ? tls_world.comm->now() : 0.0;
-}
-
-void MPIX_Advance_time(double microseconds) {
-    if (tls_world.comm != nullptr) tls_world.comm->advance_time(microseconds);
 }
 
 } // extern "C"

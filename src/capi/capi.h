@@ -1,13 +1,14 @@
 /* capi.h — C API for the custom datatype prototype.
  *
  * This header exposes the exact interface proposed in the paper
- * (Listings 2-5: MPI_Type_create_custom and its callback typedefs)
- * together with the minimal MPI surface needed to use it: communicator
- * queries, point-to-point operations, probe / matched probe, and the
- * classic derived-datatype constructors, all backed by the simulated
- * fabric. Ranks run as threads of one process via MPIX_Run_world (the
- * moral equivalent of mpirun for this prototype), so MPI_COMM_WORLD is
- * resolved per thread.
+ * (Listings 2-5: MPI_Type_create_custom, its callback typedefs and
+ * MPI_Type_free) together with the minimal MPI surface needed to use it
+ * (DESIGN.md section 2): communicator queries, blocking and nonblocking
+ * point-to-point operations, and probe with MPI_Get_count, all backed by
+ * the simulated fabric. Ranks run as threads of one process via
+ * MPIX_Run_world (the moral equivalent of mpirun for this prototype), so
+ * MPI_COMM_WORLD is resolved per thread. examples/capi_demo.cpp calls every
+ * function declared here.
  *
  * Handles are opaque pointers; every function returns MPI_SUCCESS or an
  * MPI_ERR_* code. The header is consumable from C (and from C++).
@@ -26,7 +27,6 @@ typedef long long MPI_Count;
 typedef struct mpicd_comm_s* MPI_Comm;
 typedef struct mpicd_datatype_s* MPI_Datatype;
 typedef struct mpicd_request_s* MPI_Request;
-typedef struct mpicd_message_s* MPI_Message;
 
 typedef struct MPI_Status {
     int MPI_SOURCE;
@@ -50,7 +50,6 @@ typedef struct MPI_Status {
 #define MPI_ANY_SOURCE (-1)
 #define MPI_ANY_TAG (-1)
 #define MPI_STATUS_IGNORE ((MPI_Status*)0)
-#define MPI_STATUSES_IGNORE ((MPI_Status*)0)
 #define MPI_REQUEST_NULL ((MPI_Request)0)
 #define MPI_DATATYPE_NULL ((MPI_Datatype)0)
 
@@ -59,17 +58,9 @@ MPI_Comm MPIX_Comm_world(void);
 #define MPI_COMM_WORLD (MPIX_Comm_world())
 
 MPI_Datatype MPIX_Type_byte(void);
-MPI_Datatype MPIX_Type_char(void);
 MPI_Datatype MPIX_Type_int(void);
-MPI_Datatype MPIX_Type_int64(void);
-MPI_Datatype MPIX_Type_float(void);
-MPI_Datatype MPIX_Type_double(void);
 #define MPI_BYTE (MPIX_Type_byte())
-#define MPI_CHAR (MPIX_Type_char())
 #define MPI_INT (MPIX_Type_int())
-#define MPI_INT64_T (MPIX_Type_int64())
-#define MPI_FLOAT (MPIX_Type_float())
-#define MPI_DOUBLE (MPIX_Type_double())
 
 /* --- Custom datatype callback typedefs (paper Listings 3-5) ---------------- */
 typedef int(MPI_Type_custom_state_function)(
@@ -131,22 +122,9 @@ int MPI_Type_create_custom(
     /* Flag indicating in-order pack requirement */ int inorder,
     MPI_Datatype* type);
 
-/* --- Classic derived datatypes --------------------------------------------- */
-int MPI_Type_contiguous(MPI_Count count, MPI_Datatype oldtype, MPI_Datatype* newtype);
-int MPI_Type_vector(MPI_Count count, MPI_Count blocklength, MPI_Count stride,
-                    MPI_Datatype oldtype, MPI_Datatype* newtype);
-int MPI_Type_indexed(MPI_Count count, const MPI_Count blocklengths[],
-                     const MPI_Count displacements[], MPI_Datatype oldtype,
-                     MPI_Datatype* newtype);
-int MPI_Type_create_struct(MPI_Count count, const MPI_Count blocklengths[],
-                           const MPI_Count displacements[] /* bytes */,
-                           const MPI_Datatype types[], MPI_Datatype* newtype);
-int MPI_Type_create_resized(MPI_Datatype oldtype, MPI_Count lb, MPI_Count extent,
-                            MPI_Datatype* newtype);
-int MPI_Type_commit(MPI_Datatype* type);
+/* Release a custom datatype; predefined handles are left alone. Sets
+ * *type to MPI_DATATYPE_NULL. */
 int MPI_Type_free(MPI_Datatype* type);
-int MPI_Type_size(MPI_Datatype type, MPI_Count* size);
-int MPI_Type_get_extent(MPI_Datatype type, MPI_Count* lb, MPI_Count* extent);
 
 /* --- Communicator / point-to-point ----------------------------------------- */
 int MPI_Comm_rank(MPI_Comm comm, int* rank);
@@ -161,37 +139,12 @@ int MPI_Isend(const void* buf, MPI_Count count, MPI_Datatype type, int dest, int
 int MPI_Irecv(void* buf, MPI_Count count, MPI_Datatype type, int source, int tag,
               MPI_Comm comm, MPI_Request* request);
 int MPI_Wait(MPI_Request* request, MPI_Status* status);
-int MPI_Waitall(int count, MPI_Request requests[], MPI_Status statuses[]);
 
 int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status);
-int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status);
-int MPI_Mprobe(int source, int tag, MPI_Comm comm, MPI_Message* message,
-               MPI_Status* status);
-int MPI_Imrecv(void* buf, MPI_Count count, MPI_Datatype type, MPI_Message* message,
-               MPI_Request* request);
-
+/* Elements of `type` in a probed or received message (paper section VI:
+ * the receive-side size contract). MPI_ERR_TYPE for custom types and for
+ * a byte count that is not a whole number of elements. */
 int MPI_Get_count(const MPI_Status* status, MPI_Datatype type, MPI_Count* count);
-
-int MPI_Sendrecv(const void* sendbuf, MPI_Count sendcount, MPI_Datatype sendtype,
-                 int dest, int sendtag, void* recvbuf, MPI_Count recvcount,
-                 MPI_Datatype recvtype, int source, int recvtag, MPI_Comm comm,
-                 MPI_Status* status);
-
-/* --- Pack / Unpack (classic MPI_Pack semantics over the datatype engine) --- */
-int MPI_Pack(const void* inbuf, MPI_Count incount, MPI_Datatype type, void* outbuf,
-             MPI_Count outsize, MPI_Count* position, MPI_Comm comm);
-int MPI_Unpack(const void* inbuf, MPI_Count insize, MPI_Count* position,
-               void* outbuf, MPI_Count outcount, MPI_Datatype type, MPI_Comm comm);
-int MPI_Pack_size(MPI_Count incount, MPI_Datatype type, MPI_Comm comm,
-                  MPI_Count* size);
-
-/* --- Collectives (extension; see src/p2p/collectives.hpp) ------------------- */
-int MPI_Barrier(MPI_Comm comm);
-int MPI_Bcast(void* buf, MPI_Count count, MPI_Datatype type, int root,
-              MPI_Comm comm);
-int MPI_Gather(const void* sendbuf, MPI_Count sendcount, MPI_Datatype sendtype,
-               void* recvbuf, MPI_Count recvcount, MPI_Datatype recvtype, int root,
-               MPI_Comm comm);
 
 /* --- Prototype harness ------------------------------------------------------ */
 /* Run `fn(arg)` once per rank, each on its own thread sharing a simulated
@@ -201,8 +154,6 @@ int MPIX_Run_world(int nranks, void (*fn)(void* arg), void* arg);
 
 /* Virtual time of the calling rank (microseconds; see DESIGN.md section 5). */
 double MPIX_Wtime_virtual(void);
-/* Charge locally measured host work to the rank's virtual clock. */
-void MPIX_Advance_time(double microseconds);
 
 #ifdef __cplusplus
 } /* extern "C" */

@@ -226,28 +226,6 @@ CustomRecvOp::~CustomRecvOp() {
     if (!finished_ && type_ != nullptr) type_->free_state(state_);
 }
 
-CustomRecvOp::CustomRecvOp(CustomRecvOp&& other) noexcept
-    : desc_(std::move(other.desc_)),
-      type_(other.type_),
-      state_(other.state_),
-      buf_(other.buf_),
-      count_(other.count_),
-      packed_size_(other.packed_size_),
-      total_(other.total_),
-      packed_(std::move(other.packed_)),
-      finished_(other.finished_) {
-    other.finished_ = true;
-    other.state_ = nullptr;
-}
-
-CustomRecvOp& CustomRecvOp::operator=(CustomRecvOp&& other) noexcept {
-    if (this != &other) {
-        this->~CustomRecvOp();
-        new (this) CustomRecvOp(std::move(other));
-    }
-    return *this;
-}
-
 Status CustomRecvOp::finish(ucx::Worker& worker) {
     if (finished_) return Status::success;
     trace::Span span("engine", "custom_unpack");

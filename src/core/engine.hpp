@@ -74,8 +74,8 @@ class CustomRecvOp {
 public:
     CustomRecvOp() = default;
     ~CustomRecvOp();
-    CustomRecvOp(CustomRecvOp&&) noexcept;
-    CustomRecvOp& operator=(CustomRecvOp&&) noexcept;
+    // Owns the callback state until finish(); p2p::Request holds it by
+    // shared_ptr, so it is never copied or moved.
     CustomRecvOp(const CustomRecvOp&) = delete;
     CustomRecvOp& operator=(const CustomRecvOp&) = delete;
 

@@ -427,45 +427,6 @@ Status Datatype::commit() {
     return Status::success;
 }
 
-void Datatype::append_signature(std::vector<Predef>& out) const {
-    switch (kind_) {
-        case TypeKind::predefined:
-            out.push_back(predef_);
-            break;
-        case TypeKind::contiguous:
-            for (Count i = 0; i < count_; ++i) children_[0]->append_signature(out);
-            break;
-        case TypeKind::vector:
-        case TypeKind::hvector:
-            for (Count i = 0; i < count_ * blocklen_; ++i)
-                children_[0]->append_signature(out);
-            break;
-        case TypeKind::indexed:
-        case TypeKind::hindexed:
-            for (const Count b : blocklens_)
-                for (Count j = 0; j < b; ++j) children_[0]->append_signature(out);
-            break;
-        case TypeKind::indexed_block:
-            for (Count i = 0; i < count_ * blocklen_; ++i)
-                children_[0]->append_signature(out);
-            break;
-        case TypeKind::struct_:
-            for (std::size_t i = 0; i < children_.size(); ++i)
-                for (Count j = 0; j < blocklens_[i]; ++j)
-                    children_[i]->append_signature(out);
-            break;
-        case TypeKind::resized:
-            children_[0]->append_signature(out);
-            break;
-        case TypeKind::subarray: {
-            Count n = 1;
-            for (const Count s : sub_subsizes_) n *= s;
-            for (Count i = 0; i < n; ++i) children_[0]->append_signature(out);
-            break;
-        }
-    }
-}
-
 std::string Datatype::name() const {
     switch (kind_) {
         case TypeKind::predefined: return predef_name(predef_);
@@ -497,28 +458,12 @@ const TypeRef& type_byte() {
     static const TypeRef t = make_committed(Predef::byte_);
     return t;
 }
-const TypeRef& type_char() {
-    static const TypeRef t = make_committed(Predef::char_);
-    return t;
-}
 const TypeRef& type_int32() {
     static const TypeRef t = make_committed(Predef::int32);
     return t;
 }
-const TypeRef& type_uint32() {
-    static const TypeRef t = make_committed(Predef::uint32);
-    return t;
-}
 const TypeRef& type_int64() {
     static const TypeRef t = make_committed(Predef::int64);
-    return t;
-}
-const TypeRef& type_uint64() {
-    static const TypeRef t = make_committed(Predef::uint64);
-    return t;
-}
-const TypeRef& type_float() {
-    static const TypeRef t = make_committed(Predef::float32);
     return t;
 }
 const TypeRef& type_double() {

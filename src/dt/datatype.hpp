@@ -125,9 +125,6 @@ public:
         return plan_;
     }
 
-    // Type-map leaf sequence in pack order (for signatures / equivalence).
-    void append_signature(std::vector<Predef>& out) const;
-
 protected:
     Datatype() = default;
 
@@ -163,24 +160,8 @@ private:
 
 // Convenience: committed predefined singletons.
 [[nodiscard]] const TypeRef& type_byte();
-[[nodiscard]] const TypeRef& type_char();
 [[nodiscard]] const TypeRef& type_int32();
-[[nodiscard]] const TypeRef& type_uint32();
 [[nodiscard]] const TypeRef& type_int64();
-[[nodiscard]] const TypeRef& type_uint64();
-[[nodiscard]] const TypeRef& type_float();
 [[nodiscard]] const TypeRef& type_double();
-
-template <typename T>
-[[nodiscard]] const TypeRef& type_of() {
-    if constexpr (std::is_same_v<T, std::int32_t>) return type_int32();
-    else if constexpr (std::is_same_v<T, std::uint32_t>) return type_uint32();
-    else if constexpr (std::is_same_v<T, std::int64_t>) return type_int64();
-    else if constexpr (std::is_same_v<T, std::uint64_t>) return type_uint64();
-    else if constexpr (std::is_same_v<T, float>) return type_float();
-    else if constexpr (std::is_same_v<T, double>) return type_double();
-    else if constexpr (std::is_same_v<T, char>) return type_char();
-    else return type_byte();
-}
 
 } // namespace mpicd::dt

@@ -57,19 +57,4 @@ enum class Predef : std::uint8_t {
     return "?";
 }
 
-// Map C++ arithmetic types onto Predef kinds (used by typed helpers).
-template <typename T>
-struct PredefOf;
-template <> struct PredefOf<std::int8_t> { static constexpr Predef value = Predef::int8; };
-template <> struct PredefOf<std::uint8_t> { static constexpr Predef value = Predef::uint8; };
-template <> struct PredefOf<std::int16_t> { static constexpr Predef value = Predef::int16; };
-template <> struct PredefOf<std::uint16_t> { static constexpr Predef value = Predef::uint16; };
-template <> struct PredefOf<std::int32_t> { static constexpr Predef value = Predef::int32; };
-template <> struct PredefOf<std::uint32_t> { static constexpr Predef value = Predef::uint32; };
-template <> struct PredefOf<std::int64_t> { static constexpr Predef value = Predef::int64; };
-template <> struct PredefOf<std::uint64_t> { static constexpr Predef value = Predef::uint64; };
-template <> struct PredefOf<float> { static constexpr Predef value = Predef::float32; };
-template <> struct PredefOf<double> { static constexpr Predef value = Predef::float64; };
-template <> struct PredefOf<char> { static constexpr Predef value = Predef::char_; };
-
 } // namespace mpicd::dt

@@ -226,10 +226,4 @@ SimTime Fabric::rdma_cost(int src_ep, int dst_ep, Count bytes, Count sg_entries,
     return reserve_locked(src_ep, dst_ep, bytes, sg_entries, ready, rail);
 }
 
-void Fabric::reset_time() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& t : link_free_at_) t = 0.0;
-    for (auto& t : node_link_free_at_) t = 0.0;
-}
-
 } // namespace mpicd::netsim

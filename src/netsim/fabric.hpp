@@ -129,9 +129,6 @@ public:
     SimTime rdma_cost(int src_ep, int dst_ep, Count bytes, Count sg_entries,
                       SimTime ready, int rail = 0);
 
-    // Reset all virtual state (link busy times). Inboxes must be empty.
-    void reset_time();
-
 private:
     struct Inbox {
         std::deque<Packet> q;

@@ -9,26 +9,12 @@ Status bcast_bytes(Communicator& comm, void* buf, Count n, int root) {
     return coll::ibcast_bytes(comm, buf, n, root).wait();
 }
 
-Status bcast(Communicator& comm, void* buf, Count count, const dt::TypeRef& type,
-             int root) {
-    return coll::ibcast(comm, buf, count, type, root).wait();
-}
-
-Status bcast_custom(Communicator& comm, void* buf, Count count,
-                    const core::CustomDatatype& type, int root) {
-    return coll::ibcast_custom(comm, buf, count, type, root).wait();
-}
-
 Status gather_bytes(Communicator& comm, const void* send, Count n, void* recv,
                     int root) {
     return coll::igather_bytes(comm, send, n, recv, root).wait();
 }
 
 Status allreduce(Communicator& comm, double* data, Count count, ReduceOp op) {
-    return coll::iallreduce(comm, data, count, op).wait();
-}
-
-Status allreduce(Communicator& comm, std::int64_t* data, Count count, ReduceOp op) {
     return coll::iallreduce(comm, data, count, op).wait();
 }
 

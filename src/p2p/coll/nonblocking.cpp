@@ -27,7 +27,7 @@ void barrier_phases(Schedule& s) {
 
 // ---------------------------------------------------------------------------
 // Bcast: one tree (who do I receive from, who do I send to), two
-// algorithms, any payload family.
+// algorithms.
 
 struct BcastTree {
     int recv_from = -1;     // -1: this rank starts with the data
@@ -75,17 +75,15 @@ BcastTree hier_bcast_tree(const TopologyMap& t, int root) {
 }
 
 // Phase 0 receives (skipped by ranks that start with the data); phase 1
-// forwards to everyone downstream at once. `add(phase, is_send, peer)`
-// appends one step on subtag 0.
-template <typename AddStep>
-void bcast_phases(Schedule& s, int root, AddStep add) {
+// forwards to everyone downstream at once, all on subtag 0.
+void bcast_phases(Schedule& s, void* buf, Count n, int root) {
     s.algo = select_algo(s.topo);
     const BcastTree t = s.algo == Algo::hier ? hier_bcast_tree(s.topo, root)
                                              : flat_bcast_tree(s.topo, root);
-    if (t.recv_from >= 0) add(s.phase(), false, t.recv_from);
+    if (t.recv_from >= 0) s.phase().recv(t.recv_from, 0, buf, n);
     if (t.sends.empty()) return;
     Phase& p = s.phase();
-    for (const int dst : t.sends) add(p, true, dst);
+    for (const int dst : t.sends) p.send(dst, 0, buf, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,35 +301,7 @@ CollRequest ibcast_bytes(Communicator& comm, void* buf, Count n, int root) {
     // Zero bytes: immediately complete on every rank (n is uniform).
     if (n == 0) return error_request(Status::success);
     Schedule s(comm, Fam::bcast);
-    bcast_phases(s, root, [&](Phase& p, bool is_send, int peer) {
-        if (is_send) p.send(peer, 0, buf, n);
-        else p.recv(peer, 0, buf, n);
-    });
-    return launch(comm, std::move(s));
-}
-
-CollRequest ibcast(Communicator& comm, void* buf, Count count,
-                   const dt::TypeRef& type, int root) {
-    if (const Status st = validate_root(comm, root); !ok(st))
-        return error_request(st);
-    if (type == nullptr || count < 0) return error_request(Status::err_arg);
-    if (!type->committed()) return error_request(Status::err_not_committed);
-    Schedule s(comm, Fam::bcast);
-    bcast_phases(s, root, [&](Phase& p, bool is_send, int peer) {
-        p.typed(is_send, peer, 0, buf, count, type);
-    });
-    return launch(comm, std::move(s));
-}
-
-CollRequest ibcast_custom(Communicator& comm, void* buf, Count count,
-                          const core::CustomDatatype& type, int root) {
-    if (const Status st = validate_root(comm, root); !ok(st))
-        return error_request(st);
-    if (count < 0) return error_request(Status::err_arg);
-    Schedule s(comm, Fam::bcast);
-    bcast_phases(s, root, [&](Phase& p, bool is_send, int peer) {
-        p.custom(is_send, peer, 0, buf, count, type);
-    });
+    bcast_phases(s, buf, n, root);
     return launch(comm, std::move(s));
 }
 

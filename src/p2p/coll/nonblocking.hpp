@@ -7,7 +7,7 @@
 // point-to-point traffic and with each other. Algorithms:
 //   ibarrier        dissemination (always flat: the payload is one token
 //                   byte, there is nothing for a leader to aggregate)
-//   ibcast*         binomial tree; hierarchical: root -> node leaders
+//   ibcast_bytes    binomial tree; hierarchical: root -> node leaders
 //                   (binomial on the inter-node plane) -> node members
 //   igather_bytes   linear fan-in; hierarchical: members -> node leader,
 //                   leaders forward one aggregated node block to the root
@@ -48,17 +48,6 @@ namespace mpicd::p2p::coll {
 // Broadcast `n` raw bytes from `root`.
 [[nodiscard]] CollRequest ibcast_bytes(Communicator& comm, void* buf, Count n,
                                        int root);
-
-// Broadcast `count` elements of a committed derived datatype from `root`.
-[[nodiscard]] CollRequest ibcast(Communicator& comm, void* buf, Count count,
-                                 const dt::TypeRef& type, int root);
-
-// Broadcast a custom-datatype buffer from `root`. Every rank passes its
-// own pre-shaped object; non-roots receive into it, and each receiver's
-// own query callback determines the expected packed size (the §VI size
-// contract).
-[[nodiscard]] CollRequest ibcast_custom(Communicator& comm, void* buf, Count count,
-                                        const core::CustomDatatype& type, int root);
 
 // Gather `n` bytes from every rank into `recv` (rank i's block at byte
 // offset i*n) at the root; `recv` may be null on non-roots (and at the

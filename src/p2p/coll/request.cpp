@@ -188,7 +188,7 @@ void CollOp::post(const Step& st) {
         coll_counters().leader_bytes.fetch_add(
             static_cast<std::uint64_t>(st.len), std::memory_order_relaxed);
     const auto post_now = [&] {
-        track_step(comm_.coll_post(st.send, st.peer, ctag, st.payload), st.peer,
+        track_step(comm_.coll_post(st.send, st.peer, ctag, st.buf, st.len), st.peer,
                    st.send);
     };
     if (!trace::enabled()) {
@@ -409,16 +409,6 @@ CollRequest error_request(Status st) {
     CollRequest rq;
     rq.early_error_ = st;
     return rq;
-}
-
-bool CollRequest::test() {
-    if (op_ == nullptr) return true;
-    if (op_->done()) return true;
-    uni_->progress(ep_);
-    // The progress hook normally advanced the op just now; the direct call
-    // covers the case where another thread held the worker busy flag.
-    (void)op_->advance();
-    return op_->done();
 }
 
 Status CollRequest::wait() {

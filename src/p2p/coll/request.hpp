@@ -13,8 +13,8 @@
 //    collective keeps moving whenever this rank's endpoint is progressed —
 //    including when the rank is busy with unrelated p2p traffic, which is
 //    what makes the nonblocking collectives overlap with p2p work;
-//  - CollRequest::test()/wait(), which also drive Universe::progress so a
-//    rank blocked only on the collective still pumps the fabric.
+//  - CollRequest::wait(), which also drives Universe::progress so a rank
+//    blocked only on the collective still pumps the fabric.
 //
 // Advancing is serialized by the op's own mutex; inside it only
 // non-progressing completion polls (Request::poll) and new coll_post calls
@@ -52,10 +52,6 @@ public:
     CollRequest() = default;
 
     [[nodiscard]] bool valid() const noexcept { return op_ != nullptr; }
-
-    // Nonblocking completion check; progresses the universe once (the
-    // worker progress hook advances the op as a side effect).
-    [[nodiscard]] bool test();
 
     // Progress until complete (Universe::wait_until, up to the op's loss
     // watchdog) and return the collective's status. An invalid (default)

@@ -4,7 +4,7 @@
 // A collective entry point validates its arguments, selects its algorithm
 // and builds a Schedule up front: a list of phases, each an optional run
 // of local actions (copy, combine, scatter into displacements) followed
-// by the point-to-point steps to post. The one executor, CollOp
+// by the point-to-point byte steps to post. The one executor, CollOp
 // (coll/request.hpp), runs it one phase per round and then a completion
 // round. This is the schedule design of LibNBC (Hoefler, Lumsdaine, Rehm,
 // "Implementation and Performance Analysis of Non-Blocking Collective
@@ -27,17 +27,14 @@
 namespace mpicd::p2p::coll {
 
 // One point-to-point step, posted on subtag `sub` of the op's reserved tag
-// block through Communicator::coll_post. Every step is plain data: its
-// payload is raw bytes, a committed derived datatype or a custom datatype.
+// block through Communicator::coll_post: a send of, or a receive into,
+// `len` raw bytes at `buf`. Plain data.
 struct Step {
     bool send = false;
     int peer = -1;
     std::uint32_t sub = 0;
-    // Payload bytes; what a hierarchical algorithm accounts as leader
-    // bytes when the send crosses nodes (0 for custom payloads, whose
-    // packed size only the sender's query callback knows).
+    void* buf = nullptr;
     Count len = 0;
-    CollPayload payload;
 };
 
 // A local action: fn(dst, src, n) copies n bytes or folds n elements of
@@ -54,22 +51,10 @@ struct Phase {
     std::vector<Step> steps;  // then posted, in order
 
     void send(int peer, std::uint32_t sub, const void* p, Count n) {
-        steps.push_back({true, peer, sub, n, {const_cast<void*>(p), n, {}, nullptr}});
+        steps.push_back({true, peer, sub, const_cast<void*>(p), n});
     }
     void recv(int peer, std::uint32_t sub, void* p, Count n) {
-        steps.push_back({false, peer, sub, n, {p, n, {}, nullptr}});
-    }
-    // `count` elements of a committed derived datatype at `buf`.
-    void typed(bool is_send, int peer, std::uint32_t sub, const void* buf,
-               Count count, const dt::TypeRef& type) {
-        steps.push_back({is_send, peer, sub, type->size() * count,
-                         {const_cast<void*>(buf), count, type}});
-    }
-    // `count` custom-datatype elements at `buf`; `type` must outlive the op.
-    void custom(bool is_send, int peer, std::uint32_t sub, const void* buf,
-                Count count, const core::CustomDatatype& type) {
-        steps.push_back(
-            {is_send, peer, sub, 0, {const_cast<void*>(buf), count, nullptr, &type}});
+        steps.push_back({false, peer, sub, p, n});
     }
 };
 

@@ -53,9 +53,7 @@ const char* fam_name(Fam f) noexcept {
         case Fam::bcast: return "bcast";
         case Fam::gather: return "gather";
         case Fam::allreduce: return "allreduce";
-        case Fam::gatherv: return "gatherv";
         case Fam::allgatherv: return "allgatherv";
-        case Fam::alltoallv: return "alltoallv";
     }
     return "unknown";
 }
@@ -66,7 +64,9 @@ const char* algo_name(Algo a) noexcept {
 
 OpHists& op_hists(Fam f, Algo a) {
     constexpr std::size_t kAlgos = 2;
-    constexpr std::size_t kSlots = 7 * kAlgos;
+    // One slot per (Fam value, algorithm); Fam::allgatherv is the highest.
+    constexpr std::size_t kSlots =
+        (static_cast<std::size_t>(Fam::allgatherv) + 1) * kAlgos;
     static std::mutex mu;
     static std::array<std::atomic<OpHists*>, kSlots> slots{};
     const std::size_t i = static_cast<std::size_t>(f) * kAlgos +

@@ -85,15 +85,14 @@ void set_algo_override(std::optional<Algo> algo) noexcept;
 
 // Collective operation family — the coarse identity carried by coll.*
 // trace events and the per-family metrics histograms. Values are stable
-// (they appear numerically in trace args); append only.
+// (they appear numerically in trace args); append only, and never reuse a
+// retired value (4 and 6 named gatherv and alltoallv).
 enum class Fam : std::uint8_t {
     barrier = 0,
     bcast = 1,
     gather = 2,
     allreduce = 3,
-    gatherv = 4,
     allgatherv = 5,
-    alltoallv = 6,
 };
 
 [[nodiscard]] const char* fam_name(Fam f) noexcept;

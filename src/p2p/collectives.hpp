@@ -11,10 +11,10 @@
 // traffic on ANY user tag — the tag parameters the historical API took
 // (and the 0x7FFF0000-window convention they implied) are gone.
 //
-// Custom datatypes are supported for bcast (every non-root receives with
-// its own custom type, so the receive-side size contract of §VI holds);
-// reductions over custom types would need the predefined-type information
-// the paper discusses in §VI and are intentionally not offered.
+// Every collective moves raw bytes. Collectives over derived or custom
+// datatypes are not offered: no bench measures them, and reductions over
+// custom types would need the predefined-type information the paper
+// discusses in §VI.
 //
 // All collectives here block until completion and must be entered by
 // every rank of the universe in the same order (they progress the fabric
@@ -32,27 +32,17 @@ namespace mpicd::p2p {
 // two-level topologies).
 [[nodiscard]] Status bcast_bytes(Communicator& comm, void* buf, Count n, int root);
 
-// Broadcast `count` elements of a committed derived datatype from `root`.
-[[nodiscard]] Status bcast(Communicator& comm, void* buf, Count count,
-                           const dt::TypeRef& type, int root);
-
-// Broadcast a custom-datatype buffer from `root`. Every rank passes its
-// own (pre-shaped) object; non-roots receive into it.
-[[nodiscard]] Status bcast_custom(Communicator& comm, void* buf, Count count,
-                                  const core::CustomDatatype& type, int root);
-
 // Gather `n` bytes from every rank into `recv` (rank i's block at i*n) at
 // the root; `recv` may be null on non-roots (and everywhere when n == 0).
 [[nodiscard]] Status gather_bytes(Communicator& comm, const void* send, Count n,
                                   void* recv, int root);
 
-// Element-wise allreduce over doubles / int64 (binomial-tree reduction to
-// rank 0 followed by a binomial broadcast — NOT recursive doubling; see
+// Element-wise allreduce over doubles (binomial-tree reduction to rank 0
+// followed by a binomial broadcast — NOT recursive doubling; see
 // docs/COLLECTIVES.md for the cost model and the NaN semantics of
-// ReduceOp::min/max, which follow std::min/std::max).
+// ReduceOp::min/max, which follow std::min/std::max). coll::iallreduce
+// also reduces int64.
 [[nodiscard]] Status allreduce(Communicator& comm, double* data, Count count,
-                               ReduceOp op);
-[[nodiscard]] Status allreduce(Communicator& comm, std::int64_t* data, Count count,
                                ReduceOp op);
 
 } // namespace mpicd::p2p

@@ -114,12 +114,6 @@ bool Request::poll(MsgStatus* out) {
     return finalize_locked_completion(worker_->take_completion(id_), out);
 }
 
-bool Request::test(MsgStatus* out) {
-    if (poll(out)) return true;
-    uni_->progress(worker_->endpoint());
-    return poll(out);
-}
-
 MsgStatus Request::wait() {
     MsgStatus st;
     if (!poll(&st))
@@ -232,15 +226,9 @@ std::uint32_t Communicator::coll_reserve_tags(std::uint32_t n) {
     return coll_epoch_.fetch_add(n, std::memory_order_relaxed);
 }
 
-Request Communicator::coll_post(bool send, int peer, std::uint32_t ctag,
-                                const CollPayload& payload) {
-    const Route r = coll_route(send, peer, ctag);
-    if (payload.custom != nullptr)
-        return post_custom(r, payload.buf, payload.count, *payload.custom,
-                           core::CustomLowering::iov);
-    if (payload.type != nullptr)
-        return post_derived(r, payload.buf, payload.count, payload.type);
-    return post_bytes(r, payload.buf, payload.count);
+Request Communicator::coll_post(bool send, int peer, std::uint32_t ctag, void* p,
+                                Count n) {
+    return post_bytes(coll_route(send, peer, ctag), p, n);
 }
 
 Request Communicator::make_request(ucx::RequestId id) {
@@ -337,14 +325,6 @@ MsgStatus Communicator::send_bytes(const void* p, Count n, int dst, int tag) {
 MsgStatus Communicator::recv_bytes(void* p, Count n, int src, int tag) {
     return irecv_bytes(p, n, src, tag).wait();
 }
-MsgStatus Communicator::send(const void* buf, Count count, const dt::TypeRef& type,
-                             int dst, int tag) {
-    return isend(buf, count, type, dst, tag).wait();
-}
-MsgStatus Communicator::recv(void* buf, Count count, const dt::TypeRef& type, int src,
-                             int tag) {
-    return irecv(buf, count, type, src, tag).wait();
-}
 MsgStatus Communicator::send_custom(const void* buf, Count count,
                                     const core::CustomDatatype& type, int dst,
                                     int tag) {
@@ -356,22 +336,6 @@ MsgStatus Communicator::recv_custom(void* buf, Count count,
     return irecv_custom(buf, count, type, src, tag).wait();
 }
 
-MsgStatus Communicator::sendrecv_bytes(const void* sendbuf, Count sendn, int dst,
-                                       int sendtag, void* recvbuf, Count recvn,
-                                       int src, int recvtag) {
-    Request rr = irecv_bytes(recvbuf, recvn, src, recvtag);
-    Request rs = isend_bytes(sendbuf, sendn, dst, sendtag);
-    const MsgStatus recv_st = rr.wait();
-    const MsgStatus send_st = rs.wait();
-    if (!ok(recv_st.status)) return recv_st;
-    if (!ok(send_st.status)) {
-        MsgStatus st = recv_st;
-        st.status = send_st.status;
-        return st;
-    }
-    return recv_st;
-}
-
 Status wait_all(std::span<Request> requests) {
     Status first = Status::success;
     for (auto& rq : requests) {
@@ -379,15 +343,6 @@ Status wait_all(std::span<Request> requests) {
         if (ok(first) && !ok(st.status)) first = st.status;
     }
     return first;
-}
-
-std::optional<ProbeResult> Communicator::iprobe(int src, int tag) {
-    const Route r = route(false, src, tag);
-    if (!ok(r.status)) return std::nullopt;
-    uni_.progress(worker_.endpoint());
-    const auto info = worker_.probe(r.tag, r.mask);
-    if (!info) return std::nullopt;
-    return probe_result(*info);
 }
 
 Message Communicator::wait_probe(int src, int tag, bool match) {

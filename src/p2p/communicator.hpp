@@ -1,12 +1,12 @@
 // Communicator: the MPI-like point-to-point interface of the mpicd
-// prototype — blocking and nonblocking send/recv over three datatype
-// families (raw bytes / derived datatypes / custom datatypes), probe,
-// matched probe (Mprobe), and virtual-time access.
+// prototype — nonblocking send/recv over three datatype families (raw
+// bytes / derived datatypes / custom datatypes) with blocking wrappers for
+// bytes and custom types, probe, matched probe (Mprobe), and virtual-time
+// access.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "base/bytes.hpp"
@@ -56,9 +56,6 @@ public:
     Request() = default;
 
     [[nodiscard]] bool valid() const noexcept { return id_ != ucx::kInvalidRequest; }
-
-    // Nonblocking completion check; progresses the universe once.
-    [[nodiscard]] bool test(MsgStatus* out = nullptr);
 
     // Completion check WITHOUT driving progress. Safe to call from a
     // worker progress hook (see ucx::Worker::add_progress_hook), where
@@ -110,17 +107,6 @@ inline constexpr int kMaxWorldSize = 1 << 16;
 // the bit clear.
 inline constexpr std::uint16_t kCollContextBit = 0x8000;
 
-// The payload of one collective-plane post (Communicator::coll_post):
-// `count` elements at `buf` of the custom datatype `custom` when set (it
-// must outlive the request), else of the committed derived datatype `type`
-// when set, else `count` raw bytes. A send only reads `buf`.
-struct CollPayload {
-    void* buf = nullptr;
-    Count count = 0;
-    dt::TypeRef type;
-    const core::CustomDatatype* custom = nullptr;
-};
-
 class Communicator {
 public:
     // Ranks/sizes outside the wire tag layout's range are rejected: the
@@ -139,8 +125,8 @@ public:
     // next to the reserved tag block (low word) so op ids stay unique
     // across communicators sharing one trace.
     [[nodiscard]] std::uint16_t context() const noexcept { return context_; }
-    // The engine every derived-datatype send, receive and collective step
-    // of this communicator packs with.
+    // The engine every derived-datatype send and receive of this
+    // communicator packs with.
     [[nodiscard]] dt::PackMode pack_mode() const noexcept { return pack_mode_; }
     [[nodiscard]] Universe& universe() noexcept { return uni_; }
     [[nodiscard]] ucx::Worker& worker() noexcept { return worker_; }
@@ -195,23 +181,13 @@ public:
     // --- Blocking wrappers.
     MsgStatus send_bytes(const void* p, Count n, int dst, int tag);
     MsgStatus recv_bytes(void* p, Count n, int src, int tag);
-    MsgStatus send(const void* buf, Count count, const dt::TypeRef& type, int dst,
-                   int tag);
-    MsgStatus recv(void* buf, Count count, const dt::TypeRef& type, int src, int tag);
     MsgStatus send_custom(const void* buf, Count count,
                           const core::CustomDatatype& type, int dst, int tag);
     MsgStatus recv_custom(void* buf, Count count, const core::CustomDatatype& type,
                           int src, int tag);
 
-    // Combined send+receive (MPI_Sendrecv pattern): both operations are
-    // posted before either is waited on, so it is deadlock-free when every
-    // rank of a cycle calls it.
-    MsgStatus sendrecv_bytes(const void* sendbuf, Count sendn, int dst, int sendtag,
-                             void* recvbuf, Count recvn, int src, int recvtag);
-
-    // --- Probe family.
-    [[nodiscard]] std::optional<ProbeResult> iprobe(int src, int tag);
-    // Blocking; check ProbeResult::status (Message::info.status).
+    // --- Probe family. Blocking; check ProbeResult::status
+    // (Message::info.status).
     [[nodiscard]] ProbeResult probe(int src, int tag) {
         return wait_probe(src, tag, /*match=*/false).info;
     }
@@ -234,13 +210,12 @@ public:
     // the block) and the counter wraps harmlessly at 2^32: concurrent
     // outstanding collectives never span anywhere near 4 billion tags.
     [[nodiscard]] std::uint32_t coll_reserve_tags(std::uint32_t n);
-    // Post one collective step: a send to, or a receive from, `peer` on
-    // collective tag `ctag`. It refuses as the user plane does, in the same
-    // order: a negative count or null type, an invalid communicator or an
-    // out-of-world peer (err_arg), an uncommitted type (err_not_committed),
-    // then the custom lowering's own checks.
-    [[nodiscard]] Request coll_post(bool send, int peer, std::uint32_t ctag,
-                                    const CollPayload& payload);
+    // Post one collective step: a send of, or a receive into, `n` raw bytes
+    // at `p`, to or from `peer` on collective tag `ctag`. It refuses as the
+    // user plane does, in the same order: a negative count, then an invalid
+    // communicator or an out-of-world peer (err_arg). A send only reads `p`.
+    [[nodiscard]] Request coll_post(bool send, int peer, std::uint32_t ctag, void* p,
+                                    Count n);
 
 private:
     friend class Request;
@@ -265,9 +240,9 @@ private:
     [[nodiscard]] Route coll_route(bool send, int peer, std::uint32_t ctag) const;
     // The one post into the worker; the error request when `r` refused.
     Request post(const Route& r, ucx::BufferDesc desc);
-    // One descriptor builder per payload family, shared by both planes.
-    // Each checks its payload arguments, then the route, then what only
-    // the family can refuse.
+    // One descriptor builder per payload family (post_bytes also serves
+    // the collective plane). Each checks its payload arguments, then the
+    // route, then what only the family can refuse.
     Request post_bytes(const Route& r, void* p, Count n);
     Request post_derived(const Route& r, void* buf, Count count,
                          const dt::TypeRef& type);

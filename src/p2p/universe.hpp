@@ -29,8 +29,8 @@ inline constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
 
 class Universe {
 public:
-    // `pack_mode` is the engine every derived-datatype send, receive and
-    // collective step of this job's communicators packs with
+    // `pack_mode` is the engine every derived-datatype send and receive of
+    // this job's communicators packs with
     // (Communicator::pack_mode()): the compiled plans by default, or the
     // generic per-segment loop that models the paper's Open MPI baseline.
     explicit Universe(int nranks,

@@ -73,6 +73,8 @@ struct CtsHeader {
     std::uint64_t sender_op;
     std::uint64_t recv_op;
     CtsMode mode;
+    // rdma: region table entries; pipeline: 1 when the sink takes
+    // out-of-order fragments; abort: the receiver's refusal status.
     std::uint32_t nregions;
 };
 // An rdma CTS carries the receiver's region table right after the fixed
@@ -128,6 +130,13 @@ struct AckHeader {
         case kAck: return sizeof(AckHeader);
         default: return 0;
     }
+}
+
+// A status read off the wire: a declared Status value, else err_internal.
+[[nodiscard]] Status wire_status(std::int64_t v) {
+    return v >= 0 && v <= static_cast<std::int64_t>(Status::timeout)
+               ? static_cast<Status>(v)
+               : Status::err_internal;
 }
 
 template <typename H>
@@ -727,10 +736,11 @@ void Worker::match_locked(Request& rq, UnexpectedMsg&& u) {
     if (ok(refused) && u.total > rq.sink->capacity()) refused = Status::err_truncate;
     if (!ok(refused)) {
         complete_locked(rq, refused, 0, u.tag);
-        // Tell the sender to abort so its request does not hang.
+        // Tell the sender why, so its request fails now with the same status.
         send_packet_locked(
             packet(u.src, kCts,
-                   encode_header(CtsHeader{u.sender_op, 0, CtsMode::abort, 0}),
+                   encode_header(CtsHeader{u.sender_op, 0, CtsMode::abort,
+                                           static_cast<std::uint32_t>(refused)}),
                    rq.msg_id),
             clock_.now(), 0, 1, 0, /*control=*/true, nullptr);
         return;
@@ -918,7 +928,9 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
     const trace::MsgScope msg_scope(rq.msg_id);
 
     if (h.mode == CtsMode::abort) {
-        complete_locked(rq, Status::err_truncate, 0, 0);
+        // An abort that claims success is as undeclared as an unknown value.
+        const Status refused = wire_status(h.nregions);
+        complete_locked(rq, ok(refused) ? Status::err_internal : refused, 0, 0);
         return;
     }
 
@@ -1063,7 +1075,12 @@ void Worker::handle_fin_locked(netsim::Packet&& pkt) {
     clock_.observe(h.data_vtime);
     trace::instant("ucx", "rndv_fin", clock_.now(), "bytes",
                    static_cast<std::uint64_t>(h.total), "op", h.recv_op);
-    complete_locked(rq, static_cast<Status>(h.status), h.total, rq.comp.sender_tag);
+    // The sender moved at most the bytes its RTS announced.
+    if (h.total < 0 || h.total > rq.expected_total) {
+        complete_locked(rq, Status::err_internal, 0, rq.comp.sender_tag);
+        return;
+    }
+    complete_locked(rq, wire_status(h.status), h.total, rq.comp.sender_tag);
 }
 
 void Worker::handle_frag_locked(netsim::Packet&& pkt) {

@@ -136,61 +136,6 @@ TEST(CApi, CustomDatatypeRoundTrip) {
     ASSERT_EQ(MPIX_Run_world(2, world_custom, nullptr), MPI_SUCCESS);
 }
 
-void world_derived(void*) {
-    int rank = -1;
-    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
-    // Every 2nd double out of 16.
-    MPI_Datatype vec = MPI_DATATYPE_NULL;
-    ASSERT_EQ(MPI_Type_vector(8, 1, 2, MPI_DOUBLE, &vec), MPI_SUCCESS);
-    ASSERT_EQ(MPI_Type_commit(&vec), MPI_SUCCESS);
-    MPI_Count size = 0;
-    ASSERT_EQ(MPI_Type_size(vec, &size), MPI_SUCCESS);
-    EXPECT_EQ(size, 64);
-    if (rank == 0) {
-        double data[16];
-        for (int i = 0; i < 16; ++i) data[i] = i;
-        ASSERT_EQ(MPI_Send(data, 1, vec, 1, 2, MPI_COMM_WORLD), MPI_SUCCESS);
-    } else {
-        double data[16] = {};
-        ASSERT_EQ(MPI_Recv(data, 1, vec, 0, 2, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
-                  MPI_SUCCESS);
-        for (int i = 0; i < 16; ++i) {
-            EXPECT_DOUBLE_EQ(data[i], i % 2 == 0 ? i : 0.0);
-        }
-    }
-    MPI_Type_free(&vec);
-}
-
-TEST(CApi, DerivedVectorRoundTrip) {
-    ASSERT_EQ(MPIX_Run_world(2, world_derived, nullptr), MPI_SUCCESS);
-}
-
-void world_probe(void*) {
-    int rank = -1;
-    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
-    if (rank == 0) {
-        const char msg[] = "dynamic-length message";
-        ASSERT_EQ(MPI_Send(msg, sizeof(msg), MPI_BYTE, 1, 3, MPI_COMM_WORLD),
-                  MPI_SUCCESS);
-    } else {
-        // The mpi4py pattern: Mprobe for the size, then matched-receive.
-        MPI_Message msg = nullptr;
-        MPI_Status st;
-        ASSERT_EQ(MPI_Mprobe(0, 3, MPI_COMM_WORLD, &msg, &st), MPI_SUCCESS);
-        MPI_Count n = 0;
-        ASSERT_EQ(MPI_Get_count(&st, MPI_BYTE, &n), MPI_SUCCESS);
-        std::vector<char> buf(static_cast<std::size_t>(n));
-        MPI_Request rq = MPI_REQUEST_NULL;
-        ASSERT_EQ(MPI_Imrecv(buf.data(), n, MPI_BYTE, &msg, &rq), MPI_SUCCESS);
-        ASSERT_EQ(MPI_Wait(&rq, MPI_STATUS_IGNORE), MPI_SUCCESS);
-        EXPECT_STREQ(buf.data(), "dynamic-length message");
-    }
-}
-
-TEST(CApi, MprobeImrecvDynamicSize) {
-    ASSERT_EQ(MPIX_Run_world(2, world_probe, nullptr), MPI_SUCCESS);
-}
-
 // A blocking probe whose (source, tag) can never match returns
 // MPI_ERR_ARG at once, in the return code and in MPI_ERROR.
 void world_probe_bad_args(void*) {
@@ -198,11 +143,9 @@ void world_probe_bad_args(void*) {
     st.MPI_ERROR = MPI_SUCCESS;
     EXPECT_EQ(MPI_Probe(-5, 0, MPI_COMM_WORLD, &st), MPI_ERR_ARG);
     EXPECT_EQ(st.MPI_ERROR, MPI_ERR_ARG);
-    MPI_Message msg = nullptr;
     st.MPI_ERROR = MPI_SUCCESS;
-    EXPECT_EQ(MPI_Mprobe(0, -2, MPI_COMM_WORLD, &msg, &st), MPI_ERR_ARG);
+    EXPECT_EQ(MPI_Probe(0, -2, MPI_COMM_WORLD, &st), MPI_ERR_ARG);
     EXPECT_EQ(st.MPI_ERROR, MPI_ERR_ARG);
-    EXPECT_EQ(msg, nullptr);
 }
 
 TEST(CApi, BlockingProbeRejectsInvalidArgs) {
@@ -244,14 +187,17 @@ void world_nonblocking(void*) {
                   MPI_SUCCESS);
         ASSERT_EQ(MPI_Isend(&y, 1, MPI_INT, 1, 2, MPI_COMM_WORLD, &reqs[1]),
                   MPI_SUCCESS);
-        ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+        ASSERT_EQ(MPI_Wait(&reqs[0], MPI_STATUS_IGNORE), MPI_SUCCESS);
+        ASSERT_EQ(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE), MPI_SUCCESS);
     } else {
         ASSERT_EQ(MPI_Irecv(&a, 1, MPI_INT, 0, 1, MPI_COMM_WORLD, &reqs[0]),
                   MPI_SUCCESS);
         ASSERT_EQ(MPI_Irecv(&b, 1, MPI_INT, 0, 2, MPI_COMM_WORLD, &reqs[1]),
                   MPI_SUCCESS);
         MPI_Status sts[2];
-        ASSERT_EQ(MPI_Waitall(2, reqs, sts), MPI_SUCCESS);
+        ASSERT_EQ(MPI_Wait(&reqs[1], &sts[1]), MPI_SUCCESS);
+        ASSERT_EQ(MPI_Wait(&reqs[0], &sts[0]), MPI_SUCCESS);
+        EXPECT_EQ(reqs[0], MPI_REQUEST_NULL);
         EXPECT_EQ(a, 7);
         EXPECT_EQ(b, 9);
         EXPECT_EQ(sts[0].MPI_TAG, 1);
@@ -259,27 +205,25 @@ void world_nonblocking(void*) {
     }
 }
 
-TEST(CApi, NonblockingWaitall) {
+TEST(CApi, NonblockingWait) {
     ASSERT_EQ(MPIX_Run_world(2, world_nonblocking, nullptr), MPI_SUCCESS);
 }
 
 void world_vtime(void*) {
     int rank = -1;
     MPI_Comm_rank(MPI_COMM_WORLD, &rank);
-    const double before = MPIX_Wtime_virtual();
-    MPIX_Advance_time(5.0);
-    EXPECT_DOUBLE_EQ(MPIX_Wtime_virtual(), before + 5.0);
-    // Keep both ranks in lockstep with a token exchange.
+    // A received message moves the receiver's clock past the wire latency.
     char token = 'x';
     if (rank == 0) {
         MPI_Send(&token, 1, MPI_BYTE, 1, 0, MPI_COMM_WORLD);
     } else {
         MPI_Recv(&token, 1, MPI_BYTE, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
-        EXPECT_GT(MPIX_Wtime_virtual(), 5.0);
+        EXPECT_GT(MPIX_Wtime_virtual(), 0.0);
     }
 }
 
 TEST(CApi, VirtualTimeAccessors) {
+    EXPECT_DOUBLE_EQ(MPIX_Wtime_virtual(), 0.0); // no rank on this thread
     ASSERT_EQ(MPIX_Run_world(2, world_vtime, nullptr), MPI_SUCCESS);
 }
 
@@ -296,18 +240,6 @@ TEST(CApi, CreateCustomValidatesArguments) {
               MPI_ERR_ARG);
 }
 
-TEST(CApi, TypeConstructorsValidate) {
-    MPI_Datatype t = MPI_DATATYPE_NULL;
-    EXPECT_EQ(MPI_Type_contiguous(-1, MPI_INT, &t), MPI_ERR_ARG);
-    EXPECT_EQ(MPI_Type_vector(2, -1, 1, MPI_INT, &t), MPI_ERR_ARG);
-    ASSERT_EQ(MPI_Type_contiguous(4, MPI_INT, &t), MPI_SUCCESS);
-    MPI_Count lb = -1, extent = -1;
-    ASSERT_EQ(MPI_Type_get_extent(t, &lb, &extent), MPI_SUCCESS);
-    EXPECT_EQ(lb, 0);
-    EXPECT_EQ(extent, 16);
-    MPI_Type_free(&t);
-}
-
 TEST(CApi, GetCountRejectsCustomTypes) {
     MPI_Datatype t = make_cblob_type();
     MPI_Status st{};
@@ -315,94 +247,6 @@ TEST(CApi, GetCountRejectsCustomTypes) {
     MPI_Count n = 0;
     EXPECT_EQ(MPI_Get_count(&st, t, &n), MPI_ERR_TYPE);
     MPI_Type_free(&t);
-}
-
-} // namespace
-
-namespace {
-
-// --- Extended surface: Sendrecv, Pack/Unpack, collectives.
-
-void world_sendrecv(void*) {
-    int rank = -1;
-    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
-    const int peer = 1 - rank;
-    double mine[4] = {rank + 0.5, rank + 1.5, rank + 2.5, rank + 3.5};
-    double theirs[4] = {};
-    MPI_Status st;
-    ASSERT_EQ(MPI_Sendrecv(mine, 4, MPI_DOUBLE, peer, 9, theirs, 4, MPI_DOUBLE, peer,
-                           9, MPI_COMM_WORLD, &st),
-              MPI_SUCCESS);
-    EXPECT_DOUBLE_EQ(theirs[0], peer + 0.5);
-    EXPECT_DOUBLE_EQ(theirs[3], peer + 3.5);
-    EXPECT_EQ(st.MPI_SOURCE, peer);
-}
-
-TEST(CApiExt, SendrecvExchanges) {
-    ASSERT_EQ(MPIX_Run_world(2, world_sendrecv, nullptr), MPI_SUCCESS);
-}
-
-TEST(CApiExt, PackUnpackRoundTrip) {
-    // Strided vector packed into a contiguous buffer and back.
-    MPI_Datatype vec = MPI_DATATYPE_NULL;
-    ASSERT_EQ(MPI_Type_vector(4, 1, 3, MPI_INT, &vec), MPI_SUCCESS);
-    ASSERT_EQ(MPI_Type_commit(&vec), MPI_SUCCESS);
-    MPI_Count packed_size = 0;
-    ASSERT_EQ(MPI_Pack_size(1, vec, MPI_COMM_WORLD, &packed_size), MPI_SUCCESS);
-    EXPECT_EQ(packed_size, 16);
-
-    int src[12];
-    for (int i = 0; i < 12; ++i) src[i] = i * 10;
-    char buf[64];
-    MPI_Count pos = 0;
-    ASSERT_EQ(MPI_Pack(src, 1, vec, buf, sizeof(buf), &pos, MPI_COMM_WORLD),
-              MPI_SUCCESS);
-    EXPECT_EQ(pos, 16);
-
-    int dst[12] = {};
-    MPI_Count rpos = 0;
-    ASSERT_EQ(MPI_Unpack(buf, pos, &rpos, dst, 1, vec, MPI_COMM_WORLD), MPI_SUCCESS);
-    EXPECT_EQ(rpos, 16);
-    for (int i = 0; i < 12; ++i) {
-        EXPECT_EQ(dst[i], i % 3 == 0 ? i * 10 : 0) << i;
-    }
-    MPI_Type_free(&vec);
-}
-
-TEST(CApiExt, PackOverflowRejected) {
-    int v[4] = {};
-    char tiny[4];
-    MPI_Count pos = 0;
-    EXPECT_EQ(MPI_Pack(v, 4, MPI_INT, tiny, sizeof(tiny), &pos, MPI_COMM_WORLD),
-              MPI_ERR_TRUNCATE);
-}
-
-void world_collectives(void*) {
-    int rank = -1, size = -1;
-    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
-    MPI_Comm_size(MPI_COMM_WORLD, &size);
-    ASSERT_EQ(MPI_Barrier(MPI_COMM_WORLD), MPI_SUCCESS);
-
-    double payload[8] = {};
-    if (rank == 0) {
-        for (int i = 0; i < 8; ++i) payload[i] = 3.25 * i;
-    }
-    ASSERT_EQ(MPI_Bcast(payload, 8, MPI_DOUBLE, 0, MPI_COMM_WORLD), MPI_SUCCESS);
-    EXPECT_DOUBLE_EQ(payload[7], 3.25 * 7);
-
-    std::int64_t mine = 100 + rank;
-    std::vector<std::int64_t> all(static_cast<std::size_t>(size), -1);
-    ASSERT_EQ(MPI_Gather(&mine, 1, MPI_INT64_T, rank == 0 ? all.data() : nullptr, 1,
-                         MPI_INT64_T, 0, MPI_COMM_WORLD),
-              MPI_SUCCESS);
-    if (rank == 0) {
-        for (int i = 0; i < size; ++i)
-            EXPECT_EQ(all[static_cast<std::size_t>(i)], 100 + i);
-    }
-}
-
-TEST(CApiExt, BarrierBcastGather) {
-    ASSERT_EQ(MPIX_Run_world(3, world_collectives, nullptr), MPI_SUCCESS);
 }
 
 } // namespace

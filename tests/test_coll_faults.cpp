@@ -15,15 +15,12 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <numeric>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/flight_recorder.hpp"
 #include "base/trace.hpp"
-#include "core/builtin_serialize.hpp"
 #include "netsim/fault.hpp"
 #include "p2p/coll/vcoll.hpp"
 #include "p2p/collectives.hpp"
@@ -145,7 +142,7 @@ TEST(CollFaults, AllreduceBothTypesUnderLoss) {
                 EXPECT_DOUBLE_EQ(d, 10.0);
             }
             std::int64_t q = 7 * (comm.rank() + 1);
-            const Status s2 = allreduce(comm, &q, 1, ReduceOp::max);
+            const Status s2 = coll::iallreduce(comm, &q, 1, ReduceOp::max).wait();
             expect_delivered_or_timeout(s2, "allreduce int64");
             if (ok(s2)) {
                 EXPECT_EQ(q, 28);
@@ -154,7 +151,7 @@ TEST(CollFaults, AllreduceBothTypesUnderLoss) {
     }
 }
 
-TEST(CollFaults, VVariantsUnderLoss) {
+TEST(CollFaults, AllgathervUnderLoss) {
     for (const auto seed : kSeeds) {
         run_world_faults(4, lossy_params(), lossy_faults(seed),
                          [&](Communicator& comm) {
@@ -183,55 +180,6 @@ TEST(CollFaults, VVariantsUnderLoss) {
                         expect.begin(), expect.end(),
                         recv.begin() + displs[static_cast<std::size_t>(i)]));
                 }
-            }
-            // alltoallv: one 16-byte block to every peer.
-            std::vector<Count> ones(4, 16), adispls = {0, 16, 32, 48};
-            ByteVec a2asend(64), a2arecv(64);
-            for (int p = 0; p < n; ++p) {
-                const ByteVec blk = mpicd::test::pattern_bytes(
-                    16, static_cast<std::uint32_t>(r * 10 + p));
-                std::copy(blk.begin(), blk.end(),
-                          a2asend.begin() +
-                              adispls[static_cast<std::size_t>(p)]);
-            }
-            const Status s2 = coll::alltoallv_bytes(comm, a2asend.data(), ones,
-                                                    adispls, a2arecv.data(),
-                                                    ones, adispls);
-            expect_delivered_or_timeout(s2, "alltoallv");
-            if (ok(s2)) {
-                for (int p = 0; p < n; ++p) {
-                    const ByteVec expect = mpicd::test::pattern_bytes(
-                        16, static_cast<std::uint32_t>(p * 10 + r));
-                    EXPECT_TRUE(std::equal(
-                        expect.begin(), expect.end(),
-                        a2arecv.begin() +
-                            adispls[static_cast<std::size_t>(p)]));
-                }
-            }
-        });
-    }
-}
-
-TEST(CollFaults, CustomBcastUnderLoss) {
-    using Sub = std::vector<std::int32_t>;
-    for (const auto seed : kSeeds) {
-        run_world_faults(3, lossy_params(), lossy_faults(seed),
-                         [&](Communicator& comm) {
-            std::vector<Sub> obj(2);
-            obj[0].resize(300);
-            obj[1].resize(500);
-            if (comm.rank() == 0) {
-                std::iota(obj[0].begin(), obj[0].end(), 10);
-                std::iota(obj[1].begin(), obj[1].end(), 9000);
-            }
-            const Status st = bcast_custom(comm, obj.data(), 2,
-                                           core::custom_datatype_of<Sub>(), 0);
-            expect_delivered_or_timeout(st, "bcast_custom");
-            if (ok(st)) {
-                EXPECT_EQ(obj[0].front(), 10);
-                EXPECT_EQ(obj[0].back(), 10 + 299);
-                EXPECT_EQ(obj[1].front(), 9000);
-                EXPECT_EQ(obj[1].back(), 9000 + 499);
             }
         });
     }
@@ -434,20 +382,17 @@ TEST(CollFaults, LatePeerCannotReadFromTimedOutOp) {
     EXPECT_TRUE(uni.worker(0).idle());
 }
 
-// The v-variants run on the same executor, so they carry the same loss
-// watchdog: with rank 0 never entering, the other ranks' allgatherv and
-// alltoallv_custom each fail with Status::timeout instead of blocking
-// forever on the receive from rank 0, and the flight dump names the
-// stuck op's family.
+// allgatherv runs on the same executor, so it carries the same loss
+// watchdog: with rank 0 never entering, the other ranks' allgatherv fails
+// with Status::timeout instead of blocking forever on the receive from
+// rank 0, and the flight dump names the stuck op's family.
 TEST(CollFaults, VVariantMissingPeerTimesOut) {
-    using Sub = std::vector<std::int32_t>;
     netsim::FaultConfig f;
     f.force_reliable = true;
     const std::string path = "mpicd_vcoll_flight.txt";
     std::remove(path.c_str());
     flight::set_enabled(true, path);
     std::atomic<int> allgatherv_timeouts{0};
-    std::atomic<int> alltoallv_timeouts{0};
     {
         Universe uni(3, lossy_params(), f);
         std::vector<std::thread> threads;
@@ -461,19 +406,6 @@ TEST(CollFaults, VVariantMissingPeerTimesOut) {
                 if (coll::allgatherv_bytes(comm, mine.data(), 8, all.data(),
                                            counts, displs) == Status::timeout)
                     ++allgatherv_timeouts;
-                std::vector<Sub> send(3, Sub(16, r)), recv(3, Sub(16));
-                std::vector<const void*> sptrs;
-                std::vector<void*> rptrs;
-                for (int p = 0; p < 3; ++p) {
-                    sptrs.push_back(&send[static_cast<std::size_t>(p)]);
-                    rptrs.push_back(&recv[static_cast<std::size_t>(p)]);
-                }
-                if (coll::alltoallv_custom(comm,
-                                           std::span<const void* const>(sptrs),
-                                           std::span<void* const>(rptrs),
-                                           core::custom_datatype_of<Sub>()) ==
-                    Status::timeout)
-                    ++alltoallv_timeouts;
             });
         }
         for (auto& t : threads) t.join();
@@ -481,7 +413,6 @@ TEST(CollFaults, VVariantMissingPeerTimesOut) {
     flight::set_enabled(false);
 
     EXPECT_EQ(allgatherv_timeouts.load(), 2);
-    EXPECT_EQ(alltoallv_timeouts.load(), 2);
     const std::string dump = read_file(path);
     EXPECT_NE(dump.find("reason: coll_watchdog_expired"), std::string::npos);
     EXPECT_NE(dump.find("fam=allgatherv"), std::string::npos);

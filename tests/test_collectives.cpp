@@ -5,8 +5,6 @@
 #include <atomic>
 #include <span>
 
-#include "base/stats.hpp"
-#include "core/builtin_serialize.hpp"
 #include "p2p/coll/vcoll.hpp"
 #include "p2p/collectives.hpp"
 #include "p2p/runner.hpp"
@@ -56,66 +54,6 @@ TEST_P(CollectiveWorld, BcastLargeGoesRendezvous) {
     EXPECT_EQ(correct.load(), n);
 }
 
-// On both pack engines: the default plans, and the generic loop that
-// models the paper's Open MPI baseline. Every step packs with the
-// universe's engine and never the other one.
-TEST_P(CollectiveWorld, BcastDerivedDatatype) {
-    const int n = GetParam();
-    auto t = dt::Datatype::vector(64, 1, 2, dt::type_double());
-    ASSERT_EQ(t->commit(), Status::success);
-    for (const dt::PackMode mode : {dt::PackMode::plan, dt::PackMode::generic}) {
-        SCOPED_TRACE(static_cast<int>(mode));
-        const auto before = pack_stats().snapshot();
-        Universe uni(n, test::test_params(), netsim::FaultConfig::from_env(), mode);
-        std::atomic<int> correct{0};
-        run_world(uni, [&](Communicator& comm) {
-            std::vector<double> grid(128, 0.0);
-            if (comm.rank() == 0) {
-                for (int i = 0; i < 128; i += 2) grid[static_cast<std::size_t>(i)] = i;
-            }
-            ASSERT_EQ(bcast(comm, grid.data(), 1, t, 0), Status::success);
-            bool good = true;
-            for (int i = 0; i < 128; ++i) {
-                const double expect = i % 2 == 0 ? i : 0.0;
-                if (grid[static_cast<std::size_t>(i)] != expect) good = false;
-            }
-            if (good) ++correct;
-        });
-        EXPECT_EQ(correct.load(), n);
-        const auto after = pack_stats().snapshot();
-        const auto kernel = after.kernel_bytes - before.kernel_bytes;
-        const auto generic = after.generic_bytes - before.generic_bytes;
-        EXPECT_GT(mode == dt::PackMode::plan ? kernel : generic, 0u);
-        EXPECT_EQ(mode == dt::PackMode::plan ? generic : kernel, 0u);
-    }
-}
-
-TEST_P(CollectiveWorld, BcastCustomDatatype) {
-    const int n = GetParam();
-    using Sub = std::vector<std::int32_t>;
-    std::atomic<int> correct{0};
-    run_world(n, [&](Communicator& comm) {
-        std::vector<Sub> obj(3);
-        for (std::size_t i = 0; i < 3; ++i) obj[i].resize(200 * (i + 1));
-        if (comm.rank() == 1) {
-            for (std::size_t i = 0; i < 3; ++i) {
-                std::iota(obj[i].begin(), obj[i].end(), int(i) * 1000);
-            }
-        }
-        ASSERT_EQ(bcast_custom(comm, obj.data(), 3, core::custom_datatype_of<Sub>(),
-                               /*root=*/1),
-                  Status::success);
-        bool good = true;
-        for (std::size_t i = 0; i < 3; ++i) {
-            if (obj[i][0] != int(i) * 1000 || obj[i].back() !=
-                int(i) * 1000 + static_cast<int>(obj[i].size()) - 1)
-                good = false;
-        }
-        if (good) ++correct;
-    }, test::test_params());
-    EXPECT_EQ(correct.load(), n);
-}
-
 TEST_P(CollectiveWorld, GatherBytesAssemblesBlocks) {
     const int n = GetParam();
     std::atomic<bool> root_ok{false};
@@ -155,8 +93,8 @@ TEST_P(CollectiveWorld, AllreduceMinMaxInt64) {
     run_world(n, [&](Communicator& comm) {
         std::int64_t mn = 100 + comm.rank();
         std::int64_t mx = 100 + comm.rank();
-        ASSERT_EQ(allreduce(comm, &mn, 1, ReduceOp::min), Status::success);
-        ASSERT_EQ(allreduce(comm, &mx, 1, ReduceOp::max), Status::success);
+        ASSERT_EQ(coll::iallreduce(comm, &mn, 1, ReduceOp::min).wait(), Status::success);
+        ASSERT_EQ(coll::iallreduce(comm, &mx, 1, ReduceOp::max).wait(), Status::success);
         if (mn == 100 && mx == 100 + n - 1) ++correct;
     }, test::test_params());
     EXPECT_EQ(correct.load(), n);
@@ -164,14 +102,6 @@ TEST_P(CollectiveWorld, AllreduceMinMaxInt64) {
 
 // Power-of-two and straggler world sizes.
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectiveWorld, ::testing::Values(2, 3, 4, 5, 8));
-
-TEST(Collectives, BcastUncommittedTypeRejected) {
-    run_world(2, [&](Communicator& comm) {
-        auto t = dt::Datatype::contiguous(4, dt::type_int32()); // not committed
-        std::int32_t buf[4] = {};
-        EXPECT_EQ(bcast(comm, buf, 1, t, 0), Status::err_not_committed);
-    }, test::test_params());
-}
 
 // --- Regressions: the tag-space collision / aliasing bug class. -----------
 
@@ -191,7 +121,7 @@ TEST(CollTagIsolation, UserTrafficOnHistoricalCollisionTags) {
         double d[2] = {1.0 + comm.rank(), -2.0};
         std::int64_t q[2] = {10 + comm.rank(), 5};
         ASSERT_EQ(allreduce(comm, d, 2, ReduceOp::sum), Status::success);
-        ASSERT_EQ(allreduce(comm, q, 2, ReduceOp::sum), Status::success);
+        ASSERT_EQ(coll::iallreduce(comm, q, 2, ReduceOp::sum).wait(), Status::success);
         const ByteVec out = test::pattern_bytes(512, 77);
         ASSERT_EQ(comm.send_bytes(out.data(), 512, peer, 0x7FFF0006).status,
                   Status::success);
@@ -304,44 +234,7 @@ TEST(CollOverlap, NonblockingCollectiveOverlapsP2P) {
     }, test::test_params());
 }
 
-// --- v-variants. ----------------------------------------------------------
-
-TEST_P(CollectiveWorld, GathervBytesVariableBlocks) {
-    const int n = GetParam();
-    std::atomic<bool> root_ok{false};
-    run_world(n, [&](Communicator& comm) {
-        const Count mine = comm.rank() + 1;
-        const ByteVec send =
-            test::pattern_bytes(static_cast<std::size_t>(mine),
-                                static_cast<std::uint32_t>(comm.rank() + 1));
-        std::vector<Count> counts(static_cast<std::size_t>(n));
-        std::vector<Count> displs(static_cast<std::size_t>(n));
-        Count off = 0;
-        for (int i = 0; i < n; ++i) {
-            counts[static_cast<std::size_t>(i)] = i + 1;
-            displs[static_cast<std::size_t>(i)] = off;
-            off += i + 1;
-        }
-        ByteVec recv(static_cast<std::size_t>(off));
-        ASSERT_EQ(coll::gatherv_bytes(comm, send.data(), mine,
-                                      comm.rank() == 0 ? recv.data() : nullptr,
-                                      counts, displs, 0),
-                  Status::success);
-        if (comm.rank() == 0) {
-            bool good = true;
-            for (int i = 0; i < n; ++i) {
-                const ByteVec expect = test::pattern_bytes(
-                    static_cast<std::size_t>(i + 1),
-                    static_cast<std::uint32_t>(i + 1));
-                if (!std::equal(expect.begin(), expect.end(),
-                                recv.begin() + displs[static_cast<std::size_t>(i)]))
-                    good = false;
-            }
-            root_ok = good;
-        }
-    }, test::test_params());
-    EXPECT_TRUE(root_ok.load());
-}
+// --- allgatherv. -----------------------------------------------------------
 
 TEST_P(CollectiveWorld, AllgathervBytesEveryRankAssembles) {
     const int n = GetParam();
@@ -375,168 +268,6 @@ TEST_P(CollectiveWorld, AllgathervBytesEveryRankAssembles) {
         if (good) ++correct;
     }, test::test_params());
     EXPECT_EQ(correct.load(), n);
-}
-
-TEST_P(CollectiveWorld, AlltoallvBytesExchangesBlocks) {
-    const int n = GetParam();
-    std::atomic<int> correct{0};
-    run_world(n, [&](Communicator& comm) {
-        const int r = comm.rank();
-        // Block r->p holds r+p+1 bytes seeded by (r, p); the count formula
-        // is symmetric, so rank p's recvcounts[r] matches automatically.
-        std::vector<Count> scounts(static_cast<std::size_t>(n));
-        std::vector<Count> sdispls(static_cast<std::size_t>(n));
-        Count soff = 0;
-        for (int p = 0; p < n; ++p) {
-            scounts[static_cast<std::size_t>(p)] = r + p + 1;
-            sdispls[static_cast<std::size_t>(p)] = soff;
-            soff += r + p + 1;
-        }
-        ByteVec send(static_cast<std::size_t>(soff));
-        for (int p = 0; p < n; ++p) {
-            const ByteVec blk = test::pattern_bytes(
-                static_cast<std::size_t>(r + p + 1),
-                static_cast<std::uint32_t>(r * 100 + p + 1));
-            std::copy(blk.begin(), blk.end(),
-                      send.begin() + sdispls[static_cast<std::size_t>(p)]);
-        }
-        ByteVec recv(static_cast<std::size_t>(soff)); // same total by symmetry
-        ASSERT_EQ(coll::alltoallv_bytes(comm, send.data(), scounts, sdispls,
-                                        recv.data(), scounts, sdispls),
-                  Status::success);
-        bool good = true;
-        for (int p = 0; p < n; ++p) {
-            const ByteVec expect = test::pattern_bytes(
-                static_cast<std::size_t>(r + p + 1),
-                static_cast<std::uint32_t>(p * 100 + r + 1));
-            if (!std::equal(expect.begin(), expect.end(),
-                            recv.begin() + sdispls[static_cast<std::size_t>(p)]))
-                good = false;
-        }
-        if (good) ++correct;
-    }, test::test_params());
-    EXPECT_EQ(correct.load(), n);
-}
-
-TEST(CollV, DerivedGathervAndAllgatherv) {
-    const int n = 3;
-    run_world(n, [&](Communicator& comm) {
-        const int r = comm.rank();
-        const Count mine = r + 1; // elements
-        std::vector<std::int32_t> send(static_cast<std::size_t>(mine));
-        for (Count i = 0; i < mine; ++i)
-            send[static_cast<std::size_t>(i)] =
-                r * 1000 + static_cast<std::int32_t>(i);
-        std::vector<Count> counts = {1, 2, 3};
-        std::vector<Count> displs = {0, 1, 3}; // element displacements
-        const auto t = dt::type_int32();
-        // gatherv to root 1.
-        std::vector<std::int32_t> g(6, -1);
-        ASSERT_EQ(coll::gatherv(comm, send.data(), mine, t,
-                                r == 1 ? g.data() : nullptr, counts, displs, t,
-                                /*root=*/1),
-                  Status::success);
-        if (r == 1) {
-            const std::vector<std::int32_t> expect = {0, 1000, 1001,
-                                                      2000, 2001, 2002};
-            EXPECT_EQ(g, expect);
-        }
-        // allgatherv: every rank assembles the same vector.
-        std::vector<std::int32_t> all(6, -1);
-        ASSERT_EQ(coll::allgatherv(comm, send.data(), mine, t, all.data(),
-                                   counts, displs, t),
-                  Status::success);
-        const std::vector<std::int32_t> expect = {0, 1000, 1001,
-                                                  2000, 2001, 2002};
-        EXPECT_EQ(all, expect);
-    }, test::test_params());
-}
-
-TEST(CollV, DerivedAlltoallv) {
-    const int n = 3;
-    run_world(n, [&](Communicator& comm) {
-        const int r = comm.rank();
-        const auto t = dt::type_int32();
-        // One element to every peer: element r*10+p goes r -> p.
-        std::vector<Count> ones = {1, 1, 1};
-        std::vector<Count> displs = {0, 1, 2};
-        std::vector<std::int32_t> send(3), recv(3, -1);
-        for (int p = 0; p < n; ++p)
-            send[static_cast<std::size_t>(p)] = r * 10 + p;
-        ASSERT_EQ(coll::alltoallv(comm, send.data(), ones, displs, t,
-                                  recv.data(), ones, displs, t),
-                  Status::success);
-        for (int p = 0; p < n; ++p)
-            EXPECT_EQ(recv[static_cast<std::size_t>(p)], p * 10 + r);
-    }, test::test_params());
-}
-
-TEST(CollVCustom, GathervAndAllgathervCustomVariableSizes) {
-    using Sub = std::vector<std::int32_t>;
-    const int n = 3;
-    run_world(n, [&](Communicator& comm) {
-        const int r = comm.rank();
-        Sub mine(static_cast<std::size_t>(100 * (r + 1)));
-        std::iota(mine.begin(), mine.end(), r * 1000);
-        // Pre-shaped receive objects: the receiver's own query callback
-        // sets the expected packed size per source (§VI size contract).
-        std::vector<Sub> recv(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i)
-            recv[static_cast<std::size_t>(i)].resize(
-                static_cast<std::size_t>(100 * (i + 1)));
-        std::vector<void*> ptrs;
-        for (auto& s : recv) ptrs.push_back(&s);
-        const auto check = [&](const char* what) {
-            for (int i = 0; i < n; ++i) {
-                const Sub& s = recv[static_cast<std::size_t>(i)];
-                EXPECT_EQ(s.front(), i * 1000) << what;
-                EXPECT_EQ(s.back(), i * 1000 + 100 * (i + 1) - 1) << what;
-            }
-        };
-        ASSERT_EQ(coll::gatherv_custom(comm, &mine,
-                                       core::custom_datatype_of<Sub>(),
-                                       std::span<void* const>(ptrs), /*root=*/2),
-                  Status::success);
-        if (r == 2) check("gatherv_custom");
-        for (auto& s : recv) std::fill(s.begin(), s.end(), -1);
-        ASSERT_EQ(coll::allgatherv_custom(comm, &mine,
-                                          core::custom_datatype_of<Sub>(),
-                                          std::span<void* const>(ptrs)),
-                  Status::success);
-        check("allgatherv_custom");
-    }, test::test_params());
-}
-
-TEST(CollVCustom, AlltoallvCustomVariableSizes) {
-    using Sub = std::vector<std::int32_t>;
-    const int n = 3;
-    run_world(n, [&](Communicator& comm) {
-        const int r = comm.rank();
-        // r sends p a vector of 10*(r+p+1) elements starting at r*100+p.
-        std::vector<Sub> send(static_cast<std::size_t>(n));
-        std::vector<Sub> recv(static_cast<std::size_t>(n));
-        std::vector<const void*> sptrs;
-        std::vector<void*> rptrs;
-        for (int p = 0; p < n; ++p) {
-            auto& s = send[static_cast<std::size_t>(p)];
-            s.resize(static_cast<std::size_t>(10 * (r + p + 1)));
-            std::iota(s.begin(), s.end(), r * 100 + p);
-            recv[static_cast<std::size_t>(p)].resize(
-                static_cast<std::size_t>(10 * (r + p + 1)));
-            sptrs.push_back(&s);
-            rptrs.push_back(&recv[static_cast<std::size_t>(p)]);
-        }
-        ASSERT_EQ(coll::alltoallv_custom(comm,
-                                         std::span<const void* const>(sptrs),
-                                         std::span<void* const>(rptrs),
-                                         core::custom_datatype_of<Sub>()),
-                  Status::success);
-        for (int p = 0; p < n; ++p) {
-            const Sub& got = recv[static_cast<std::size_t>(p)];
-            ASSERT_EQ(got.size(), static_cast<std::size_t>(10 * (r + p + 1)));
-            EXPECT_EQ(got.front(), p * 100 + r);
-        }
-    }, test::test_params());
 }
 
 // --- Hierarchical algorithms on a two-level topology. ---------------------
@@ -615,7 +346,8 @@ TEST(CollHier, ForcedFlatAndHierAgree) {
             ASSERT_EQ(bcast_bytes(comm, buf.data(), 256, 0), Status::success);
             EXPECT_EQ(buf, test::pattern_bytes(256, 4));
             std::int64_t v = comm.rank();
-            ASSERT_EQ(allreduce(comm, &v, 1, ReduceOp::sum), Status::success);
+            ASSERT_EQ(coll::iallreduce(comm, &v, 1, ReduceOp::sum).wait(),
+                      Status::success);
             EXPECT_EQ(v, 10);
             std::int32_t mine = comm.rank() + 1;
             std::vector<std::int32_t> g(static_cast<std::size_t>(n), -1);

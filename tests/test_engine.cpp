@@ -201,17 +201,5 @@ TEST(CustomRecvOpTest, FinishIsIdempotent) {
     EXPECT_EQ(op.finish(uni.worker(0)), Status::success); // no double unpack
 }
 
-TEST(CustomRecvOpTest, MoveTransfersPendingState) {
-    p2p::Universe uni(2, test::test_params());
-    const auto type = stream_type(false);
-    Stream obj;
-    obj.data.resize(32);
-    CustomRecvOp a;
-    ASSERT_EQ(lower_custom_recv(type, &obj, 1, uni.worker(0), &a), Status::success);
-    CustomRecvOp b(std::move(a));
-    EXPECT_EQ(b.expected_packed(), 32);
-    EXPECT_EQ(b.finish(uni.worker(0)), Status::success);
-}
-
 } // namespace
 } // namespace mpicd::core

@@ -310,22 +310,6 @@ TEST(Fabric, FifoOrderPerLink) {
     }
 }
 
-TEST(Fabric, ResetTimeClearsLinkState) {
-    Fabric f(2, simple_params());
-    Packet a;
-    a.src = 0;
-    a.dst = 1;
-    (void)f.transmit(std::move(a), 0.0, 100000);
-    (void)f.poll(1);
-    f.reset_time();
-    Packet b;
-    b.src = 0;
-    b.dst = 1;
-    const SimTime t = f.transmit(std::move(b), 0.0, 1000);
-    EXPECT_DOUBLE_EQ(t, 2.0);
-    (void)f.poll(1);
-}
-
 TEST(Fabric, InboxEmptyReflectsState) {
     Fabric f(2, simple_params());
     EXPECT_TRUE(f.inbox_empty(1));

@@ -19,7 +19,6 @@
 
 #include "base/crc32.hpp"
 #include "dt/convertor.hpp"
-#include "dt/signature.hpp"
 #include "core/builtin_serialize.hpp"
 #include "p2p/universe.hpp"
 #include "pysim/pickle.hpp"
@@ -144,18 +143,6 @@ TEST_P(RandomTypeRoundTrip, FragmentedPackMatchesMonolithic) {
         stream.insert(stream.end(), frag.begin(), frag.begin() + got);
     }
     EXPECT_EQ(stream, whole);
-}
-
-TEST_P(RandomTypeRoundTrip, SignatureSizeConsistency) {
-    std::mt19937 rng(static_cast<unsigned>(GetParam()) * 31u + 5u);
-    auto type = random_type(rng, 3);
-    ASSERT_EQ(type->commit(), Status::success);
-    // The signature's total byte size must equal MPI_Type_size.
-    Count sig_bytes = 0;
-    for (const auto& run : dt::signature(type, 1)) {
-        sig_bytes += run.count * static_cast<Count>(dt::predef_size(run.kind));
-    }
-    EXPECT_EQ(sig_bytes, type->size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTypeRoundTrip, ::testing::Range(0, 24));

@@ -398,6 +398,118 @@ TEST(UcxRegions, ShortRegionTableEndsDirectRendezvous) {
     EXPECT_TRUE(p.w0.idle());
 }
 
+// Statuses and byte counts read off the wire are checked. A forged abort
+// CTS completes the send with the status it carries in its nregions field
+// when that is a declared refusal; success or an undeclared value
+// completes it with err_internal.
+TEST(UcxWire, AbortCtsCarriesTheReceiversStatus) {
+    constexpr Count kTotal = 20'000;
+    const struct {
+        std::uint32_t carried;
+        Status want;
+    } rows[] = {
+        {static_cast<std::uint32_t>(Status::err_unpack), Status::err_unpack},
+        {static_cast<std::uint32_t>(Status::err_truncate), Status::err_truncate},
+        {static_cast<std::uint32_t>(Status::timeout), Status::timeout},
+        {static_cast<std::uint32_t>(Status::success), Status::err_internal},
+        {static_cast<std::uint32_t>(Status::timeout) + 1, Status::err_internal},
+        {0xFFFFFFFFu, Status::err_internal},
+    };
+    for (const auto& row : rows) {
+        SCOPED_TRACE(row.carried);
+        netsim::WireParams params = test::test_params();
+        params.eager_threshold = 4096;
+        netsim::FaultConfig lossless;
+        WorkerPair p(params, lossless);
+        const ByteVec src = test::pattern_bytes(kTotal, 5);
+        const auto sid = p.w0.tag_send(1, 3, make_contig_send(src.data(), kTotal));
+        // The RTS, taken off the wire: tag, sender op, total.
+        auto rts = p.fabric.poll(1);
+        ASSERT_TRUE(rts.has_value());
+        ASSERT_EQ(rts->kind, wire::kRts);
+        std::uint64_t sender_op = 0;
+        std::memcpy(&sender_op, rts->header.data() + 8, sizeof(sender_op));
+        // An abort CTS: sender op, receiver op, mode 3 (abort), status.
+        const struct {
+            std::uint64_t sender_op, recv_op;
+            std::uint32_t mode, nregions;
+        } cts{sender_op, 0, 3, row.carried};
+        netsim::Packet pkt;
+        pkt.src = 1;
+        pkt.dst = 0;
+        pkt.kind = wire::kCts;
+        pkt.header = ByteVec(sizeof(cts));
+        std::memcpy(pkt.header.data(), &cts, sizeof(cts));
+        (void)p.fabric.transmit_control(std::move(pkt), 0.0);
+        ASSERT_TRUE(p.w0.progress());
+        ASSERT_TRUE(p.w0.is_complete(sid));
+        const Completion sc = p.w0.take_completion(sid);
+        EXPECT_EQ(sc.status, row.want);
+        EXPECT_EQ(sc.received_len, 0);
+        EXPECT_TRUE(p.w0.idle());
+    }
+}
+
+// A forged FIN completes the receive with its status only when that is a
+// declared Status value (else err_internal), and with its byte count only
+// when the count fits the total the RTS announced (else err_internal and
+// 0 bytes).
+TEST(UcxWire, FinStatusAndTotalAreChecked) {
+    constexpr Count kTotal = 20'000;
+    const struct {
+        std::int32_t status;
+        Count total;
+        Status want;
+        Count want_len;
+    } rows[] = {
+        {static_cast<std::int32_t>(Status::success), kTotal, Status::success, kTotal},
+        {static_cast<std::int32_t>(Status::err_pack), 4096, Status::err_pack, 4096},
+        {static_cast<std::int32_t>(Status::timeout) + 1, kTotal, Status::err_internal,
+         kTotal},
+        {-1, kTotal, Status::err_internal, kTotal},
+        {static_cast<std::int32_t>(Status::success), kTotal + 1, Status::err_internal, 0},
+        {static_cast<std::int32_t>(Status::success), -1, Status::err_internal, 0},
+    };
+    for (const auto& row : rows) {
+        SCOPED_TRACE(testing::Message() << row.status << " " << row.total);
+        netsim::WireParams params = test::test_params();
+        params.eager_threshold = 4096;
+        netsim::FaultConfig lossless;
+        WorkerPair p(params, lossless);
+        ByteVec dst(kTotal);
+        const auto rid = p.w1.tag_recv(3, ~Tag{0}, make_contig_recv(dst.data(), kTotal));
+        const ByteVec src = test::pattern_bytes(kTotal, 6);
+        (void)p.w0.tag_send(1, 3, make_contig_send(src.data(), kTotal));
+        // Worker 1 matches the RTS and answers with a CTS, which is taken off
+        // the wire before worker 0 sees it: sender op, receiver op, ...
+        ASSERT_TRUE(p.w1.progress());
+        auto cts = p.fabric.poll(0);
+        ASSERT_TRUE(cts.has_value());
+        ASSERT_EQ(cts->kind, wire::kCts);
+        std::uint64_t recv_op = 0;
+        std::memcpy(&recv_op, cts->header.data() + 8, sizeof(recv_op));
+        // A FIN: receiver op, data time, total, status.
+        const struct {
+            std::uint64_t recv_op;
+            double data_vtime;
+            Count total;
+            std::int32_t status;
+        } fin{recv_op, 0.0, row.total, row.status};
+        netsim::Packet pkt;
+        pkt.src = 0;
+        pkt.dst = 1;
+        pkt.kind = wire::kFin;
+        pkt.header = ByteVec(sizeof(fin));
+        std::memcpy(pkt.header.data(), &fin, sizeof(fin));
+        (void)p.fabric.transmit_control(std::move(pkt), 0.0);
+        ASSERT_TRUE(p.w1.progress());
+        ASSERT_TRUE(p.w1.is_complete(rid));
+        const Completion rc = p.w1.take_completion(rid);
+        EXPECT_EQ(rc.status, row.want);
+        EXPECT_EQ(rc.received_len, row.want_len);
+    }
+}
+
 TEST_F(UcxPair, GenericEagerCallbacksRun) {
     XorCtx key{std::byte{0x5A}};
     const ByteVec src = test::pattern_bytes(500);
@@ -1013,7 +1125,7 @@ TEST(UcxErrors, RendezvousStartUnpackFailsAbortsSender) {
         const FaultyCtx rx{.fail_start_unpack = true};
         const auto o = exchange(reliable, make_contig_send(src.data(), kRndvBytes),
                                 faulty_recv(rx, dst));
-        EXPECT_EQ(o.send.status, Status::err_truncate); // the abort CTS
+        EXPECT_EQ(o.send.status, Status::err_unpack); // carried by the abort CTS
         EXPECT_EQ(o.recv.status, Status::err_unpack);
         EXPECT_EQ(o.recv.received_len, 0);
         EXPECT_EQ(o.sender.rndv_sends, 1u);

@@ -56,9 +56,7 @@ FAM_NAMES = {
     1: "bcast",
     2: "gather",
     3: "allreduce",
-    4: "gatherv",
     5: "allgatherv",
-    6: "alltoallv",
 }
 ALGO_NAMES = {0: "flat", 1: "hier"}
 

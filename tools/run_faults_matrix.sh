@@ -19,6 +19,9 @@
 #     gate is restricted to the faults-off leg.
 #   - paper_shapes : gates the paper's lossless timing orderings, for the
 #     same reason.
+#   - bench_suite_smoke: bench/suite/run.sh unsets every MPICD_* variable
+#     before it runs, so with faults on it would only repeat the lossless
+#     suite smoke the faults-off leg already ran (7-9 s per leg).
 # Everything else must pass unmodified — that is the point of the sweep: the
 # reliable-delivery protocol makes packet loss invisible to correctness, with
 # one known exception. A dropped eager packet lets later messages with the
@@ -84,6 +87,11 @@
 # observer — the reliability protocol and every collective must behave
 # identically with the rings recording. MPICD_SKIP_TRACE=1 skips it.
 #
+# A reachability leg runs first: tools/reach_scan.py builds <build-dir>-reach
+# at -O0 with --gc-sections and fails when a global function of the src
+# libraries is kept by no example, bench or suite_driver and is not on
+# tools/reach_allowlist.txt with a reason (about 2 min on 4 vCPUs).
+#
 # Usage: tools/run_faults_matrix.sh [build-dir] (default: build)
 set -euo pipefail
 
@@ -94,7 +102,7 @@ if [[ ! -f "$BUILD_DIR/CTestTestfile.cmake" ]]; then
 fi
 
 SEEDS=(1 42 999983)
-EXCLUDE='test_netsim|bench_compare|paper_shapes'
+EXCLUDE='test_netsim|bench_compare|paper_shapes|bench_suite_smoke'
 # Lossy legs skip test_engine's one timing comparison (see the header).
 LOSSY_GTEST_FILTER='-PipelineLowering2.OutOfOrderStripesAcrossRails'
 HEAVY_SEEDS=(1 12345)
@@ -108,6 +116,9 @@ run_ctest() {
     ctest --test-dir "$BUILD_DIR" -j "$JOBS" --output-on-failure \
           --repeat until-pass:2 "$@"
 }
+
+echo "=== reach leg: every src entry point reached or allowlisted ==="
+python3 tools/reach_scan.py "$BUILD_DIR"
 
 echo "=== faults off: full suite ==="
 run_ctest
