@@ -26,7 +26,6 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/metrics.hpp"
@@ -36,6 +35,7 @@
 #include "p2p/coll/topology.hpp"
 #include "p2p/coll/vcoll.hpp"
 #include "p2p/collectives.hpp"
+#include "p2p/runner.hpp"
 
 namespace {
 
@@ -123,8 +123,7 @@ Cell measure_op(Op op, std::size_t nbytes, p2p::coll::Algo algo) {
 
     std::atomic<bool> failed{false};
     SimTime elapsed[kRanks] = {};
-    auto body = [&](int r) {
-        auto& comm = uni.comm(r);
+    p2p::run_world(uni, [&](p2p::Communicator& comm) {
         std::vector<std::byte> buf(nbytes, std::byte{1});
         std::vector<std::byte> big(nbytes * kRanks);
         auto once = [&] {
@@ -134,12 +133,8 @@ Cell measure_op(Op op, std::size_t nbytes, p2p::coll::Algo algo) {
         const SimTime t0 = comm.now();
         for (int i = 0; i < iters; ++i)
             if (!ok(once())) failed.store(true);
-        elapsed[r] = comm.now() - t0;
-    };
-    std::vector<std::thread> threads;
-    for (int r = 1; r < kRanks; ++r) threads.emplace_back(body, r);
-    body(0);
-    for (auto& t : threads) t.join();
+        elapsed[comm.rank()] = comm.now() - t0;
+    });
     p2p::coll::set_algo_override(std::nullopt);
     if (failed.load()) {
         std::fprintf(stderr, "FAIL: %s/%zuB did not complete cleanly\n",

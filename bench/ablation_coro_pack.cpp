@@ -32,13 +32,26 @@ struct Grid {
     [[nodiscard]] Count payload() const { return ny * 5 * 8; }
 };
 
+// Mean host time of `reps` timed calls of `pack`, after one untimed call:
+// the first pass over a grid pays its cold cache and page faults, which in
+// a 3-rep smoke run would dominate the mean.
+template <class Pack>
+double mean_us(int reps, Pack&& pack) {
+    pack();
+    RunningStats stats;
+    for (int r = 0; r < reps; ++r) {
+        HostTimer t;
+        pack();
+        stats.add(t.elapsed_us());
+    }
+    return stats.mean();
+}
+
 // --- full pack then fragment copies.
 double run_full_pack(const Grid& g, Count frag_bytes, int reps) {
     std::vector<double> staged(static_cast<std::size_t>(g.ny * 5));
     ByteVec frag(static_cast<std::size_t>(frag_bytes));
-    RunningStats stats;
-    for (int r = 0; r < reps; ++r) {
-        HostTimer t;
+    return mean_us(reps, [&] {
         std::size_t pos = 0;
         for (Count j = 0; j < g.ny; ++j) {
             std::memcpy(&staged[pos], &g.data[static_cast<std::size_t>(j * g.nx * 5)],
@@ -50,9 +63,7 @@ double run_full_pack(const Grid& g, Count frag_bytes, int reps) {
             const Count n = std::min(frag_bytes, g.payload() - off);
             std::memcpy(frag.data(), src + off, static_cast<std::size_t>(n));
         }
-        stats.add(t.elapsed_us());
-    }
-    return stats.mean();
+    });
 }
 
 // --- coroutine (Listing 9 style).
@@ -82,16 +93,12 @@ coro::generator<Count> pack_coro(CoroJob* job) {
 
 double run_coroutine(const Grid& g, Count frag_bytes, int reps) {
     std::vector<double> frag(static_cast<std::size_t>(frag_bytes / 8));
-    RunningStats stats;
-    for (int r = 0; r < reps; ++r) {
-        HostTimer t;
+    return mean_us(reps, [&] {
         CoroJob job{&g, frag.data(), frag_bytes / 8};
         auto gen = pack_coro(&job);
         while (gen.next().has_value()) {
         }
-        stats.add(t.elapsed_us());
-    }
-    return stats.mean();
+    });
 }
 
 // --- explicit state machine.
@@ -116,15 +123,11 @@ Count pack_resume(const Grid& g, Cursor& cur, double* dst, Count dst_cnt) {
 
 double run_state_machine(const Grid& g, Count frag_bytes, int reps) {
     std::vector<double> frag(static_cast<std::size_t>(frag_bytes / 8));
-    RunningStats stats;
-    for (int r = 0; r < reps; ++r) {
-        HostTimer t;
+    return mean_us(reps, [&] {
         Cursor cur;
         while (pack_resume(g, cur, frag.data(), frag_bytes / 8) > 0) {
         }
-        stats.add(t.elapsed_us());
-    }
-    return stats.mean();
+    });
 }
 
 } // namespace

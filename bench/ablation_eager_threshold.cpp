@@ -17,7 +17,7 @@ int main() {
         const int iters = iters_for(actual);
         std::vector<double> row;
         for (const Count th : thresholds) {
-            auto params = netsim::WireParams::from_env();
+            netsim::WireParams params;
             params.eager_threshold = th;
             row.push_back(bandwidth_MBps(
                 actual, measure(SimpleBench::packed(count), iters, params).mean()));

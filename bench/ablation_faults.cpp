@@ -41,7 +41,7 @@ int main() {
             cfg.seed = 0xF4017;
             cfg.force_reliable = pt.force_reliable;
             cfg.drop = pt.drop;
-            p2p::Universe uni(2, netsim::WireParams::from_env(), cfg);
+            p2p::Universe uni(2, netsim::WireParams{}, cfg);
             ByteVec src(static_cast<std::size_t>(size));
             ByteVec dst(static_cast<std::size_t>(size));
             std::memset(src.data(), 0xAB, src.size());

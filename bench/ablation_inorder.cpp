@@ -76,7 +76,7 @@ Method stream_method(Count bytes, const core::CustomDatatype* type,
 } // namespace
 
 int main() {
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     static const auto ordered = stream_type(true);
     static const auto unordered = stream_type(false);
 

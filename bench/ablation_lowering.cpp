@@ -37,7 +37,7 @@ Method lowering_method(Count count, core::CustomLowering lowering, const char* n
 } // namespace
 
 int main() {
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     Table table("Ablation A2: custom-type lowering, struct-simple (MB/s)", "size",
                 {"iov", "generic-pipeline"});
     for (Count size = 1024; size <= (smoke_mode() ? Count(4096) : Count(1) << 22); size *= 4) {

@@ -26,13 +26,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "base/pool.hpp"
 #include "common.hpp"
 #include "core/paper_types.hpp"
 #include "p2p/api.hpp"
+#include "p2p/runner.hpp"
 
 namespace mpicd {
 namespace {
@@ -149,9 +149,13 @@ double gate_exchange(Count n) {
         const auto src = make_elems(n);
         std::vector<StructSimple> dst;
         p2p::MsgStatus rst, sst;
-        std::thread rx([&] { rst = mpicd::recv(uni.comm(1), dst, 0, 5); });
-        sst = mpicd::send(uni.comm(0), src, 1, 5);
-        rx.join();
+        p2p::run_world(uni, [&](p2p::Communicator& comm) {
+            if (comm.rank() == 0) {
+                sst = mpicd::send(comm, src, 1, 5);
+            } else {
+                rst = mpicd::recv(comm, dst, 0, 5);
+            }
+        });
         if (!ok(sst.status) || !ok(rst.status))
             fail("gate exchange did not complete");
         if (dst.size() != src.size()) fail("gate exchange delivered wrong shape");

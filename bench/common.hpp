@@ -1,4 +1,4 @@
-// Shared benchmark harness: threaded two-rank ping-pong over the simulated
+// Shared benchmark harness: two-rank ping-pong over the simulated
 // fabric, reporting virtual-time latency / bandwidth exactly the way the
 // paper's figures do (the mean of kRuns repetitions; RunningStats also
 // carries min/max/stddev for error bars).
@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/config.hpp"
@@ -15,6 +14,7 @@
 #include "base/stats.hpp"
 #include "base/time.hpp"
 #include "p2p/communicator.hpp"
+#include "p2p/runner.hpp"
 #include "p2p/universe.hpp"
 
 namespace mpicd::bench {
@@ -58,23 +58,21 @@ struct Method {
     dt::PackMode engine = dt::PackMode::plan;
 };
 
-// Runs warmup + iters ping-pongs on two rank threads; returns the average
-// one-way virtual time in microseconds.
+// Runs warmup + iters ping-pongs on the two ranks of `uni`; returns the
+// average one-way virtual time in microseconds.
 [[nodiscard]] inline SimTime run_pingpong(p2p::Universe& uni, const Method& m,
                                           int warmup, int iters) {
     SimTime start = 0.0, stop = 0.0;
-    std::thread t1([&] {
-        auto& comm = uni.comm(1);
-        for (int i = 0; i < warmup + iters; ++i) m.rank1(comm, i);
-    });
-    {
-        auto& comm = uni.comm(0);
+    p2p::run_world(uni, [&](p2p::Communicator& comm) {
+        if (comm.rank() == 1) {
+            for (int i = 0; i < warmup + iters; ++i) m.rank1(comm, i);
+            return;
+        }
         for (int i = 0; i < warmup; ++i) m.rank0(comm, i);
         start = comm.now();
         for (int i = warmup; i < warmup + iters; ++i) m.rank0(comm, i);
         stop = comm.now();
-    }
-    t1.join();
+    });
     return (stop - start) / (2.0 * iters);
 }
 

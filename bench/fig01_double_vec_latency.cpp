@@ -6,7 +6,7 @@
 int main() {
     using namespace mpicd;
     using namespace mpicd::bench;
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
 
     Table table("Fig.1  double-vector latency (us, one-way)", "size",
                 {"custom-64", "custom-1K", "custom-4K", "packed-64", "packed-1K",

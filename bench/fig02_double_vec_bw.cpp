@@ -6,7 +6,7 @@
 int main() {
     using namespace mpicd;
     using namespace mpicd::bench;
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     constexpr Count kSub = 1024;
 
     Table table("Fig.2  double-vector bandwidth (MB/s), subvector 1 KiB", "size",

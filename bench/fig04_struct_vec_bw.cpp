@@ -4,7 +4,7 @@
 int main() {
     using namespace mpicd;
     using namespace mpicd::bench;
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     const auto ddt = core::struct_vec_dt();
 
     Table table("Fig.4  struct-vec bandwidth (MB/s)", "size",

@@ -8,7 +8,7 @@
 int main() {
     using namespace mpicd;
     using namespace mpicd::bench;
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     const auto ddt = core::struct_simple_dt();
 
     Table table("Fig.5  struct-simple latency (us, one-way)", "size",

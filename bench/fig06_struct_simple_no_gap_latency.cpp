@@ -8,7 +8,7 @@
 int main() {
     using namespace mpicd;
     using namespace mpicd::bench;
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     const auto ddt = core::struct_simple_no_gap_dt();
 
     Table table("Fig.6  struct-simple-no-gap latency (us, one-way)", "size",

@@ -6,7 +6,7 @@
 int main() {
     using namespace mpicd;
     using namespace mpicd::bench;
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     const auto ddt = core::struct_simple_dt();
 
     Table table("Fig.7  struct-simple bandwidth (MB/s)", "size",

@@ -34,7 +34,7 @@ Method pickle_method(Count bytes, PyXfer xfer) {
 } // namespace
 
 int main() {
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     Table table("Fig.8  pickle ping-pong, single array (MB/s)", "size",
                 {"roofline", "pickle-basic", "pickle-oob", "pickle-oob-cdt"});
     for (Count size = 1024; size <= (smoke_mode() ? Count(16384) : Count(1) << 24); size *= 4) {

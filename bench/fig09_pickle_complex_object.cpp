@@ -48,7 +48,7 @@ Method pickle_method(Count total, PyXfer xfer) {
 } // namespace
 
 int main() {
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     Table table("Fig.9  pickle ping-pong, complex object of 128 KiB arrays (MB/s)",
                 "size", {"roofline", "pickle-basic", "pickle-oob", "pickle-oob-cdt"});
     for (Count size = kChunk; size <= (smoke_mode() ? kChunk * 2 : Count(1) << 24); size *= 2) {

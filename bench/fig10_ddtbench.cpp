@@ -5,7 +5,7 @@
 int main() {
     using namespace mpicd;
     using namespace mpicd::bench;
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     // ~1 MiB exchanged payload (64 KiB under smoke).
     const Count kTarget = smoke_mode() ? 64 * 1024 : 1024 * 1024;
 

@@ -46,7 +46,7 @@ Check fig10_check(const char* name, const char* kernel) {
 } // namespace
 
 int main() {
-    const auto params = netsim::WireParams::from_env();
+    const netsim::WireParams params{};
     const Count fig5_count = Count(320) * 1024 / core::kScalarPack;
     const Count fig7_count = (Count(1) << 20) / core::kScalarPack;
     const auto simple = core::struct_simple_dt();

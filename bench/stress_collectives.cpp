@@ -18,13 +18,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "p2p/coll/nonblocking.hpp"
 #include "p2p/coll/topology.hpp"
 #include "p2p/collectives.hpp"
+#include "p2p/runner.hpp"
 
 namespace {
 
@@ -53,22 +53,17 @@ void check(bool cond, const char* what, std::atomic<bool>& failed) {
     }
 }
 
-// Run `body(rank)` on kRanks threads over a fresh universe; returns rank
-// 0's virtual time spent inside the timed region (after one barrier).
+// Run `body(comm)` on every rank of `uni`; returns rank 0's virtual time
+// spent inside the timed region (after one barrier).
 template <typename Body>
 SimTime run_ranks(p2p::Universe& uni, std::atomic<bool>& failed, Body&& body) {
     SimTime t0 = 0.0, t1 = 0.0;
-    auto thread_body = [&](int r) {
-        auto& comm = uni.comm(r);
+    p2p::run_world(uni, [&](p2p::Communicator& comm) {
         check(ok(p2p::barrier(comm)), "entry barrier", failed);
-        if (r == 0) t0 = comm.now();
+        if (comm.rank() == 0) t0 = comm.now();
         body(comm);
-        if (r == 0) t1 = comm.now();
-    };
-    std::vector<std::thread> threads;
-    for (int r = 1; r < kRanks; ++r) threads.emplace_back(thread_body, r);
-    thread_body(0);
-    for (auto& t : threads) t.join();
+        if (comm.rank() == 0) t1 = comm.now();
+    });
     return t1 - t0;
 }
 

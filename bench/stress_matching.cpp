@@ -137,7 +137,7 @@ int main() {
     {
         const int kRanks = smoke_mode() ? 4 : 16;
         const int kTags = smoke_mode() ? 8 : 64;
-        p2p::Universe uni(kRanks, netsim::WireParams::from_env());
+        p2p::Universe uni(kRanks, netsim::WireParams{});
         std::vector<ByteVec> bufs;
         std::vector<p2p::Request> reqs;
         ByteVec src(512);

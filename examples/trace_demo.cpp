@@ -15,7 +15,6 @@
 // See docs/OBSERVABILITY.md.
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "base/metrics.hpp"
@@ -23,6 +22,7 @@
 #include "core/builtin_serialize.hpp"
 #include "dt/datatype.hpp"
 #include "p2p/communicator.hpp"
+#include "p2p/runner.hpp"
 #include "p2p/universe.hpp"
 
 namespace {
@@ -83,32 +83,29 @@ int main() {
     drop.nth = 2;
     uni.fabric().faults().schedule(drop);
 
-    std::thread receiver([&] {
-        auto& comm = uni.comm(1);
+    p2p::run_world(uni, [&](p2p::Communicator& comm) {
+        if (comm.rank() == 1) {
+            char hello[64] = {};
+            (void)comm.recv_bytes(hello, sizeof(hello), 0, kTagEager);
 
-        char hello[64] = {};
-        (void)comm.recv_bytes(hello, sizeof(hello), 0, kTagEager);
+            std::vector<double> column_in(kDoubles, 0.0);
+            auto rc = comm.irecv(column_in.data(), 1, column, 0, kTagColumn);
+            const auto cst = rc.wait();
 
-        std::vector<double> column_in(kDoubles, 0.0);
-        auto rc = comm.irecv(column_in.data(), 1, column, 0, kTagColumn);
-        const auto cst = rc.wait();
+            // The custom receive queries its expected size from the object,
+            // so the list is pre-sized (the demo's count is static; a real
+            // app announces it in-band first, as particle_exchange does).
+            std::vector<Particle> particles_in(kParticles);
+            auto rp = comm.irecv_custom(&particles_in, 1, particles_type, 0,
+                                        kTagParticles);
+            const auto pst = rp.wait();
 
-        // The custom receive queries its expected size from the object, so
-        // the list is pre-sized (the demo's count is static; a real app
-        // announces it in-band first, as particle_exchange does).
-        std::vector<Particle> particles_in(kParticles);
-        auto rp = comm.irecv_custom(&particles_in, 1, particles_type, 0,
-                                    kTagParticles);
-        const auto pst = rp.wait();
-
-        std::printf("[rank 1] column recv: %lld bytes, vtime %.2f us (%s)\n",
-                    cst.bytes, cst.vtime, to_cstring(cst.status));
-        std::printf("[rank 1] particles recv: %zu particles, vtime %.2f us (%s)\n",
-                    particles_in.size(), pst.vtime, to_cstring(pst.status));
-    });
-
-    {
-        auto& comm = uni.comm(0);
+            std::printf("[rank 1] column recv: %lld bytes, vtime %.2f us (%s)\n",
+                        cst.bytes, cst.vtime, to_cstring(cst.status));
+            std::printf("[rank 1] particles recv: %zu particles, vtime %.2f us (%s)\n",
+                        particles_in.size(), pst.vtime, to_cstring(pst.status));
+            return;
+        }
 
         const char hello[64] = "hello from the trace demo";
         (void)comm.send_bytes(hello, sizeof(hello), 1, kTagEager);
@@ -132,8 +129,7 @@ int main() {
         auto sp = comm.isend_custom(&particles_out, 1, particles_type, 1,
                                     kTagParticles);
         (void)sp.wait();
-    }
-    receiver.join();
+    });
     } // ~Universe: workers and fabric fold their stats into metrics()
 
     const auto ts = trace::stats();

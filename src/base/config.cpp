@@ -46,46 +46,38 @@ std::optional<std::string> env_string(const char* name) {
     return std::string(v);
 }
 
-std::optional<double> env_double(const char* name) {
-    auto s = env_string(name);
-    if (!s) return std::nullopt;
+double env_double_or(const char* name, double fallback) {
+    const auto s = env_string(name);
+    if (!s) return fallback;
     char* end = nullptr;
     errno = 0;
     const double v = std::strtod(s->c_str(), &end);
     if (end == s->c_str() || !only_trailing_space(end)) {
         warn_malformed(name, *s, "not a number");
-        return std::nullopt;
+        return fallback;
     }
     if (errno == ERANGE) {
         warn_malformed(name, *s, "out of range");
-        return std::nullopt;
+        return fallback;
     }
     return v;
 }
 
-std::optional<std::int64_t> env_int(const char* name) {
-    auto s = env_string(name);
-    if (!s) return std::nullopt;
+std::int64_t env_int_or(const char* name, std::int64_t fallback) {
+    const auto s = env_string(name);
+    if (!s) return fallback;
     char* end = nullptr;
     errno = 0;
     const long long v = std::strtoll(s->c_str(), &end, 10);
     if (end == s->c_str() || !only_trailing_space(end)) {
         warn_malformed(name, *s, "not an integer");
-        return std::nullopt;
+        return fallback;
     }
     if (errno == ERANGE) {
         warn_malformed(name, *s, "out of range");
-        return std::nullopt;
+        return fallback;
     }
     return static_cast<std::int64_t>(v);
-}
-
-double env_double_or(const char* name, double fallback) {
-    return env_double(name).value_or(fallback);
-}
-
-std::int64_t env_int_or(const char* name, std::int64_t fallback) {
-    return env_int(name).value_or(fallback);
 }
 
 } // namespace mpicd

@@ -50,11 +50,6 @@ int init_from_env() noexcept {
             Recorder& rec = recorder();
             const std::lock_guard<std::mutex> lock(rec.mu);
             rec.path = *path == "-" ? std::string() : *path;
-            const std::int64_t max = env_int_or(
-                "MPICD_FLIGHT_MAX",
-                static_cast<std::int64_t>(kDefaultMaxDumps));
-            rec.max_dumps =
-                max > 0 ? static_cast<std::uint64_t>(max) : kDefaultMaxDumps;
             // A dump without ring events answers nothing; arming the
             // recorder therefore turns tracing on.
             trace::set_enabled(true);

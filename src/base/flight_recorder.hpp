@@ -17,9 +17,9 @@
 // the triggering source, and every *other* source's callback must acquire
 // its lock with try_lock and print "<busy>" on failure.
 //
-// Env knobs:
+// Env knob:
 //   MPICD_FLIGHT_RECORDER=p  arm; append dumps to file p ("-" = stderr)
-//   MPICD_FLIGHT_MAX=n       dump at most n times per process (default 4)
+// A process writes at most 4 dumps.
 #pragma once
 
 #include <atomic>

@@ -24,14 +24,10 @@ using SteadyClock = std::chrono::steady_clock;
 
 constexpr std::size_t kDefaultCapacity = 16384;
 constexpr std::size_t kMinCapacity = 16;
-// Clamp range for the MPICD_TRACE_BUF env knob (programmatic
-// set_buffer_capacity keeps the looser kMinCapacity floor for tests).
-constexpr std::int64_t kEnvMinCapacity = 64;
-constexpr std::int64_t kEnvMaxCapacity = std::int64_t{1} << 22;
 
 std::atomic<std::uint64_t> g_next_msg{1};
 
-std::atomic<std::size_t> g_capacity{0}; // 0 = not resolved yet
+std::atomic<std::size_t> g_capacity{kDefaultCapacity};
 
 // Per-thread ring buffer. Writers lock only their own ring (uncontended in
 // steady state); snapshot/dump walks the registry and locks each ring in
@@ -67,37 +63,10 @@ SteadyClock::time_point epoch() {
     return t0;
 }
 
-std::size_t ring_capacity() {
-    std::size_t cap = g_capacity.load(std::memory_order_relaxed);
-    if (cap == 0) {
-        // env_int_or rejects garbage/ERANGE (warning once); a value that
-        // parses but falls outside the sane range is clamped, also with a
-        // one-time warning — a 4-event ring or a 2^40-event ring are both
-        // configuration mistakes, not requests.
-        const std::int64_t env = env_int_or(
-            "MPICD_TRACE_BUF", static_cast<std::int64_t>(kDefaultCapacity));
-        std::int64_t clamped = env;
-        if (clamped < kEnvMinCapacity) clamped = kEnvMinCapacity;
-        if (clamped > kEnvMaxCapacity) clamped = kEnvMaxCapacity;
-        if (clamped != env) {
-            static std::once_flag warned;
-            std::call_once(warned, [env, clamped] {
-                MPICD_LOG_WARN("MPICD_TRACE_BUF="
-                               << env << " out of range ["
-                               << kEnvMinCapacity << ", " << kEnvMaxCapacity
-                               << "]; using " << clamped);
-            });
-        }
-        cap = static_cast<std::size_t>(clamped);
-        g_capacity.store(cap, std::memory_order_relaxed);
-    }
-    return cap;
-}
-
 Ring& thread_ring() {
     thread_local std::shared_ptr<Ring> ring = [] {
         auto r = std::make_shared<Ring>();
-        r->cap = ring_capacity();
+        r->cap = g_capacity.load(std::memory_order_relaxed);
         r->buf.reserve(r->cap);
         Registry& reg = registry();
         const std::lock_guard<std::mutex> lock(reg.mu);

@@ -28,9 +28,9 @@
 //                        ends in ".txt", then the compact text timeline.
 //                        Also flushed best-effort from fatal signals and
 //                        std::terminate, so crashes keep their trace.
-//   MPICD_TRACE_BUF=n    per-thread ring capacity in events (default 16384,
-//                        clamped to [64, 2^22]; the ring wraps, keeping
-//                        the newest events)
+//
+// Each thread records into a ring of 16384 events that wraps, keeping the
+// newest events.
 #pragma once
 
 #include <atomic>
@@ -89,7 +89,7 @@ void record(Event&& ev);
 void set_enabled(bool on);
 
 // Ring capacity for threads that have not recorded yet (existing rings
-// keep their size). Overrides MPICD_TRACE_BUF; clamped to >= 16.
+// keep their size). Replaces the default of 16384; clamped to >= 16.
 void set_buffer_capacity(std::size_t events);
 
 // --- Message identity -------------------------------------------------------

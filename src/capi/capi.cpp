@@ -166,6 +166,8 @@ int start_op(MPI_Comm comm, MPI_Datatype type, bool send, void* rbuf, const void
         *out = send ? c.isend_custom(sbuf, count, type->ctype, peer, tag)
                     : c.irecv_custom(rbuf, count, type->ctype, peer, tag);
     } else {
+        // A predefined type moves the bytes at buf itself.
+        if (count > 0 && (send ? sbuf : rbuf) == nullptr) return MPI_ERR_BUFFER;
         *out = send ? c.isend(sbuf, count, type->dt, peer, tag)
                     : c.irecv(rbuf, count, type->dt, peer, tag);
     }

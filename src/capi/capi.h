@@ -130,6 +130,8 @@ int MPI_Type_free(MPI_Datatype* type);
 int MPI_Comm_rank(MPI_Comm comm, int* rank);
 int MPI_Comm_size(MPI_Comm comm, int* size);
 
+/* A null buf with a positive count of MPI_BYTE or MPI_INT is refused with
+ * MPI_ERR_BUFFER; a custom type's callbacks decide what buf means. */
 int MPI_Send(const void* buf, MPI_Count count, MPI_Datatype type, int dest, int tag,
              MPI_Comm comm);
 int MPI_Recv(void* buf, MPI_Count count, MPI_Datatype type, int source, int tag,

@@ -3,24 +3,17 @@
 // Calibrated to the paper's testbed (two nodes, ConnectX-5, 100 Gbps,
 // UCX 1.12): one-way small-message latency ~1.3 us, link bandwidth
 // 12.5 GB/s, eager->rendezvous switch at 32 KiB (the paper attributes the
-// manual-pack bandwidth dip at 2^15 bytes to this switch). Every parameter
-// can be overridden with an MPICD_* environment variable so that ablation
-// benches (e.g. ablation_eager_threshold) can sweep them.
+// manual-pack bandwidth dip at 2^15 bytes to this switch). The defaults
+// below are the model; no environment variable changes them. A bench or
+// test that varies a parameter (ablation_eager_threshold sweeps
+// eager_threshold, the collective benches set the two-level topology)
+// assigns the field in code on its own WireParams.
 #pragma once
-
-#include <cstdio>
 
 #include "base/bytes.hpp"
 #include "base/time.hpp"
 
 namespace mpicd::netsim {
-
-// Exact unit-conversion factors between the env-variable units and the
-// internal bytes-per-microsecond fields. Both are integer-valued doubles,
-// so converting a value costs exactly one correctly-rounded multiply (or
-// divide) — the round-trip print -> setenv -> from_env is lossless.
-inline constexpr double kBpusPerGbps = 1000.0 / 8.0; // == 125, exact
-inline constexpr double kBpusPerGBps = 1000.0;
 
 struct WireParams {
     // One-way per-message wire latency (us).
@@ -61,41 +54,24 @@ struct WireParams {
     // bandwidth below, and all cross-node traffic between a given pair of
     // nodes shares ONE uplink serializer per rail (Fabric::link_free_slot)
     // — intra-node links stay independent per endpoint pair. A negative
-    // inter value means "same as the intra plane" so that overriding only
-    // MPICD_RANKS_PER_NODE changes nothing until the inter plane is made
-    // slower.
-    int ranks_per_node = 0;                 // MPICD_RANKS_PER_NODE
-    SimTime inter_latency_us = -1.0;        // MPICD_INTER_LATENCY_US
-    double inter_bandwidth_Bpus = -1.0;     // MPICD_INTER_BANDWIDTH_GBPS
+    // inter value means "same as the intra plane" so that setting only
+    // ranks_per_node changes nothing until the inter plane is made slower.
+    int ranks_per_node = 0;
+    SimTime inter_latency_us = -1.0;
+    double inter_bandwidth_Bpus = -1.0;
 
     // --- Reliable-delivery protocol (active only when the fault injector
     // is active or MPICD_RELIABLE=1; see docs/FAULTS.md). ---
-    // Initial retransmit timeout in virtual us (MPICD_RTO_US); doubles on
-    // every retry (exponential backoff).
+    // Initial retransmit timeout in virtual us; doubles on every retry
+    // (exponential backoff).
     SimTime rto_us = 50.0;
-    // Retransmit attempts before the request fails with Status::timeout
-    // (MPICD_MAX_RETRIES).
+    // Retransmit attempts before the request fails with Status::timeout.
     int max_retries = 8;
     // Receiver-side watchdog for an in-flight rendezvous operation: if no
     // packet for the operation arrives within this virtual interval, the
     // receive fails with Status::timeout instead of hanging
-    // (MPICD_OP_TIMEOUT_US; 0 = derive from rto_us and max_retries).
+    // (0 = derive from rto_us and max_retries).
     SimTime op_timeout_us = 0.0;
-
-    // Read MPICD_LATENCY_US, MPICD_BANDWIDTH_GBPS, MPICD_SG_ENTRY_US,
-    // MPICD_HOST_COPY_GBPS, MPICD_EAGER_THRESHOLD, MPICD_RNDV_FRAG_SIZE,
-    // MPICD_RNDV_CTRL_US, MPICD_FRAG_OVERHEAD_US, MPICD_RTO_US,
-    // MPICD_MAX_RETRIES, MPICD_OP_TIMEOUT_US, MPICD_RANKS_PER_NODE,
-    // MPICD_INTER_LATENCY_US, MPICD_INTER_BANDWIDTH_GBPS.
-    [[nodiscard]] static WireParams from_env();
-
-    // The values the unit-converted env variables expect.
-    [[nodiscard]] double bandwidth_gbps() const { return bandwidth_Bpus / kBpusPerGbps; }
-    [[nodiscard]] double host_copy_gBps() const { return host_copy_Bpus / kBpusPerGBps; }
-
-    // Dump every knob as MPICD_<name>=<value> in env-variable units, with
-    // enough precision to round-trip through from_env() bit-identically.
-    void print(std::FILE* out) const;
 
     // --- Topology helpers (pure; see Fabric for link-contention state).
     [[nodiscard]] int node_of(int ep) const noexcept {
@@ -104,7 +80,7 @@ struct WireParams {
     [[nodiscard]] bool cross_node(int a, int b) const noexcept {
         return node_of(a) != node_of(b);
     }
-    // Effective inter-node plane values (negative knobs = intra values).
+    // Effective inter-node plane values (negative fields = intra values).
     [[nodiscard]] SimTime effective_inter_latency() const noexcept {
         return inter_latency_us >= 0.0 ? inter_latency_us : latency_us;
     }

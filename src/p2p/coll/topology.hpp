@@ -1,7 +1,7 @@
 // Two-level topology model for collective algorithm selection.
 //
 // The simulated fabric assigns endpoints to nodes in rank order
-// (MPICD_RANKS_PER_NODE; see netsim/wire_model.hpp): links inside a node
+// (WireParams::ranks_per_node; see netsim/wire_model.hpp): links inside a node
 // run on the fast intra plane, links between nodes on the (typically
 // slower) inter plane. TopologyMap exposes that structure to the
 // collective algorithms so they can route bulk traffic through one

@@ -186,7 +186,7 @@ Request Communicator::post(const Route& r, ucx::BufferDesc desc) {
 }
 
 Request Communicator::post_bytes(const Route& r, void* p, Count n) {
-    if (n < 0) return make_error_request(Status::err_arg);
+    if (n < 0 || (n > 0 && p == nullptr)) return make_error_request(Status::err_arg);
     return post(r, ucx::ContigDesc{{p, n}});
 }
 
@@ -372,7 +372,8 @@ Message Communicator::wait_probe(int src, int tag, bool match) {
 }
 
 Request Communicator::imrecv(Message& msg, void* p, Count n) {
-    if (!msg.valid() || n < 0) return make_error_request(Status::err_arg);
+    if (!msg.valid() || n < 0 || (n > 0 && p == nullptr))
+        return make_error_request(Status::err_arg);
     const ucx::RequestId id = worker_.imrecv(msg.handle, ucx::make_contig_recv(p, n));
     msg.handle = ucx::MessageHandle{};
     if (id == ucx::kInvalidRequest) return make_error_request(Status::err_arg);

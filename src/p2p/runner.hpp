@@ -18,6 +18,6 @@ void run_world(Universe& uni, const std::function<void(Communicator&)>& fn);
 
 // The same on a fresh `nranks`-rank universe.
 void run_world(int nranks, const std::function<void(Communicator&)>& fn,
-               netsim::WireParams params = netsim::WireParams::from_env());
+               netsim::WireParams params = {});
 
 } // namespace mpicd::p2p

@@ -34,7 +34,7 @@ public:
     // (Communicator::pack_mode()): the compiled plans by default, or the
     // generic per-segment loop that models the paper's Open MPI baseline.
     explicit Universe(int nranks,
-                      netsim::WireParams params = netsim::WireParams::from_env(),
+                      netsim::WireParams params = {},
                       netsim::FaultConfig faults = netsim::FaultConfig::from_env(),
                       dt::PackMode pack_mode = dt::PackMode::plan);
     ~Universe();

@@ -136,6 +136,37 @@ TEST(CApi, CustomDatatypeRoundTrip) {
     ASSERT_EQ(MPIX_Run_world(2, world_custom, nullptr), MPI_SUCCESS);
 }
 
+// A null buffer with elements of a predefined type to move is refused with
+// MPI_ERR_BUFFER before anything is posted; a null buffer of zero elements
+// is a valid empty message.
+void world_null_buffer(void*) {
+    int rank = -1;
+    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+    MPI_Request rq = MPI_REQUEST_NULL;
+    if (rank == 0) {
+        EXPECT_EQ(MPI_Send(nullptr, 16, MPI_BYTE, 1, 3, MPI_COMM_WORLD), MPI_ERR_BUFFER);
+        EXPECT_EQ(MPI_Isend(nullptr, 4, MPI_INT, 1, 3, MPI_COMM_WORLD, &rq),
+                  MPI_ERR_BUFFER);
+        EXPECT_EQ(rq, MPI_REQUEST_NULL);
+        EXPECT_EQ(MPI_Send(nullptr, 0, MPI_BYTE, 1, 4, MPI_COMM_WORLD), MPI_SUCCESS);
+    } else {
+        MPI_Status st;
+        EXPECT_EQ(MPI_Recv(nullptr, 16, MPI_BYTE, 0, 3, MPI_COMM_WORLD, &st),
+                  MPI_ERR_BUFFER);
+        EXPECT_EQ(MPI_Irecv(nullptr, 4, MPI_INT, 0, 3, MPI_COMM_WORLD, &rq),
+                  MPI_ERR_BUFFER);
+        EXPECT_EQ(rq, MPI_REQUEST_NULL);
+        ASSERT_EQ(MPI_Recv(nullptr, 0, MPI_BYTE, 0, 4, MPI_COMM_WORLD, &st), MPI_SUCCESS);
+        MPI_Count n = -1;
+        ASSERT_EQ(MPI_Get_count(&st, MPI_BYTE, &n), MPI_SUCCESS);
+        EXPECT_EQ(n, 0);
+    }
+}
+
+TEST(CApi, NullBufferRefusedForPredefinedTypes) {
+    ASSERT_EQ(MPIX_Run_world(2, world_null_buffer, nullptr), MPI_SUCCESS);
+}
+
 // A blocking probe whose (source, tag) can never match returns
 // MPI_ERR_ARG at once, in the return code and in MPI_ERROR.
 void world_probe_bad_args(void*) {

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "base/metrics.hpp"
 #include "netsim/fabric.hpp"
 #include "netsim/wire_model.hpp"
+#include "p2p/communicator.hpp"
+#include "p2p/universe.hpp"
 #include "test_util.hpp"
 
 namespace mpicd::netsim {
@@ -35,96 +38,49 @@ TEST(WireModel, SgOverheadChargesEntriesBeyondFirst) {
     EXPECT_DOUBLE_EQ(p.sg_overhead(3), 1.0);
 }
 
-TEST(WireModel, EnvOverrides) {
-    setenv("MPICD_LATENCY_US", "9.5", 1);
-    setenv("MPICD_EAGER_THRESHOLD", "1234", 1);
-    const auto p = WireParams::from_env();
-    EXPECT_DOUBLE_EQ(p.latency_us, 9.5);
-    EXPECT_EQ(p.eager_threshold, 1234);
-    unsetenv("MPICD_LATENCY_US");
-    unsetenv("MPICD_EAGER_THRESHOLD");
-}
-
-TEST(WireModel, UnitConversionsAreExact) {
-    // 125 B/us per Gbps and 1000 B/us per GB/s are integer-valued doubles,
-    // so a single multiply (or divide) is correctly rounded and the default
-    // bandwidths convert without drift.
-    EXPECT_EQ(kBpusPerGbps, 125.0);
-    EXPECT_EQ(kBpusPerGBps, 1000.0);
-    const WireParams d;
-    EXPECT_EQ(d.bandwidth_gbps() * kBpusPerGbps, d.bandwidth_Bpus);
-    EXPECT_EQ(d.host_copy_gBps() * kBpusPerGBps, d.host_copy_Bpus);
-}
-
-TEST(WireModel, PrintedDefaultsRoundTripBitIdentically) {
-    // Re-exporting every printed default must reproduce the WireParams —
-    // and every derived transfer-time quantity — bit for bit. This guards
-    // both the %.17g print precision and the presence-based handling of
-    // unit-converted knobs in from_env() (a convert-out/convert-back of an
-    // unset variable would round twice and drift the model).
-    const char* const names[] = {
-        "MPICD_LATENCY_US",     "MPICD_BANDWIDTH_GBPS",
-        "MPICD_SG_ENTRY_US",    "MPICD_HOST_COPY_GBPS",
-        "MPICD_EAGER_THRESHOLD", "MPICD_IOV_EAGER_THRESHOLD",
-        "MPICD_RNDV_FRAG_SIZE", "MPICD_RNDV_CTRL_US",
-        "MPICD_FRAG_OVERHEAD_US", "MPICD_RAILS",
-        "MPICD_RTO_US",         "MPICD_MAX_RETRIES",
-        "MPICD_OP_TIMEOUT_US",  "MPICD_RANKS_PER_NODE",
-        "MPICD_INTER_LATENCY_US", "MPICD_INTER_BANDWIDTH_GBPS",
+// The wire model is the in-code WireParams default, whatever the
+// environment holds: with an eager threshold above the message and a
+// 100 us latency exported, a default Universe still moves 40 KiB by
+// rendezvous, at the same virtual time as with both variables unset.
+TEST(WireModel, StrayEnvironmentChangesNothing) {
+    struct Run {
+        std::uint64_t rndv_sends = 0;
+        SimTime vtime = 0.0;
     };
-    for (const char* n : names) unsetenv(n);
-    const WireParams base = WireParams::from_env();
-
-    char* buf = nullptr;
-    std::size_t len = 0;
-    std::FILE* mem = open_memstream(&buf, &len);
-    ASSERT_NE(mem, nullptr);
-    base.print(mem);
-    std::fclose(mem);
-    const std::string dump(buf, len);
-    std::free(buf);
-
-    // Export every printed NAME=value line back into the environment.
-    std::size_t exported = 0;
-    for (std::size_t pos = 0; pos < dump.size();) {
-        const std::size_t eol = dump.find('\n', pos);
-        const std::string line = dump.substr(pos, eol - pos);
-        pos = eol == std::string::npos ? dump.size() : eol + 1;
-        const std::size_t eq = line.find('=');
-        ASSERT_NE(eq, std::string::npos) << line;
-        setenv(line.substr(0, eq).c_str(), line.substr(eq + 1).c_str(), 1);
-        ++exported;
+    const auto move_40k = [] {
+        p2p::Universe uni(2);
+        const ByteVec src = test::pattern_bytes(40 * 1024);
+        ByteVec dst(src.size());
+        const Count n = static_cast<Count>(src.size());
+        p2p::Request rr = uni.comm(1).irecv_bytes(dst.data(), n, 0, 3);
+        EXPECT_EQ(uni.comm(0).isend_bytes(src.data(), n, 1, 3).wait().status,
+                  Status::success);
+        const p2p::MsgStatus st = rr.wait();
+        EXPECT_EQ(st.status, Status::success);
+        EXPECT_EQ(dst, src);
+        return Run{uni.worker(0).stats().rndv_sends, st.vtime};
+    };
+    const char* const names[] = {"MPICD_EAGER_THRESHOLD", "MPICD_LATENCY_US"};
+    std::vector<std::optional<std::string>> saved;
+    for (const char* n : names) {
+        const char* v = std::getenv(n);
+        saved.push_back(v != nullptr ? std::optional<std::string>(v) : std::nullopt);
+        unsetenv(n);
     }
-    EXPECT_EQ(exported, std::size(names));
-
-    const WireParams rt = WireParams::from_env();
-    for (const char* n : names) unsetenv(n);
-
-    EXPECT_EQ(rt.latency_us, base.latency_us);
-    EXPECT_EQ(rt.bandwidth_Bpus, base.bandwidth_Bpus);
-    EXPECT_EQ(rt.sg_entry_us, base.sg_entry_us);
-    EXPECT_EQ(rt.host_copy_Bpus, base.host_copy_Bpus);
-    EXPECT_EQ(rt.eager_threshold, base.eager_threshold);
-    EXPECT_EQ(rt.iov_eager_threshold, base.iov_eager_threshold);
-    EXPECT_EQ(rt.rndv_frag_size, base.rndv_frag_size);
-    EXPECT_EQ(rt.rndv_ctrl_us, base.rndv_ctrl_us);
-    EXPECT_EQ(rt.frag_overhead_us, base.frag_overhead_us);
-    EXPECT_EQ(rt.rails, base.rails);
-    EXPECT_EQ(rt.rto_us, base.rto_us);
-    EXPECT_EQ(rt.max_retries, base.max_retries);
-    EXPECT_EQ(rt.op_timeout_us, base.op_timeout_us);
-    EXPECT_EQ(rt.ranks_per_node, base.ranks_per_node);
-    EXPECT_EQ(rt.inter_latency_us, base.inter_latency_us);
-    EXPECT_EQ(rt.inter_bandwidth_Bpus, base.inter_bandwidth_Bpus);
-
-    // Modeled transfer times derived from the round-tripped params are
-    // bit-identical too — the property the wire model actually promises.
-    for (const Count bytes : {1, 777, 4096, 1 << 20}) {
-        EXPECT_EQ(rt.serialize_time(bytes), base.serialize_time(bytes));
-        EXPECT_EQ(rt.host_copy_time(bytes), base.host_copy_time(bytes));
+    const Run clean = move_40k();
+    setenv("MPICD_EAGER_THRESHOLD", "1048576", 1);
+    setenv("MPICD_LATENCY_US", "100", 1);
+    const Run stray = move_40k();
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+        if (saved[i]) {
+            setenv(names[i], saved[i]->c_str(), 1);
+        } else {
+            unsetenv(names[i]);
+        }
     }
-    EXPECT_EQ(rt.sg_overhead(17), base.sg_overhead(17));
-    EXPECT_EQ(rt.effective_op_timeout(), base.effective_op_timeout());
+    EXPECT_EQ(clean.rndv_sends, 1u);
+    EXPECT_EQ(stray.rndv_sends, 1u);
+    EXPECT_EQ(stray.vtime, clean.vtime);
 }
 
 TEST(VirtualClock, AdvanceAndObserve) {

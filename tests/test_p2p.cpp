@@ -401,11 +401,11 @@ std::vector<Case> posting_cases() {
     std::vector<Case> out;
     for (const bool send : {true, false}) {
         for (const Payload p : {Payload::ok, Payload::neg_count}) {
-            out.push_back({Family::bytes, send, p});
             out.push_back({Family::derived, send, p});
             out.push_back({Family::custom, send, p});
         }
         for (const Payload p : {Payload::ok, Payload::neg_count, Payload::null_buf}) {
+            out.push_back({Family::bytes, send, p});
             out.push_back({Family::wire, send, p});
             out.push_back({Family::sized, send, p});
         }
@@ -586,6 +586,12 @@ TEST(P2PRefusals, ProbesAndImrecvRefuseOnTheReceiveRoute) {
         }
     }
     Message msg = uni.comm(0).mprobe(1, 5);
+    ASSERT_TRUE(msg.valid());
+    // A matched message with no buffer to land in is refused and stays
+    // matched, so a receive with a buffer still gets it.
+    Request no_buf = uni.comm(0).imrecv(msg, nullptr, 4);
+    EXPECT_FALSE(no_buf.valid());
+    EXPECT_EQ(no_buf.wait().status, Status::err_arg);
     ASSERT_TRUE(msg.valid());
     std::int32_t got = 0;
     EXPECT_EQ(uni.comm(0).imrecv(msg, &got, 4).wait().status, Status::success);
