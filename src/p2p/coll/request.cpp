@@ -380,27 +380,10 @@ CollRequest launch(Communicator& comm, Schedule sched) {
     // can never mistake other traffic for them.
     (void)op->advance();
     if (!op->done()) {
-        ucx::Worker* w = &comm.worker();
-        // The hook can run on another rank's progress thread before this
-        // thread has stored the registration token, so the token slot is
-        // atomic. If the hook observes done() while the token is still 0
-        // it skips self-removal; the cleanup check below (and any later
-        // hook invocation) removes it instead. Tokens are unique and
-        // removal of an absent token is a no-op, so the possible double
-        // remove is harmless.
-        auto token = std::make_shared<std::atomic<std::uint64_t>>(0);
-        const std::uint64_t id = w->add_progress_hook([op, token, w]() {
+        comm.worker().add_progress_hook([op] {
             const bool moved = op->advance();
-            // Self-removal is safe: the hook runner iterates a snapshot.
-            if (op->done()) {
-                const std::uint64_t t =
-                    token->load(std::memory_order_acquire);
-                if (t != 0) w->remove_progress_hook(t);
-            }
-            return moved;
+            return ucx::HookStatus{moved, op->done()};
         });
-        token->store(id, std::memory_order_release);
-        if (op->done()) w->remove_progress_hook(id);
     }
     return rq;
 }

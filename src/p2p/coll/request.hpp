@@ -12,14 +12,16 @@
 //  - a worker progress hook (ucx::Worker::add_progress_hook), so a
 //    collective keeps moving whenever this rank's endpoint is progressed —
 //    including when the rank is busy with unrelated p2p traffic, which is
-//    what makes the nonblocking collectives overlap with p2p work;
+//    what makes the nonblocking collectives overlap with p2p work. The
+//    hook reports finished once the op is done, and the worker drops it;
 //  - CollRequest::wait(), which also drives Universe::progress so a rank
 //    blocked only on the collective still pumps the fabric.
 //
 // Advancing is serialized by the op's own mutex; inside it only
 // non-progressing completion polls (Request::poll) and new coll_post calls
-// happen, so it is safe in hook context (worker busy flag held, protocol
-// mutex released).
+// happen, each taking the worker's one mutex in turn, so it is safe in
+// hook context (worker busy flag held, no worker lock held). Lock order:
+// op mutex, worker mutex, fabric mutex.
 //
 // Observability (docs/OBSERVABILITY.md §collectives): every op carries a
 // process-unique op id — (communicator context << 32) | reserved tag

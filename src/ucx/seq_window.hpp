@@ -11,8 +11,7 @@
 // A gap that will never fill (the sender abandoned that number) is closed
 // by apply_floor() with the sender's floor.
 //
-// Not thread-safe; the worker guards each window with the mutex of the
-// admission shard (or the protocol mutex) that owns it.
+// Not thread-safe; the worker guards its windows with its protocol mutex.
 #pragma once
 
 #include <algorithm>

@@ -201,7 +201,7 @@ struct Worker::Request {
 Worker::Worker(netsim::Fabric& fabric, int endpoint)
     : fabric_(fabric), params_(fabric.params()), ep_(endpoint),
       tx_(static_cast<std::size_t>(fabric.size())),
-      shards_(static_cast<std::size_t>(fabric.size())) {
+      rx_(static_cast<std::size_t>(fabric.size())) {
     // Dump source for the post-mortem flight recorder.
     char name[32];
     std::snprintf(name, sizeof(name), "ucx.worker%d", ep_);
@@ -215,7 +215,7 @@ Worker::~Worker() {
     // so metrics snapshots (and the BENCH_*.json artifacts) aggregate every
     // worker that ever lived, not just the ones still alive at dump time.
     MetricsRegistry& m = metrics();
-    const WorkerStats s = stats_locked();
+    const WorkerStats& s = stats_;
     m.add("worker", "eager_sends", s.eager_sends);
     m.add("worker", "rndv_sends", s.rndv_sends);
     m.add("worker", "rndv_rdma", s.rndv_rdma);
@@ -265,13 +265,6 @@ void Worker::complete_locked(Request& rq, Status st, Count len, Tag sender_tag) 
     rq.comp.sender_tag = sender_tag;
     rq.comp.vtime = clock_.now();
     rq.comp.msg_id = rq.msg_id;
-    {
-        // Publish to the completion registry so is_complete()/
-        // take_completion() never need the protocol mutex. Lock order is
-        // always mutex_ -> comp_mutex_, never the reverse.
-        const std::lock_guard<std::mutex> ck(comp_mutex_);
-        completed_[rq.id] = rq.comp;
-    }
     // Completion may fire from ack/timer context where no scope is open;
     // the explicit scope pins the event to the right message either way.
     const trace::MsgScope msg_scope(rq.msg_id);
@@ -373,51 +366,41 @@ Worker::TxTable::iterator Worker::retire(TxLink& link, TxTable::iterator it) {
     return link.pending.erase(it);
 }
 
-bool Worker::admit_packet(netsim::Packet& pkt) {
+bool Worker::admit_locked(netsim::Packet& pkt) {
     if (pkt.link_seq == 0) return true; // unnumbered: an ack, or reliability off
-    // Admission context holds no lock but the per-peer shard's: CRC
-    // verification (the expensive part — it walks the whole payload) and
-    // duplicate suppression must not stall senders/completion-checkers
-    // waiting on the protocol mutex. Virtual timestamps come from the
-    // packet's own arrival time, the value the clock would observe anyway.
-    const trace::MsgScope msg_scope(pkt.msg_id);
     if (packet_crc(pkt) != pkt.crc) {
         // Corrupted in flight: discard without ack; the sender retransmits.
-        adm_corruption_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.corruption_detected;
         trace::instant("ucx", "crc_drop", pkt.arrival, "seq", pkt.link_seq);
         if (flight::enabled()) {
             flight::trigger("crc_failure", pkt.msg_id, pkt.arrival, flight_token_,
-                            [this](std::FILE* out) { dump_state(out); });
+                            [this](std::FILE* out) { dump_state_locked(out); });
         }
         return false;
     }
-    PeerShard& shard =
-        shards_[static_cast<std::size_t>(pkt.src) % shards_.size()];
-    bool dup = false;
-    {
-        // The floor first: the packet's own seq is never below it, and a
-        // seq the sender abandoned must not hold the watermark back.
-        const std::lock_guard<std::mutex> sk(shard.mu);
-        shard.window.apply_floor(pkt.link_floor);
-        dup = !shard.window.admit(pkt.link_seq);
-    }
-    if (dup) {
+    // The floor first: the packet's own seq is never below it, and a seq
+    // the sender abandoned must not hold the watermark back.
+    SeqWindow& window = rx_[static_cast<std::size_t>(pkt.src)];
+    window.apply_floor(pkt.link_floor);
+    if (!window.admit(pkt.link_seq)) {
         // Duplicate (fault-injected, or a retransmit whose original ack was
-        // lost): suppress, but re-ack so the sender stops retrying.
-        adm_dups_.fetch_add(1, std::memory_order_relaxed);
+        // lost): suppress, but re-ack so the sender stops retrying. The
+        // re-ack is timed at the duplicate's own arrival: observing it on
+        // the clock would move this worker's virtual time.
+        ++stats_.duplicates_suppressed;
         trace::instant("ucx", "dup_drop", pkt.arrival, "seq", pkt.link_seq);
-        send_ack(pkt, pkt.arrival);
+        send_ack_locked(pkt, pkt.arrival);
         return false;
     }
     return true;
 }
 
-void Worker::send_ack(const netsim::Packet& pkt, SimTime at) {
+void Worker::send_ack_locked(const netsim::Packet& pkt, SimTime at) {
     // Attributed to the message the acked packet serves.
     netsim::Packet ack =
         packet(pkt.src, kAck, encode_header(AckHeader{pkt.link_seq}), pkt.msg_id);
     ack.crc = packet_crc(ack); // acks are CRC'd too, but never acked
-    acks_sent_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.acks_sent;
     trace::instant("ucx", "ack_send", at, "seq", pkt.link_seq);
     fabric_.transmit_control(std::move(ack), at);
 }
@@ -800,66 +783,55 @@ bool Worker::progress() {
                             << pkt->header.size() << " bytes");
             continue;
         }
-        // The reliability filter may consume a numbered packet (duplicate /
-        // CRC failure) before it reaches the protocol state machines —
-        // without touching the protocol mutex.
-        if (!admit_packet(*pkt)) continue;
         const std::lock_guard<std::mutex> lock(mutex_);
         const trace::MsgScope msg_scope(pkt->msg_id);
+        // The reliability filter may consume a numbered packet (duplicate /
+        // CRC failure) before it reaches the protocol state machines.
+        if (!admit_locked(*pkt)) continue;
         if (pkt->link_seq != 0) {
             refresh_reliable_locked();
             clock_.observe(pkt->arrival);
-            if (pkt->needs_ack) send_ack(*pkt, clock_.now());
+            if (pkt->needs_ack) send_ack_locked(*pkt, clock_.now());
         }
         handle_packet_locked(std::move(*pkt));
     }
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         did_work = fire_timers_locked() || did_work;
+        hooks_running_.swap(hooks_); // this pass's hooks (see run_hooks)
     }
     // Hooks run with the busy flag still held so a hook is never
     // re-entered on this worker, but with no protocol lock so it may post
     // new operations.
-    if (hooks_present_.load(std::memory_order_acquire)) {
-        did_work = run_hooks() || did_work;
-    }
+    if (!hooks_running_.empty()) did_work = run_hooks() || did_work;
     progress_busy_.store(false, std::memory_order_release);
     return did_work;
 }
 
-std::uint64_t Worker::add_progress_hook(std::function<bool()> fn) {
-    const std::lock_guard<std::mutex> lock(hooks_mutex_);
-    const std::uint64_t token = next_hook_token_++;
-    hooks_.emplace_back(
-        token, std::make_shared<std::function<bool()>>(std::move(fn)));
-    hooks_present_.store(true, std::memory_order_release);
-    return token;
-}
-
-void Worker::remove_progress_hook(std::uint64_t token) {
-    const std::lock_guard<std::mutex> lock(hooks_mutex_);
-    for (auto it = hooks_.begin(); it != hooks_.end(); ++it) {
-        if (it->first == token) {
-            hooks_.erase(it);
-            break;
-        }
-    }
-    hooks_present_.store(!hooks_.empty(), std::memory_order_release);
+void Worker::add_progress_hook(std::function<HookStatus()> fn) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    hooks_.push_back(std::move(fn));
 }
 
 bool Worker::run_hooks() {
-    // Snapshot under the leaf lock, run without it: a hook may add or
-    // remove hooks (including itself) while the snapshot is iterated.
-    std::vector<std::shared_ptr<std::function<bool()>>> snapshot;
-    {
-        const std::lock_guard<std::mutex> lock(hooks_mutex_);
-        snapshot.reserve(hooks_.size());
-        for (const auto& [token, fn] : hooks_) snapshot.push_back(fn);
-    }
     bool did_work = false;
-    for (const auto& fn : snapshot) {
-        if ((*fn)()) did_work = true;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < hooks_running_.size(); ++i) {
+        const HookStatus st = hooks_running_[i]();
+        did_work = st.moved || did_work;
+        if (st.finished) continue;
+        if (kept != i) hooks_running_[kept] = std::move(hooks_running_[i]);
+        ++kept;
     }
+    // A finished hook is destroyed here, with no lock held.
+    hooks_running_.erase(hooks_running_.begin() + static_cast<std::ptrdiff_t>(kept),
+                         hooks_running_.end());
+    // The survivors go back ahead of the hooks added during the pass.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    hooks_running_.insert(hooks_running_.end(), std::make_move_iterator(hooks_.begin()),
+                          std::make_move_iterator(hooks_.end()));
+    hooks_.swap(hooks_running_);
+    hooks_running_.clear();
     return did_work;
 }
 
@@ -885,6 +857,13 @@ void Worker::handle_arrival_locked(netsim::Packet&& pkt) {
     u.post_vtime = pkt.post_vtime;
     if (pkt.kind == kEager) {
         const auto h = decode_header<EagerHeader>(pkt.header);
+        // probe()/mprobe() report the header's total and delivery uses the
+        // payload, so the two must agree.
+        if (h.total != static_cast<Count>(pkt.payload.size())) {
+            MPICD_LOG_ERROR("dropped eager packet: header total " << h.total << " for "
+                            << pkt.payload.size() << " payload bytes");
+            return;
+        }
         u.tag = h.tag;
         u.total = h.total;
         u.payload = std::move(pkt.payload);
@@ -1095,6 +1074,24 @@ void Worker::handle_frag_locked(netsim::Packet&& pkt) {
     trace::instant("ucx", "frag_recv", clock_.now(), "offset",
                    static_cast<std::uint64_t>(h.offset), "bytes",
                    static_cast<std::uint64_t>(pkt.payload.size()));
+    // A fragment lies inside the total the RTS announced, and an in-order
+    // sink takes each offset once, at or past the bytes it already holds
+    // (a duplicate never gets here: admission suppressed it). A fragment
+    // that breaks either fails the receive and writes nothing.
+    const bool inorder = !rq.sink->allows_out_of_order();
+    auto& stash = rq.frag_stash;
+    const auto pos =
+        std::lower_bound(stash.begin(), stash.end(), h.offset,
+                         [](const auto& e, Count off) { return e.first < off; });
+    const Count len = static_cast<Count>(pkt.payload.size());
+    if (h.offset < 0 || h.offset > rq.expected_total ||
+        len > rq.expected_total - h.offset ||
+        (inorder && (h.offset < rq.bytes_received ||
+                     (pos != stash.end() && pos->first == h.offset)))) {
+        rndv_recvs_.erase(it);
+        complete_locked(rq, Status::err_internal, rq.bytes_received, rq.comp.sender_tag);
+        return;
+    }
     // The stream is alive: push the operation watchdog out.
     if (rq.op_deadline > 0.0)
         rq.op_deadline = clock_.now() + params_.effective_op_timeout();
@@ -1105,11 +1102,7 @@ void Worker::handle_frag_locked(netsim::Packet&& pkt) {
     // once the stream catches up. In-order fragments (the entire stream
     // on a lossless fabric) feed the sink directly from the packet
     // payload and never touch the stash.
-    if (h.offset != rq.bytes_received && !rq.sink->allows_out_of_order()) {
-        auto& stash = rq.frag_stash;
-        const auto pos = std::lower_bound(
-            stash.begin(), stash.end(), h.offset,
-            [](const auto& e, Count off) { return e.first < off; });
+    if (inorder && h.offset != rq.bytes_received) {
         stash.insert(pos, {h.offset, std::move(pkt.payload)});
         return;
     }
@@ -1149,24 +1142,17 @@ void Worker::handle_frag_locked(netsim::Packet&& pkt) {
 // Completion / probe API
 
 bool Worker::is_complete(RequestId id) {
-    // Registry-only read: completion polling never contends with the
-    // protocol mutex (a rank thread spinning in wait() does not stall a
-    // peer thread progressing this worker).
-    const std::lock_guard<std::mutex> lock(comp_mutex_);
-    return completed_.count(id) != 0;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = requests_.find(id);
+    return it != requests_.end() && it->second->done;
 }
 
 Completion Worker::take_completion(RequestId id) {
-    Completion comp;
-    {
-        const std::lock_guard<std::mutex> lock(comp_mutex_);
-        const auto it = completed_.find(id);
-        assert(it != completed_.end());
-        comp = it->second;
-        completed_.erase(it);
-    }
     const std::lock_guard<std::mutex> lock(mutex_);
-    requests_.erase(id);
+    const auto it = requests_.find(id);
+    assert(it != requests_.end() && it->second->done);
+    const Completion comp = it->second->comp;
+    requests_.erase(it);
     return comp;
 }
 
@@ -1175,12 +1161,7 @@ bool Worker::cancel_send(RequestId id) {
     const auto it = requests_.find(id);
     if (it == requests_.end() || it->second->kind != Request::Kind::send)
         return false;
-    if (it->second->done) {
-        const std::lock_guard<std::mutex> ck(comp_mutex_);
-        completed_.erase(id);
-    } else {
-        release_locked(*it->second);
-    }
+    if (!it->second->done) release_locked(*it->second);
     requests_.erase(it);
     return true;
 }
@@ -1229,16 +1210,7 @@ RequestId Worker::imrecv(const MessageHandle& handle, BufferDesc desc) {
 
 WorkerStats Worker::stats() {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return stats_locked();
-}
-
-WorkerStats Worker::stats_locked() const {
-    WorkerStats s = stats_;
-    // Admission-context counters live outside the protocol mutex.
-    s.duplicates_suppressed += adm_dups_.load(std::memory_order_relaxed);
-    s.corruption_detected += adm_corruption_.load(std::memory_order_relaxed);
-    s.acks_sent = acks_sent_.load(std::memory_order_relaxed);
-    return s;
+    return stats_;
 }
 
 bool Worker::idle() {
@@ -1260,12 +1232,8 @@ LinkState Worker::link_state_locked(int peer) const {
     s.next_seq = tx_[p].next_seq;
     s.floor = tx_[p].floor();
     s.pending = tx_[p].pending.size();
-    // Shard mutexes are leaves (never held while acquiring another lock),
-    // so taking one under the protocol mutex cannot deadlock.
-    const PeerShard& shard = shards_[p];
-    const std::lock_guard<std::mutex> sk(shard.mu);
-    s.watermark = shard.window.watermark();
-    s.out_of_order = shard.window.out_of_order();
+    s.watermark = rx_[p].watermark();
+    s.out_of_order = rx_[p].out_of_order();
     return s;
 }
 
@@ -1331,7 +1299,7 @@ void Worker::dump_state_locked(std::FILE* out) const {
                      static_cast<unsigned long long>(l.watermark),
                      l.out_of_order);
     }
-    const WorkerStats s = stats_locked();
+    const WorkerStats& s = stats_;
     std::fprintf(out,
                  "stats: retransmits=%llu dups=%llu crc=%llu acks=%llu/%llu "
                  "timeouts=%llu\n",

@@ -17,23 +17,19 @@
 // Tag matching is delegated to TagMatcher (ucx/matcher.hpp): hashed
 // mask-group buckets. See docs/MATCHING.md.
 //
-// Thread-safety: the protocol state machines run under one mutex, but the
-// hot cross-thread paths are finely locked so rank threads driving their
-// own progress() do not serialize on it:
-//  - progress() itself is serialized per worker by an atomic busy flag
-//    (a concurrent caller returns immediately), which also keeps packet
-//    admission in arrival order;
-//  - inbound CRC verification and duplicate suppression run outside the
-//    main mutex against per-peer shards, each holding the receive window
-//    of one link;
-//  - completion records live in a separate registry, so is_complete()/
-//    take_completion() never contend with the protocol mutex.
+// Thread-safety: one mutex, mutex_, guards all of a worker's state: the
+// protocol state machines, the request table (a completion lives in its
+// request), the per-peer receive windows admission checks packets
+// against, and the progress-hook list. progress() is serialized per
+// worker by an atomic busy flag (a concurrent caller returns
+// immediately), which also keeps packet admission in arrival order; its
+// holder runs the progress hooks with no lock held. Lock order: a worker's
+// mutex, then the fabric's.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -91,6 +87,12 @@ struct WorkerStats {
     std::uint64_t acks_sent = 0;
     std::uint64_t acks_received = 0;
     std::uint64_t timeouts = 0;               // ops failed with Status::timeout
+};
+
+// What one call of a progress hook did (see Worker::add_progress_hook).
+struct HookStatus {
+    bool moved = false;    // made progress; folded into progress()'s result
+    bool finished = false; // done for good: the worker drops the hook
 };
 
 // Reliable-delivery state of one link pair: this worker's sends to a peer
@@ -151,24 +153,22 @@ public:
         return progress_busy_.load(std::memory_order_acquire);
     }
 
-    // Protocol mutex (every send, receive and timer; the *_locked accessors).
+    // The worker's one mutex (see Thread-safety above; the *_locked
+    // accessors).
     [[nodiscard]] std::mutex& protocol_mutex() noexcept { return mutex_; }
 
     // Progress hooks: state machines (e.g. nonblocking collectives, see
     // src/p2p/coll/) that must advance whenever this endpoint is driven.
-    // Hooks run at the tail of every progress() pass, after the packet
-    // drain and timer pump, while the busy flag is still held — so a hook
-    // observes a quiesced protocol state and is never run concurrently
-    // with itself on this worker. A hook returns true when it made
-    // progress (folded into progress()'s return value). Hooks must not
-    // call progress() on THIS worker (the busy flag makes such a call a
-    // harmless no-op) and must not assume any worker lock is held: the
-    // protocol mutex is released before hooks run, so hooks may freely
-    // post sends/recvs and poll completions. Returns a token for
-    // remove_progress_hook(); removal is safe from any thread, including
-    // from inside the hook itself.
-    std::uint64_t add_progress_hook(std::function<bool()> fn);
-    void remove_progress_hook(std::uint64_t token);
+    // Hooks run in insertion order at the tail of every progress() pass,
+    // after the packet drain and timer pump, while the busy flag is still
+    // held — so a hook observes a quiesced protocol state and is never run
+    // concurrently with itself on this worker — but with no worker lock
+    // held, so a hook may post sends/recvs and poll completions. A hook
+    // must not call progress() on THIS worker (the busy flag makes such a
+    // call a harmless no-op). A hook added during a pass, from inside a
+    // hook or from another thread, first runs on the next pass; a hook
+    // that reports finished is not called again.
+    void add_progress_hook(std::function<HookStatus()> fn);
 
     // Earliest pending virtual-time timer (retransmit deadline or
     // receiver-side operation watchdog); +infinity when none. Used by
@@ -257,14 +257,13 @@ private:
     SimTime transmit(netsim::Packet&& pkt, SimTime ready, Count wire_bytes,
                      Count sg_entries, int rail, bool control);
     // Inbound filter for numbered packets: verifies CRC and suppresses
-    // duplicates against the per-peer shard — WITHOUT taking the protocol
-    // mutex. Returns false when the packet was consumed.
-    bool admit_packet(netsim::Packet& pkt);
+    // duplicates against the link's receive window. Returns false when the
+    // packet was consumed.
+    bool admit_locked(netsim::Packet& pkt);
     void handle_ack_locked(const netsim::Packet& pkt);
-    // Acknowledge `pkt`, timed at `at`. Needs no protocol lock: admission
-    // re-acks a suppressed duplicate at its arrival, progress() acks an
-    // admitted packet at the clock.
-    void send_ack(const netsim::Packet& pkt, SimTime at);
+    // Acknowledge `pkt`, timed at `at`: progress() acks an admitted packet
+    // at the clock, admission re-acks a suppressed duplicate at its arrival.
+    void send_ack_locked(const netsim::Packet& pkt, SimTime at);
     // Fire due retransmit timers and operation watchdogs; returns true if
     // anything fired.
     bool fire_timers_locked();
@@ -291,8 +290,6 @@ private:
     // The same dump from any context: try-locks mutex_ and reports a busy
     // worker instead of waiting.
     void dump_state(std::FILE* out);
-    // Protocol counters plus the admission-context ones.
-    [[nodiscard]] WorkerStats stats_locked() const;
     [[nodiscard]] LinkState link_state_locked(int peer) const;
 
     netsim::Fabric& fabric_;
@@ -358,42 +355,20 @@ private:
     // retries ran out / its request failed); returns the next iterator.
     static TxTable::iterator retire(TxLink& link, TxTable::iterator it);
 
-    // Per-peer admission shard: the receive window of the link from that
-    // peer (duplicate suppression), guarded by its own mutex so inbound
-    // filtering never touches the protocol mutex. Leaf lock: never held
-    // while acquiring any other lock. A deque so elements never move.
-    struct PeerShard {
-        mutable std::mutex mu;
-        SeqWindow window;
-    };
-    std::deque<PeerShard> shards_; // by source endpoint
-    // Admission-context counters (outside the protocol mutex); folded into
-    // stats() snapshots. acks_sent_ counts every ack, whichever context
-    // sent it (stats_.acks_sent stays 0).
-    std::atomic<std::uint64_t> adm_dups_{0};
-    std::atomic<std::uint64_t> adm_corruption_{0};
-    std::atomic<std::uint64_t> acks_sent_{0};
-
-    // Completion registry: done requests by id. comp_mutex_ is only ever
-    // acquired after (or without) mutex_, never before it.
-    std::mutex comp_mutex_;
-    std::unordered_map<RequestId, Completion> completed_;
+    // Receive side of the link from each source endpoint: the window
+    // admission suppresses duplicates against.
+    std::vector<SeqWindow> rx_;
 
     // progress() serialization (see above).
     std::atomic<bool> progress_busy_{false};
 
-    // Progress hooks (see add_progress_hook). The runner iterates a
-    // snapshot of shared_ptrs taken under hooks_mutex_, so a hook being
-    // removed concurrently still finishes its in-flight invocation and a
-    // hook may remove itself. hooks_present_ keeps the common no-hooks
-    // path to a single relaxed load. Leaf state: hooks_mutex_ is never
-    // held while running a hook or taking any other worker lock.
+    // Progress hooks (see add_progress_hook), under mutex_. The busy-flag
+    // holder swaps the list into hooks_running_, runs it with no lock held
+    // and puts the survivors back ahead of any hook added meanwhile. Both
+    // vectors keep their capacity, so a pass allocates nothing.
     bool run_hooks();
-    std::mutex hooks_mutex_;
-    std::vector<std::pair<std::uint64_t, std::shared_ptr<std::function<bool()>>>>
-        hooks_;
-    std::uint64_t next_hook_token_ = 1;
-    std::atomic<bool> hooks_present_{false};
+    std::vector<std::function<HookStatus()>> hooks_;
+    std::vector<std::function<HookStatus()>> hooks_running_; // busy-flag holder's
 
     WorkerStats stats_;
     std::uint64_t flight_token_ = 0; // flight-recorder source registration

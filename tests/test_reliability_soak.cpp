@@ -287,7 +287,8 @@ TEST(ReliabilitySoak, ConcurrentManyRankManyTagLossy) {
     // and occasionally helps peers). Unique per-message tags keep the
     // pairing unambiguous even for the ANY_SOURCE receives, so the test
     // can assert exact payload identity while threads race through the
-    // matcher, the sharded admission path and the completion registry.
+    // matcher, admission and the request table under each worker's one
+    // mutex, and through the busy flag that serializes progress().
     // This is the TSan target of tools/run_faults_matrix.sh.
     constexpr int kRanks = 6;
     constexpr int kMsgs = 24;

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <mutex>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "base/flight_recorder.hpp"
 #include "base/metrics.hpp"
 #include "base/pool.hpp"
+#include "base/trace.hpp"
 #include "netsim/fault.hpp"
 #include "test_util.hpp"
 #include "ucx/worker.hpp"
@@ -130,6 +138,8 @@ TEST_F(UcxPair, IovGatherScatter) {
 // test detects whether pack/unpack callbacks actually ran.
 struct XorCtx {
     std::byte key;
+    // When set, every unpack call's (offset, size) is appended here.
+    std::vector<std::pair<Count, Count>>* unpacked = nullptr;
 };
 struct XorState {
     XorCtx* ctx;
@@ -162,6 +172,7 @@ Status xor_pack(void* state, Count offset, void* dst, Count dst_size, Count* use
 }
 Status xor_unpack(void* state, Count offset, const void* src, Count src_size) {
     auto* st = static_cast<XorState*>(state);
+    if (st->ctx->unpacked != nullptr) st->ctx->unpacked->emplace_back(offset, src_size);
     if (offset + src_size > st->len) return Status::err_unpack;
     for (Count i = 0; i < src_size; ++i)
         st->dst[offset + i] =
@@ -677,6 +688,103 @@ TEST_F(UcxPair, CancelUnmatchedRecv) {
     EXPECT_FALSE(w1.cancel_recv(rid)); // already gone
 }
 
+// A forged FRAG fails a generic pipeline receive with err_internal, and
+// writes nothing, when it lies outside the total the RTS announced or,
+// the sink being in-order, when its offset is below the bytes already
+// written or already stashed. The unpack callback never sees a range
+// outside [0, total).
+TEST(UcxWire, FragOffsetsAreChecked) {
+    constexpr Count kTotal = 20'000;
+    constexpr Count kLen = 1000;
+    struct Frag {
+        Count offset, len;
+    };
+    const struct {
+        const char* name;
+        std::vector<Frag> frags; // the last one is refused
+        Count want_len;
+    } rows[] = {
+        {"negative offset", {{-1, kLen}}, 0},
+        {"ends one byte past the total", {{kTotal - kLen + 1, kLen}}, 0},
+        {"starts past the total", {{kTotal + 1, kLen}}, 0},
+        {"stale in-order offset", {{0, kLen}, {0, kLen}}, kLen},
+        {"repeated stashed offset", {{2 * kLen, kLen}, {2 * kLen, kLen}}, 0},
+    };
+    for (const auto& row : rows) {
+        SCOPED_TRACE(row.name);
+        netsim::WireParams params = test::test_params();
+        params.eager_threshold = 4096;
+        netsim::FaultConfig lossless;
+        WorkerPair p(params, lossless);
+        std::vector<std::pair<Count, Count>> unpacked;
+        XorCtx key{std::byte{0x5A}, &unpacked};
+        ByteVec dst(kTotal);
+        auto gr = xor_desc(key);
+        gr.recv_buf = dst.data();
+        gr.count = kTotal;
+        const auto rid = p.w1.tag_recv(3, ~Tag{0}, gr);
+        const ByteVec src = test::pattern_bytes(kTotal, 7);
+        (void)p.w0.tag_send(1, 3, make_contig_send(src.data(), kTotal));
+        // Worker 1 matches the RTS and answers with a pipeline CTS, which is
+        // taken off the wire before worker 0 sees it: sender op, receiver op.
+        ASSERT_TRUE(p.w1.progress());
+        auto cts = p.fabric.poll(0);
+        ASSERT_TRUE(cts.has_value());
+        ASSERT_EQ(cts->kind, wire::kCts);
+        std::uint64_t recv_op = 0;
+        std::memcpy(&recv_op, cts->header.data() + 8, sizeof(recv_op));
+        for (const Frag& f : row.frags) {
+            // A FRAG: receiver op, offset, message total, last flag.
+            const struct {
+                std::uint64_t recv_op;
+                Count offset, msg_total;
+                std::uint32_t last;
+            } frag{recv_op, f.offset, kTotal, 0};
+            netsim::Packet pkt;
+            pkt.src = 0;
+            pkt.dst = 1;
+            pkt.kind = wire::kFrag;
+            pkt.header = ByteVec(sizeof(frag));
+            std::memcpy(pkt.header.data(), &frag, sizeof(frag));
+            pkt.payload = PooledBuf::make(static_cast<std::size_t>(f.len));
+            (void)p.fabric.transmit_control(std::move(pkt), 0.0);
+            ASSERT_TRUE(p.w1.progress());
+        }
+        if (!p.w1.is_complete(rid)) {
+            ADD_FAILURE() << "the receive is still waiting";
+            continue;
+        }
+        const Completion rc = p.w1.take_completion(rid);
+        EXPECT_EQ(rc.status, Status::err_internal);
+        EXPECT_EQ(rc.received_len, row.want_len);
+        for (const auto& [offset, size] : unpacked) {
+            EXPECT_GE(offset, 0);
+            EXPECT_LE(offset + size, kTotal);
+        }
+    }
+}
+
+// An eager packet whose header total differs from its payload size is
+// dropped: probe() would report the forged total for a message whose
+// delivery uses the payload.
+TEST_F(UcxPair, EagerTotalMustMatchPayload) {
+    const struct {
+        Tag tag;
+        Count total;
+    } eager{9, 4096};
+    netsim::Packet pkt;
+    pkt.src = 0;
+    pkt.dst = 1;
+    pkt.kind = wire::kEager;
+    pkt.header = ByteVec(sizeof(eager));
+    std::memcpy(pkt.header.data(), &eager, sizeof(eager));
+    pkt.payload = PooledBuf::make(100);
+    (void)fabric.transmit_control(std::move(pkt), 0.0);
+    EXPECT_TRUE(w1.progress());
+    EXPECT_FALSE(w1.probe(9, ~Tag{0}).has_value());
+    EXPECT_EQ(w1.stats().unexpected_msgs, 0u);
+}
+
 // Every packet kind's decoder reads a fixed header part. A header shorter
 // than its kind's must be dropped before any decoder runs, not read past its
 // end; the worker then carries on as if it never arrived. The packets are
@@ -706,6 +814,142 @@ TEST_F(UcxPair, ShortHeaderOfEveryKindIsDropped) {
     for (int i = 0; i < 100'000 && !(w0.idle() && w1.idle()); ++i) drive();
     EXPECT_TRUE(w0.idle());
     EXPECT_TRUE(w1.idle());
+}
+
+// ---------------------------------------------------------------------------
+// Progress hooks: run in insertion order at the tail of each progress()
+// pass; a hook added during a pass first runs on the next one; a finished
+// hook is not called again, and its last call's `moved` still counts.
+
+TEST(UcxHooks, FinishedHookIsNotCalledAgain) {
+    WorkerPair p(test::test_params(), netsim::FaultConfig{});
+    int calls = 0;
+    p.w0.add_progress_hook([&calls] {
+        ++calls;
+        return HookStatus{true, calls == 2};
+    });
+    EXPECT_TRUE(p.w0.progress());
+    EXPECT_TRUE(p.w0.progress()); // the finishing call moved
+    EXPECT_FALSE(p.w0.progress());
+    EXPECT_EQ(calls, 2);
+}
+
+TEST(UcxHooks, HooksRunInInsertionOrder) {
+    WorkerPair p(test::test_params(), netsim::FaultConfig{});
+    std::vector<int> log;
+    for (int id = 1; id <= 4; ++id) {
+        p.w0.add_progress_hook([&log, id] {
+            log.push_back(id);
+            return HookStatus{false, id == 2}; // hook 2 leaves after one call
+        });
+    }
+    EXPECT_FALSE(p.w0.progress());
+    EXPECT_FALSE(p.w0.progress());
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4, 1, 3, 4}));
+}
+
+TEST(UcxHooks, HookAddedInsideAHookRunsOnTheNextPass) {
+    WorkerPair p(test::test_params(), netsim::FaultConfig{});
+    std::vector<int> log;
+    bool added = false;
+    p.w0.add_progress_hook([&] {
+        log.push_back(1);
+        if (!added) {
+            added = true;
+            p.w0.add_progress_hook([&log] {
+                log.push_back(2);
+                return HookStatus{};
+            });
+        }
+        return HookStatus{};
+    });
+    (void)p.w0.progress();
+    EXPECT_EQ(log, (std::vector<int>{1}));
+    (void)p.w0.progress();
+    EXPECT_EQ(log, (std::vector<int>{1, 1, 2}));
+}
+
+// Another thread adds a hook while this one runs the worker's hooks, on
+// every round: the late hook is neither lost nor run twice, and it first
+// runs on the pass after. This case runs under ThreadSanitizer.
+TEST(UcxHooks, HookAddedByAnotherThreadDuringAPass) {
+    WorkerPair p(test::test_params(), netsim::FaultConfig{});
+    for (int round = 0; round < 50; ++round) {
+        SCOPED_TRACE(round);
+        std::atomic<bool> in_pass{false};
+        std::atomic<bool> added{false};
+        std::atomic<int> late_calls{0};
+        bool first = true;
+        p.w0.add_progress_hook([&] {
+            if (first) {
+                first = false;
+                in_pass.store(true);
+                while (!added.load()) std::this_thread::yield();
+            }
+            return HookStatus{false, true};
+        });
+        std::thread adder([&] {
+            while (!in_pass.load()) std::this_thread::yield();
+            p.w0.add_progress_hook([&late_calls] {
+                ++late_calls;
+                return HookStatus{true, true};
+            });
+            added.store(true);
+        });
+        EXPECT_FALSE(p.w0.progress()); // the late hook is added mid-pass
+        adder.join();
+        EXPECT_EQ(late_calls.load(), 0);
+        EXPECT_TRUE(p.w0.progress());
+        EXPECT_EQ(late_calls.load(), 1);
+        EXPECT_FALSE(p.w0.progress());
+        EXPECT_EQ(late_calls.load(), 1);
+    }
+}
+
+// A CRC failure triggers its flight dump inside the receiving worker's
+// lock, so the dump must print that worker's own state from the locked
+// context rather than report the worker as busy.
+TEST(UcxFlight, CrcFailureDumpShowsTheTriggeringWorker) {
+    netsim::FaultConfig lossless;
+    WorkerPair p(test::test_params(), lossless);
+    netsim::ScheduledFault f;
+    f.src = 0;
+    f.dst = 1;
+    f.action = netsim::FaultAction::corrupt;
+    f.kind_filter = wire::kEager;
+    f.byte = 40; // inside the payload
+    f.bit = 2;
+    p.fabric.faults().schedule(f);
+    const std::string path = "mpicd_crc_flight.txt";
+    std::remove(path.c_str());
+    flight::set_enabled(true, path);
+    const ByteVec src = test::pattern_bytes(256, 3);
+    ByteVec dst(256);
+    const auto rid = p.w1.tag_recv(4, ~Tag{0}, make_contig_recv(dst.data(), 256));
+    const auto sid = p.w0.tag_send(1, 4, make_contig_send(src.data(), 256));
+    const Completion rc = p.take(p.w1, rid);
+    (void)p.take(p.w0, sid);
+    flight::set_enabled(false);
+    trace::set_enabled(false);
+    EXPECT_EQ(rc.status, Status::success);
+    EXPECT_EQ(dst, src);
+    EXPECT_EQ(p.w1.stats().corruption_detected, 1u);
+
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string dump = ss.str();
+    std::remove(path.c_str());
+    std::size_t dumps = 0;
+    for (std::size_t at = dump.find("reason: crc_failure"); at != std::string::npos;
+         at = dump.find("reason: crc_failure", at + 1))
+        ++dumps;
+    EXPECT_EQ(dumps, 1u);
+    EXPECT_NE(dump.find("--- source: ucx.worker1 ---\nendpoint 1 "), std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("in-flight requests (1):\n  req 1 recv"), std::string::npos)
+        << dump;
+    EXPECT_EQ(dump.find("<busy"), std::string::npos) << dump;
 }
 
 // ---------------------------------------------------------------------------

@@ -70,16 +70,21 @@
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
 # matcher-heavy tests — test_matcher's randomized differential sweeps, the
-# test_ucx conformance set, the multi-threaded many-rank soak, and the
-# collectives (whose dissemination-barrier rounds historically aliased one
-# token byte between concurrent send and recv — the TSan regression for
-# that bug lives in test_collectives) — so the finely-locked progress path
-# (busy-flag serialization, sharded admission, completion registry,
-# collective progress hooks) is checked for data races, not just
-# correctness. test_p2p, test_capi, test_integration and test_trace ride
-# along: their rank threads block in Universe::wait_until, in the blocking
-# probes and in timer escalation, which holds every worker's protocol
-# mutex at once. MPICD_SKIP_TSAN=1 skips it.
+# test_ucx conformance set (its UcxHooks cases add a hook from another
+# thread mid-pass), the multi-threaded many-rank soak, and the collectives
+# (whose dissemination-barrier rounds historically aliased one token byte
+# between concurrent send and recv — the TSan regression for that bug
+# lives in test_collectives) — so the progress path (the busy flag that
+# serializes progress(), the one worker mutex behind every request table,
+# receive window and hook list, and the hooks run with no lock held) is
+# checked for data races, not just correctness. test_p2p, test_capi,
+# test_integration and test_trace ride along: their rank threads block in
+# Universe::wait_until, in the blocking probes and in timer escalation,
+# which holds every worker's protocol mutex at once. The five checked
+# examples (quickstart, particle_exchange, pickle_rpc, capi_demo, halo2d)
+# run there too: they are the application-shaped programs on free rank
+# threads, through p2p::run_world and MPIX_Run_world. MPICD_SKIP_TSAN=1
+# skips it.
 #
 # A final tracing leg replays the lossy fault/collective tests with
 # MPICD_TRACE=1 over one seed: span instrumentation (MsgScope stamping,
@@ -177,17 +182,19 @@ fi
 
 if [[ "${MPICD_SKIP_TSAN:-0}" != "1" ]]; then
     TSAN_DIR=${BUILD_DIR}-tsan
-    TSAN_TESTS='test_ucx|test_matcher|test_reliability_soak|test_collectives|test_coll_faults|test_p2p|test_capi|test_integration|test_trace'
+    TSAN_EXAMPLES='quickstart|particle_exchange|pickle_rpc|capi_demo|halo2d'
+    TSAN_TESTS="test_ucx|test_matcher|test_reliability_soak|test_collectives|test_coll_faults|test_p2p|test_capi|test_integration|test_trace|$TSAN_EXAMPLES"
     echo "=== tsan leg: configuring $TSAN_DIR ==="
     cmake -B "$TSAN_DIR" -S . \
           -DMPICD_SANITIZE=thread \
           -DMPICD_BUILD_BENCH=OFF \
-          -DMPICD_BUILD_EXAMPLES=OFF >/dev/null
+          -DMPICD_BUILD_EXAMPLES=ON >/dev/null
     cmake --build "$TSAN_DIR" -j "$JOBS" --target \
           test_ucx test_matcher test_reliability_soak \
           test_collectives test_coll_faults \
-          test_p2p test_capi test_integration test_trace
-    echo "=== tsan leg: matcher + threaded soak under ThreadSanitizer ==="
+          test_p2p test_capi test_integration test_trace \
+          ${TSAN_EXAMPLES//|/ }
+    echo "=== tsan leg: matcher, threaded soak and examples under ThreadSanitizer ==="
     MPICD_FAULT_SEED=42 \
     MPICD_FAULT_DROP=0.01 \
     MPICD_FAULT_DUP=0.01 \
